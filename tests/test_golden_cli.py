@@ -1,0 +1,57 @@
+"""Golden CLI outputs, replayed in process and compared byte for byte.
+
+The files under tests/golden/ were captured once from the CLI and are never
+edited: a change that alters any of them alters behaviour.  Each case names
+its argv, its exit code, and whether it writes an --out CSV.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+ANNOTATIONS = str(GOLDEN / "annotations.txt")
+DETECTIONS = str(GOLDEN / "detections.csv")
+
+CASES = {
+    "jiou": (["jiou", "--pred", "1,2,6,2.5,0.7", "--target", "1,2,5,3,-0.2"], 0, False),
+    "jiou_degrees_n64": (["jiou", "--degrees", "--n", "64", "--pred", "1,2,6,2.5,40",
+                          "--target", "1,2,5,3,-11.5"], 0, False),
+    "roundtrip": (["roundtrip", ANNOTATIONS], 1, False),
+    "roundtrip_stride32": (["roundtrip", ANNOTATIONS, "--stride", "32"], 1, False),
+    "fit": (["fit", "--init", "0,0,6,2,0.9", "--target", "0,0,6,2,0.1"], 0, True),
+    "fit_degrees": (["fit", "--degrees", "--init", "0,0,6,2,50",
+                     "--target", "0,0,6,2,5"], 0, True),
+    "fit_suite_jiou": (["fit", "--suite"], 0, True),
+    "fit_suite_smooth_l1": (["fit", "--suite", "--loss", "smooth_l1"], 0, True),
+    "fit_suite_flags": (["fit", "--suite", "--n", "64", "--seed", "7", "--lr", "0.1",
+                         "--iters", "50"], 0, True),
+    "nms": (["nms", DETECTIONS, "--nms-iou", "0.5"], 0, True),
+    "nms_degrees": (["nms", DETECTIONS, "--degrees"], 0, False),
+    "heatmap_demo": (["heatmap-demo"], 0, True),
+    "heatmap_demo_flags": (["heatmap-demo", "--stride", "8", "--alpha", "2", "--gamma", "3",
+                            "--seed", "7", "--num-objects", "4", "--classes", "2",
+                            "--height", "32", "--width", "32"], 0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay(name, tmp_path):
+    argv, expected_code, writes_csv = CASES[name]
+    out = tmp_path / f"{name}.csv"
+    if writes_csv:
+        argv = argv + ["--out", str(out)]
+    code, stdout, _ = run_cli(argv)
+    assert code == expected_code
+    assert stdout.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    if writes_csv:
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_sweep(cli_sweep):
+    path, code, stdout = cli_sweep
+    assert code == 0
+    assert stdout == f"wrote 570 records to {path}\n"
+    assert path.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
