@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .boxes import (
     parse_dota_record,
 )
 from .codec import (
+    DEFAULT_ALPHA,
+    DEFAULT_GAMMA,
     encode_decode_roundtrip,
     encode_targets,
     extract_peaks,
@@ -37,33 +39,27 @@ from .codec import (
 )
 from .errors import AnnotationError, InvalidBoxError, OutOfImageError
 from .fitting import (
-    TRACE_CSV_HEADER,
+    DEFAULT_LR,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_SEED,
     default_fit_suite,
     deviation_sweep,
     fit_box,
     fmt9,
     run_fit_suite,
     write_sweep_csv,
+    write_trace_csv,
 )
-from .loss import jiou_bar, jiou_gradient
+from .loss import DEFAULT_N, jiou_bar, jiou_gradient
 from .oracle import Detection, rotated_nms
+from .polar import MIN_GRID_ANGLES
 
 DETECTIONS_CSV_HEADER = "cx,cy,r1,r2,phi,score,category"
 HEATMAP_CSV_HEADER = "class,cell_y,cell_x,value"
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Shared knob defaults for every subcommand."""
-
-    n: int = 720
-    mu: float = 5.0
-    stride: int = 4
-    alpha: float = 4.0
-    gamma: float = 2.0
-    nms_iou: float = 0.1
-    seed: int = 42
-    degrees: bool = False
+# The library has no default output stride or NMS threshold; these are the CLI's.
+DEFAULT_STRIDE = 4
+DEFAULT_NMS_IOU = 0.1
 
 
 class SpecError(ValueError):
@@ -87,14 +83,37 @@ def parse_box_spec(spec: str, degrees: bool = False) -> OrientedBox:
         raise SpecError(str(exc)) from None
 
 
-def _config(args) -> CliConfig:
-    return CliConfig(n=args.n, mu=args.mu, stride=args.stride, alpha=args.alpha,
-                     gamma=args.gamma, nms_iou=args.nms_iou, seed=args.seed,
-                     degrees=args.degrees)
+def _checked(kind, ok, rule):
+    """An argparse type: parse with kind, then reject values that fail ok."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in parse errors
+    return parse
 
 
-def _emit_angle(phi: float, cfg: CliConfig) -> float:
-    return math.degrees(phi) if cfg.degrees else phi
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+
+# The library-facing flags, each declared once with its default and valid
+# range; every subcommand opts into the ones it reads.
+FLAGS = {
+    "n": dict(type=_checked(int, lambda v: v >= MIN_GRID_ANGLES, f">= {MIN_GRID_ANGLES}"),
+              default=DEFAULT_N, help="discretization angles (default %(default)s)"),
+    "seed": dict(type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)"),
+    "stride": dict(type=_positive_int, default=DEFAULT_STRIDE,
+                   help="output stride (default %(default)s)"),
+    "alpha": dict(type=float, default=DEFAULT_ALPHA,
+                  help="focal-loss negative-weight exponent (default %(default)s)"),
+    "gamma": dict(type=float, default=DEFAULT_GAMMA,
+                  help="focal-loss focusing exponent (default %(default)s)"),
+    "nms-iou": dict(type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+                    default=DEFAULT_NMS_IOU,
+                    help="NMS suppression threshold (default %(default)s)"),
+    "degrees": dict(action="store_true",
+                    help="accept and emit box angles in degrees (gradients stay per-radian)"),
+}
 
 
 def _open_out(path):
@@ -104,16 +123,22 @@ def _open_out(path):
         raise _Unwritable(f"cannot write {path}: {exc}") from None
 
 
+def _write(writer, data, path):
+    try:
+        writer(data, path)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc}") from None
+
+
 class _Unwritable(Exception):
     pass
 
 
 def cmd_jiou(args) -> int:
-    cfg = _config(args)
-    pred = parse_box_spec(args.pred, cfg.degrees)
-    target = parse_box_spec(args.target, cfg.degrees)
-    value = jiou_bar(pred, target, cfg.n)
-    grad = jiou_gradient(pred, target, cfg.n)
+    pred = parse_box_spec(args.pred, args.degrees)
+    target = parse_box_spec(args.target, args.degrees)
+    value = jiou_bar(pred, target, args.n)
+    grad = jiou_gradient(pred, target, args.n)
     print(f"ratio {fmt9(value.ratio)}")
     print(f"loss {fmt9(value.loss)}")
     print(f"d_phi {fmt9(grad.d_phi)}")
@@ -123,13 +148,9 @@ def cmd_jiou(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args)
     _open_out(args.out).close()  # fail fast before the sweep runs
-    records = deviation_sweep(seed=cfg.seed)
-    try:
-        write_sweep_csv(records, args.out)
-    except OSError as exc:
-        raise _Unwritable(f"cannot write {args.out}: {exc}") from None
+    records = deviation_sweep(seed=args.seed)
+    _write(write_sweep_csv, records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -141,7 +162,6 @@ def _roundtrip_grid(cells):
 
 
 def cmd_roundtrip(args) -> int:
-    cfg = _config(args)
     records = []
     parse_errors = 0
     for lineno, line in iter_dota_object_lines(args.annotations):
@@ -160,17 +180,17 @@ def cmd_roundtrip(args) -> int:
             box = corners_to_box(quad)
             objects.append((box, class_of[cat]))
             quads.append(quad)
-        cells = [(math.floor(b.cx / cfg.stride), math.floor(b.cy / cfg.stride))
+        cells = [(math.floor(b.cx / args.stride), math.floor(b.cy / args.stride))
                  for b, _ in objects]
         height, width = _roundtrip_grid(cells)
         errors, detections = encode_decode_roundtrip(
-            objects, len(categories), height, width, cfg.stride)
+            objects, len(categories), height, width, args.stride)
         corner_errors = np.full(len(objects), np.nan)
         det_by_cell = {}
         for det in detections:
             cell = (det.category,
-                    math.floor(det.box.cx / cfg.stride),
-                    math.floor(det.box.cy / cfg.stride))
+                    math.floor(det.box.cx / args.stride),
+                    math.floor(det.box.cy / args.stride))
             det_by_cell[cell] = det
         for i, ((box, cls), quad) in enumerate(zip(objects, quads)):
             det = det_by_cell.get((cls, cells[i][0], cells[i][1]))
@@ -190,10 +210,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _config(args)
     if args.suite:
-        cases = default_fit_suite(seed=cfg.seed)
-        traces = run_fit_suite(args.loss, cases, n=cfg.n, lr=args.lr,
+        cases = default_fit_suite(seed=args.seed)
+        traces = run_fit_suite(args.loss, cases, n=args.n, lr=args.lr,
                                max_iters=args.iters)
         converged = sum(t.converged for t in traces)
         mean_iou = sum(t.final_exact_iou for t in traces) / len(traces)
@@ -209,20 +228,18 @@ def cmd_fit(args) -> int:
         return 0
     if not args.init or not args.target:
         raise SpecError("fit needs --init and --target (or --suite)")
-    init = parse_box_spec(args.init, cfg.degrees)
-    target = parse_box_spec(args.target, cfg.degrees)
-    trace = fit_box(init, target, args.loss, n=cfg.n, lr=args.lr,
+    init = parse_box_spec(args.init, args.degrees)
+    target = parse_box_spec(args.target, args.degrees)
+    trace = fit_box(init, target, args.loss, n=args.n, lr=args.lr,
                     max_iters=args.iters)
     print(f"converged {'true' if trace.converged else 'false'}")
     print(f"final_exact_iou {fmt9(trace.final_exact_iou)}")
     print(f"steps {len(trace.steps) - 1}")
     if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(TRACE_CSV_HEADER + "\n")
-            for s in trace.steps:
-                fh.write(",".join((
-                    str(s.step), fmt9(_emit_angle(s.phi, cfg)), fmt9(s.r1),
-                    fmt9(s.r2), fmt9(s.loss), fmt9(s.exact_iou))) + "\n")
+        if args.degrees:
+            trace = replace(trace, steps=tuple(replace(s, phi=math.degrees(s.phi))
+                                               for s in trace.steps))
+        _write(write_trace_csv, trace, args.out)
     return 0
 
 
@@ -252,14 +269,14 @@ def parse_detections_csv(path, degrees: bool = False):
 
 
 def cmd_nms(args) -> int:
-    cfg = _config(args)
-    detections = parse_detections_csv(args.detections, cfg.degrees)
-    kept = rotated_nms(detections, cfg.nms_iou)
+    detections = parse_detections_csv(args.detections, args.degrees)
+    kept = rotated_nms(detections, args.nms_iou)
     rows = [DETECTIONS_CSV_HEADER]
     for d in kept:
         rows.append(",".join((
             fmt9(d.box.cx), fmt9(d.box.cy), fmt9(d.box.r1), fmt9(d.box.r2),
-            fmt9(_emit_angle(d.box.phi, cfg)), fmt9(d.score), str(d.category),
+            fmt9(math.degrees(d.box.phi) if args.degrees else d.box.phi),
+            fmt9(d.score), str(d.category),
         )))
     print(f"kept {len(kept)} of {len(detections)}")
     if args.out:
@@ -271,11 +288,11 @@ def cmd_nms(args) -> int:
     return 0
 
 
-def _demo_scene(cfg: CliConfig, num_objects: int, num_classes: int,
+def _demo_scene(seed: int, stride: int, num_objects: int, num_classes: int,
                 height: int, width: int):
     """Seeded random boxes on non-adjacent cells, so every center survives
     peak extraction."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     lattice_h = (height - 2) // 3
     lattice_w = (width - 2) // 3
     if num_objects > lattice_h * lattice_w:
@@ -285,9 +302,9 @@ def _demo_scene(cfg: CliConfig, num_objects: int, num_classes: int,
     for slot in slots:
         cell_y = 1 + 3 * (int(slot) // lattice_w)
         cell_x = 1 + 3 * (int(slot) % lattice_w)
-        cx = (cell_x + rng.uniform(0.05, 0.95)) * cfg.stride
-        cy = (cell_y + rng.uniform(0.05, 0.95)) * cfg.stride
-        r2 = rng.uniform(2.0, 3.0 * cfg.stride)
+        cx = (cell_x + rng.uniform(0.05, 0.95)) * stride
+        cy = (cell_y + rng.uniform(0.05, 0.95)) * stride
+        r2 = rng.uniform(2.0, 3.0 * stride)
         r1 = r2 * rng.uniform(1.0, 4.0)
         phi = rng.uniform(-HALF_PI, HALF_PI)
         cls = int(rng.integers(0, num_classes))
@@ -296,14 +313,14 @@ def _demo_scene(cfg: CliConfig, num_objects: int, num_classes: int,
 
 
 def cmd_heatmap_demo(args) -> int:
-    cfg = _config(args)
-    objects = _demo_scene(cfg, args.num_objects, args.classes, args.height, args.width)
-    enc = encode_targets(objects, args.classes, args.height, args.width, cfg.stride)
+    objects = _demo_scene(args.seed, args.stride, args.num_objects, args.classes,
+                          args.height, args.width)
+    enc = encode_targets(objects, args.classes, args.height, args.width, args.stride)
     peaks = extract_peaks(enc.heatmap.values, k=len(objects))
     errors, _ = encode_decode_roundtrip(objects, args.classes, args.height,
-                                        args.width, cfg.stride)
-    cla = focal_loss(enc.heatmap.values, enc.heatmap, cfg.alpha, cfg.gamma)
-    report = total_loss(cla, 0.0, 0.0, cfg.mu)
+                                        args.width, args.stride)
+    cla = focal_loss(enc.heatmap.values, enc.heatmap, args.alpha, args.gamma)
+    report = total_loss(cla, 0.0, 0.0)
     print(f"objects {len(objects)}")
     print(f"peaks {len(peaks)}")
     for p in peaks:
@@ -322,72 +339,52 @@ def cmd_heatmap_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=720,
-                        help="discretization angles (default 720)")
-    common.add_argument("--mu", type=float, default=5.0,
-                        help="total-loss weight on the polar IoU term (default 5.0)")
-    common.add_argument("--stride", type=int, default=4,
-                        help="output stride (default 4)")
-    common.add_argument("--alpha", type=float, default=4.0,
-                        help="focal-loss negative-weight exponent (default 4)")
-    common.add_argument("--gamma", type=float, default=2.0,
-                        help="focal-loss focusing exponent (default 2)")
-    common.add_argument("--nms-iou", type=float, default=0.1, dest="nms_iou",
-                        help="NMS suppression threshold (default 0.1)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="random seed (default 42)")
-    common.add_argument("--degrees", action="store_true",
-                        help="accept and emit box angles in degrees "
-                             "(gradients stay per-radian)")
-
     parser = argparse.ArgumentParser(
         prog="polarjiou",
         description="Polar IoU loss analysis tools for oriented boxes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jiou", parents=[common],
-                       help="ratio, loss, and gradient for one box pair")
+    def command(name, func, flags, help):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("jiou", cmd_jiou, ("n", "degrees"),
+                "ratio, loss, and gradient for one box pair")
     p.add_argument("--pred", required=True, help="predicted box cx,cy,r1,r2,phi")
     p.add_argument("--target", required=True, help="target box cx,cy,r1,r2,phi")
-    p.set_defaults(func=cmd_jiou)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="deviation sweep over the default grid")
+    p = command("sweep", cmd_sweep, ("seed",), "deviation sweep over the default grid")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("roundtrip", parents=[common],
-                       help="encode/decode annotation records and report errors")
+    p = command("roundtrip", cmd_roundtrip, ("stride",),
+                "encode/decode annotation records and report errors")
     p.add_argument("annotations", help="annotation file path")
-    p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="gradient-descent fit of one box onto another")
+    p = command("fit", cmd_fit, ("n", "seed", "degrees"),
+                "gradient-descent fit of one box onto another")
     p.add_argument("--init", help="initial box cx,cy,r1,r2,phi")
     p.add_argument("--target", help="target box cx,cy,r1,r2,phi")
     p.add_argument("--loss", choices=("jiou", "smooth_l1"), default="jiou")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--lr", type=_checked(float, lambda v: v > 0, "> 0"), default=DEFAULT_LR)
+    p.add_argument("--iters", type=_positive_int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--suite", action="store_true",
                    help="run the seeded 50-case suite instead of one pair")
     p.add_argument("--out", help="trace (or suite summary) CSV path")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("nms", parents=[common],
-                       help="suppress a detections CSV")
+    p = command("nms", cmd_nms, ("nms-iou", "degrees"), "suppress a detections CSV")
     p.add_argument("detections", help=f"CSV with header {DETECTIONS_CSV_HEADER}")
     p.add_argument("--out", help="kept-detections CSV path (default: stdout)")
-    p.set_defaults(func=cmd_nms)
 
-    p = sub.add_parser("heatmap-demo", parents=[common],
-                       help="render a seeded synthetic scene and report losses")
-    p.add_argument("--num-objects", type=int, default=5, dest="num_objects")
-    p.add_argument("--classes", type=int, default=3)
+    p = command("heatmap-demo", cmd_heatmap_demo, ("stride", "alpha", "gamma", "seed"),
+                "render a seeded synthetic scene and report losses")
+    p.add_argument("--num-objects", type=_positive_int, default=5)
+    p.add_argument("--classes", type=_positive_int, default=3)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--out", help="heatmap dump CSV path")
-    p.set_defaults(func=cmd_heatmap_demo)
 
     return parser
 

@@ -20,6 +20,7 @@ MIN_HALF_EXTENT = 0.1
 MAX_HALVINGS = 10
 DEFAULT_LR = 0.05
 DEFAULT_MAX_ITERS = 500
+DEFAULT_SEED = 42
 
 DEFAULT_ASPECT_RATIOS = (1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_N_VALUES = (16, 64, 256, 720, 1024, 8192)
@@ -124,7 +125,7 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     return FitTrace(tuple(steps), iou, converged, tuple(projected), loss_kind)
 
 
-def default_fit_suite(num_cases: int = 50, seed: int = 42):
+def default_fit_suite(num_cases: int = 50, seed: int = DEFAULT_SEED):
     """The seeded random fit suite: (init, target) pairs.
 
     Targets have aspect ratio in [1.5, 5] and arbitrary orientation; the
@@ -180,7 +181,7 @@ def _cell_seed(seed: int, i: int, j: int) -> int:
 
 
 def deviation_sweep(aspect_ratios=None, angle_diffs=None, n_values=None,
-                    mc_samples: int = SWEEP_MC_SAMPLES, seed: int = 42):
+                    mc_samples: int = SWEEP_MC_SAMPLES, seed: int = DEFAULT_SEED):
     """Ratio-vs-oracle records over concentric pairs (ar, 1, 0) vs (ar, 1, dphi).
 
     The exact-rectangle IoU and the Monte-Carlo ellipse IoU are computed once

@@ -10,6 +10,8 @@ import numpy as np
 from .boxes import OrientedBox
 from .errors import DiscretizationError
 
+MIN_GRID_ANGLES = 4
+
 
 def radius_at(box: OrientedBox, theta):
     """Polar radius of the box's inscribed ellipse at angle theta, about the center.
@@ -28,8 +30,8 @@ def radius_at(box: OrientedBox, theta):
 
 def grid_angles(n: int) -> np.ndarray:
     """The shared discretization grid theta_i = 2*pi*i/n for i in [0, n)."""
-    if n < 4:
-        raise DiscretizationError(f"need at least 4 grid angles, got n={n}")
+    if n < MIN_GRID_ANGLES:
+        raise DiscretizationError(f"need at least {MIN_GRID_ANGLES} grid angles, got n={n}")
     return np.arange(n) * (2.0 * math.pi / n)
 
 
@@ -41,8 +43,9 @@ class RadialProfile:
     rho: np.ndarray
 
     def __post_init__(self):
-        if self.n < 4:
-            raise DiscretizationError(f"need at least 4 grid angles, got n={self.n}")
+        if self.n < MIN_GRID_ANGLES:
+            raise DiscretizationError(
+                f"need at least {MIN_GRID_ANGLES} grid angles, got n={self.n}")
         arr = np.array(self.rho, dtype=np.float64)
         if arr.shape != (self.n,):
             raise DiscretizationError(

@@ -17,16 +17,28 @@ from polarjiou import (
     jiou_gradient,
 )
 from polarjiou.cli import (
+    DEFAULT_NMS_IOU,
+    DEFAULT_STRIDE,
     DETECTIONS_CSV_HEADER,
     HEATMAP_CSV_HEADER,
-    CliConfig,
     SpecError,
     build_parser,
+    main,
     parse_box_spec,
     parse_detections_csv,
 )
+from polarjiou.codec import DEFAULT_ALPHA, DEFAULT_GAMMA
 from polarjiou.errors import AnnotationError
-from polarjiou.fitting import SWEEP_CSV_HEADER, TRACE_CSV_HEADER, fit_box, fmt9
+from polarjiou.fitting import (
+    DEFAULT_LR,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_SEED,
+    SWEEP_CSV_HEADER,
+    TRACE_CSV_HEADER,
+    fit_box,
+    fmt9,
+)
+from polarjiou.loss import DEFAULT_N
 
 
 def write_rect_file(path, boxes_and_cats, jitter=None, rng=None):
@@ -80,18 +92,31 @@ class TestParseBoxSpec:
             parse_box_spec("1,2,0,1,0")
 
 
-class TestDefaults:
-    def test_config_defaults(self):
-        cfg = CliConfig()
-        assert (cfg.n, cfg.mu, cfg.stride, cfg.alpha, cfg.gamma,
-                cfg.nms_iou, cfg.seed) == (720, 5.0, 4, 4.0, 2.0, 0.1, 42)
+PAIR = ["--pred", "0,0,1,1,0", "--target", "0,0,1,1,0"]
 
-    def test_parser_defaults_match(self):
-        args = build_parser().parse_args(["jiou", "--pred", "0,0,1,1,0",
-                                          "--target", "0,0,1,1,0"])
-        assert (args.n, args.mu, args.stride, args.alpha, args.gamma,
-                args.nms_iou, args.seed, args.degrees) == (720, 5.0, 4, 4.0, 2.0,
-                                                           0.1, 42, False)
+# argv -> every parsed value of that subcommand; a flag a subcommand does not
+# read is absent, so adding one to the wrong subcommand fails here.
+DEFAULTS = [
+    (["jiou", *PAIR], dict(n=DEFAULT_N, degrees=False,
+                           pred="0,0,1,1,0", target="0,0,1,1,0")),
+    (["sweep"], dict(seed=DEFAULT_SEED, out="sweep.csv")),
+    (["roundtrip", "a.txt"], dict(stride=DEFAULT_STRIDE, annotations="a.txt")),
+    (["fit"], dict(n=DEFAULT_N, seed=DEFAULT_SEED, degrees=False, init=None, target=None,
+                   loss="jiou", lr=DEFAULT_LR, iters=DEFAULT_MAX_ITERS, suite=False,
+                   out=None)),
+    (["nms", "d.csv"], dict(nms_iou=DEFAULT_NMS_IOU, degrees=False, detections="d.csv",
+                            out=None)),
+    (["heatmap-demo"], dict(stride=DEFAULT_STRIDE, alpha=DEFAULT_ALPHA, gamma=DEFAULT_GAMMA,
+                            seed=DEFAULT_SEED, num_objects=5, classes=3, height=64,
+                            width=64, out=None)),
+]
+
+
+@pytest.mark.parametrize("argv,expected", DEFAULTS, ids=[a[0] for a, _ in DEFAULTS])
+def test_subcommand_defaults(argv, expected):
+    args = vars(build_parser().parse_args(argv))
+    del args["command"], args["func"]
+    assert args == expected
 
 
 class TestJiouCommand:
@@ -330,6 +355,32 @@ class TestHeatmapDemo:
 
 
 class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["jiou", *PAIR, "--n", "3"],
+        ["fit", "--suite", "--iters", "0"],
+        ["fit", "--init", "0,0,3,1,0", "--target", "0,0,3,1,0", "--lr", "0"],
+        ["nms", "d.csv", "--nms-iou", "1.5"],
+        ["heatmap-demo", "--num-objects", "0"],
+        ["heatmap-demo", "--classes", "0"],
+        ["roundtrip", "a.txt", "--stride", "0"],
+    ])
+    def test_out_of_range_value_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "64"],
+        ["heatmap-demo", "--mu", "3"],
+        ["jiou", *PAIR, "--stride", "8"],
+    ])
+    def test_unread_flag_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["frobnicate"])
