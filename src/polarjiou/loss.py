@@ -59,6 +59,10 @@ def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> Jiou
     lo = np.minimum(rho_p, rho_t)
     hi = np.maximum(rho_p, rho_t)
     ratio = float(np.sum(lo * lo)) / float(np.sum(hi * hi))
+    if ratio == 1.0 and not np.array_equal(lo, hi):
+        # Distinct profiles have a true ratio below 1 even when the two sums
+        # round to the same float.
+        ratio = math.nextafter(1.0, 0.0)
     # +0.0 normalizes -log(1.0) == -0.0 to plain 0.0.
     loss = -math.log(max(ratio, RATIO_FLOOR)) + 0.0
     return JiouValue(ratio=ratio, loss=loss, n=n)
@@ -83,7 +87,7 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
     s = np.sin(t)
     r1, r2 = pred.r1, pred.r2
     denom = (r2 * c) ** 2 + (r1 * s) ** 2
-    rho_p = r1 * r2 / np.sqrt(denom)
+    rho_p = np.full(n, r1) if r1 == r2 else r1 * r2 / np.sqrt(denom)  # as radius_at
     rho_t = radius_at(target, thetas)
 
     lo = np.minimum(rho_p, rho_t)

@@ -22,9 +22,15 @@ def radius_at(box: OrientedBox, theta):
     an array of angles.
     """
     t = np.asarray(theta, dtype=np.float64) - box.phi
-    c = np.cos(t)
-    s = np.sin(t)
-    rho = box.r1 * box.r2 / np.sqrt((box.r2 * c) ** 2 + (box.r1 * s) ** 2)
+    if box.r1 == box.r2:
+        # A circle's radius is the same at every angle; the trig form below
+        # would add phi-dependent rounding, so equal circles would get profiles
+        # that differ in the last bit.
+        rho = np.full(t.shape, box.r1)
+    else:
+        c = np.cos(t)
+        s = np.sin(t)
+        rho = box.r1 * box.r2 / np.sqrt((box.r2 * c) ** 2 + (box.r1 * s) ** 2)
     return float(rho) if rho.ndim == 0 else rho
 
 

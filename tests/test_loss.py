@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import boxes, fd_gradient, fd_suite, finite_floats, random_box
@@ -71,6 +71,10 @@ class TestJiouBar:
         assert value.loss >= 0.0
 
     @given(boxes(), boxes())
+    # Equal circles that differ only in phi; a circle against an ellipse one
+    # ulp away, whose squared sums round to the same float.
+    @example(OrientedBox(0, 0, 1, 1, 0.0), OrientedBox(0, 0, 1, 1, 1.0))
+    @example(OrientedBox(0, 0, 0.1, 0.1, 0.0), OrientedBox(0, 0, 0.1, 0.10000000000000002, 0.0))
     def test_ratio_one_iff_profiles_match(self, a, b):
         value = jiou_bar(a, b, 64)
         same = np.array_equal(discretize(a, 64).rho, discretize(b, 64).rho)
