@@ -23,6 +23,10 @@ DEFAULT_PEAK_THRESHOLD = 0.3
 # before any log.
 PT_CLAMP = 1e-7
 
+# exp(-x) is exactly 0.0 in float64 once x passes about 745.13, so a
+# Gaussian stamp is zero wherever d^2 / (2 sigma^2) exceeds this bound.
+EXP_UNDERFLOW_ARG = 750.0
+
 
 @dataclass(frozen=True)
 class HeatmapTarget:
@@ -69,6 +73,7 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     Each object stamps a Gaussian centered on its output-grid cell with the
     object-adaptive sigma; overlaps combine by pointwise max, so the result
     does not depend on object order, and center cells are set to exactly 1.
+    Only the window where the Gaussian does not underflow to 0.0 is written.
     """
     values = np.zeros((num_classes, height, width))
     positives = []
@@ -83,8 +88,14 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
                 f"center cell ({off.cell_x}, {off.cell_y}) outside {width}x{height} grid"
             )
         sigma = gaussian_sigma(box, stride)
-        g = np.exp(-((xs - off.cell_x) ** 2 + (ys - off.cell_y) ** 2) / (2.0 * sigma * sigma))
-        np.maximum(values[cls], g, out=values[cls])
+        # Capped at the grid size, which also keeps an infinite sigma finite.
+        reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), height + width))
+        x0, x1 = max(0, off.cell_x - reach), min(width, off.cell_x + reach + 1)
+        y0, y1 = max(0, off.cell_y - reach), min(height, off.cell_y + reach + 1)
+        g = np.exp(-((xs[:, x0:x1] - off.cell_x) ** 2 + (ys[y0:y1] - off.cell_y) ** 2)
+                   / (2.0 * sigma * sigma))
+        window = values[cls, y0:y1, x0:x1]
+        np.maximum(window, g, out=window)
         positives.append((int(cls), off.cell_x, off.cell_y))
     for cls, cx, cy in positives:
         values[cls, cy, cx] = 1.0

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from polarjiou import (
     OrientedBox,
     canonicalize,
+    decode_corners,
+    encode_offset,
     exact_rect_iou,
+    gaussian_sigma,
     grid_angles,
     jiou_bar,
     jiou_gradient,
     radius_at,
 )
+from polarjiou.oracle import _clip_halfplane, _overlap_floor, _shoelace_abs
 
 
 def finite_floats(lo, hi):
@@ -115,3 +119,56 @@ def dyadic(x, bits=20):
     """Round onto a 2**-bits grid; such angles survive a +pi wrap bit-exactly."""
     scale = float(1 << bits)
     return round(x * scale) / scale
+
+
+def reference_rect_iou(a, b):
+    """exact_rect_iou without the circumcircle early return, clipping the
+    numpy corners of decode_corners; the empty-area rule is the same."""
+    poly = [tuple(p) for p in decode_corners(a).corners]
+    clip = [tuple(p) for p in decode_corners(b).corners]
+    for i in range(4):
+        if not poly:
+            break
+        poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
+    inter = _shoelace_abs(poly)
+    if inter < _overlap_floor(a, b):
+        return 0.0
+    area_a = 4.0 * a.r1 * a.r2
+    area_b = 4.0 * b.r1 * b.r2
+    return float(inter / (area_a + area_b - inter))
+
+
+def reference_nms(detections, iou_threshold):
+    """Greedy NMS over all detections at once, skipping other categories
+    inside the loop (rotated_nms partitions by category first)."""
+    dets = list(detections)
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    suppressed = [False] * len(dets)
+    keep = []
+    for pos, i in enumerate(order):
+        if suppressed[i]:
+            continue
+        keep.append(i)
+        for j in order[pos + 1:]:
+            if suppressed[j] or dets[j].category != dets[i].category:
+                continue
+            if exact_rect_iou(dets[i].box, dets[j].box) > iou_threshold:
+                suppressed[j] = True
+    return [dets[i] for i in keep]
+
+
+def reference_heatmap(objects, num_classes, height, width, stride):
+    """Heatmap values with every Gaussian evaluated over the full grid."""
+    values = np.zeros((num_classes, height, width))
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    centers = []
+    for box, cls in objects:
+        off = encode_offset(box.cx, box.cy, stride)
+        sigma = gaussian_sigma(box, stride)
+        g = np.exp(-((xs - off.cell_x) ** 2 + (ys - off.cell_y) ** 2) / (2.0 * sigma * sigma))
+        np.maximum(values[cls], g, out=values[cls])
+        centers.append((cls, off.cell_x, off.cell_y))
+    for cls, cx, cy in centers:
+        values[cls, cy, cx] = 1.0
+    return values

@@ -22,7 +22,8 @@ from polarjiou import (
     smooth_l1,
     total_loss,
 )
-from polarjiou.codec import DEFAULT_MU, HeatmapTarget, Peak
+from helpers import reference_heatmap
+from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, HeatmapTarget, Peak
 from polarjiou.errors import InvalidLossError, OutOfImageError, ShapeError
 
 
@@ -112,6 +113,56 @@ class TestRenderHeatmap:
         box = OrientedBox(40, 40, 8, 4, 0)
         with pytest.raises(ShapeError):
             render_heatmap([(box, 5)], 2, 32, 32, 4)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestWindowedHeatmap:
+    """render_heatmap stamps only where the Gaussian is non-zero; the values
+    must equal the full-grid evaluation bit for bit."""
+
+    def test_exp_is_zero_past_the_bound(self):
+        assert math.exp(-EXP_UNDERFLOW_ARG) == 0.0
+
+    def test_one_cell_sigma_on_a_large_grid(self):
+        box = OrientedBox(200, 200, 2, 1, 0.3)
+        assert gaussian_sigma(box, 4) == 1.0
+        objs = [(box, 0)]
+        assert same_bits(render_heatmap(objs, 1, 128, 128, 4).values,
+                         reference_heatmap(objs, 1, 128, 128, 4))
+
+    def test_window_covering_the_whole_grid(self):
+        box = OrientedBox(60, 70, 400, 300, 0.2)
+        assert gaussian_sigma(box, 4) * math.sqrt(2 * EXP_UNDERFLOW_ARG) > 40
+        # The last box's sigma overflows to inf, which stamps 1.0 everywhere.
+        objs = [(box, 1), (OrientedBox(10, 150, 2, 1, 0), 1),
+                (OrientedBox(100, 20, 1e308, 1e308, 0), 0)]
+        assert same_bits(render_heatmap(objs, 2, 40, 40, 4).values,
+                         reference_heatmap(objs, 2, 40, 40, 4))
+
+    def test_objects_on_grid_corners(self):
+        size, stride = 96, 4
+        far = size * stride - 0.5
+        objs = [(OrientedBox(x, y, r, r / 2, 0.0), k % 3)
+                for k, ((x, y), r) in enumerate(zip(
+                    [(0.0, 0.0), (far, 0.0), (0.0, far), (far, far)], (2.0, 30.0, 90.0, 400.0)))]
+        assert same_bits(render_heatmap(objs, 3, size, size, stride).values,
+                         reference_heatmap(objs, 3, size, size, stride))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scenes_many_classes(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        height, width, stride = 150, 110, 4
+        objs = []
+        for _ in range(40):
+            r2 = 10.0 ** rng.uniform(0.0, 2.5)
+            box = OrientedBox(rng.uniform(0, width * stride), rng.uniform(0, height * stride),
+                              r2 * rng.uniform(1.0, 4.0), r2, rng.uniform(-1.5, 1.5))
+            objs.append((box, int(rng.integers(0, 5))))
+        assert same_bits(render_heatmap(objs, 5, height, width, stride).values,
+                         reference_heatmap(objs, 5, height, width, stride))
 
 
 class TestFocalLoss:

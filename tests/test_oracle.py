@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import mc_agreement_pairs, random_box
+import polarjiou.oracle
+from helpers import (
+    finite_floats,
+    mc_agreement_pairs,
+    random_box,
+    reference_nms,
+    reference_rect_iou,
+)
 from polarjiou import (
     Detection,
     OrientedBox,
@@ -78,6 +87,205 @@ class TestExactRectIou:
                 assert estimate == pytest.approx(exact, abs=1e-12)
             else:
                 assert abs(estimate - exact) <= 3 * se
+
+
+def placed(anchor, u, v, r1, r2, dphi):
+    """A box whose center sits at (u, v) in the anchor's frame, rotated dphi
+    relative to the anchor."""
+    c, s = math.cos(anchor.phi), math.sin(anchor.phi)
+    return OrientedBox(anchor.cx + c * u - s * v, anchor.cy + s * u + c * v,
+                       r1, r2, anchor.phi + dphi)
+
+
+def circumradius(box):
+    return math.hypot(box.r1, box.r2)
+
+
+def pruning_pairs(count, seed):
+    """Seeded pairs around the pruning boundary and the clipping's hard cases:
+    circumcircle contact x (1 +- 1e-3) in random orientations and corner to
+    corner, aspect ratios up to 1e3, centers up to 1e15 with half-extents
+    down to 1e-4, and random near pairs."""
+    rng = np.random.default_rng(seed)
+
+    def box_at(cx, cy, min_r, max_r, max_ar):
+        r1 = 10.0 ** rng.uniform(math.log10(min_r), math.log10(max_r))
+        return OrientedBox(cx, cy, r1, r1 / 10.0 ** rng.uniform(0.0, math.log10(max_ar)),
+                           rng.uniform(-7.0, 7.0))
+
+    pairs = []
+    for k in range(count):
+        kind = k % 5
+        scale = 10.0 ** rng.uniform(-2.0, 15.0) if kind == 2 else 100.0
+        min_r, max_r = (1e-4, 10.0) if kind == 2 else (0.1, 50.0)
+        max_ar = 1e3 if kind == 1 else 4.0
+        a = box_at(rng.uniform(-scale, scale), rng.uniform(-scale, scale), min_r, max_r, max_ar)
+        b = box_at(0.0, 0.0, min_r, max_r, max_ar)
+        reach = circumradius(a) + circumradius(b)
+        if kind == 4:
+            d, t = rng.uniform(0.0, 1.5) * reach, rng.uniform(0.0, 2.0 * math.pi)
+        else:
+            d = reach * (1.0 + rng.uniform(-1e-3, 1e-3))
+            t = rng.uniform(0.0, 2.0 * math.pi)
+        phi = b.phi
+        if kind == 3:
+            # a's (r1, r2) corner faces b's (-r1, -r2) corner along the center line.
+            t = a.phi + math.atan2(a.r2, a.r1)
+            phi = t - math.atan2(b.r2, b.r1)
+        pairs.append((a, OrientedBox(a.cx + d * math.cos(t), a.cy + d * math.sin(t),
+                                     b.r1, b.r2, phi)))
+    return pairs
+
+
+class TestPruningEquivalence:
+    def test_pruning_and_scalar_corners_change_no_bit(self):
+        """The early return and the float-tuple corners give exactly the
+        value of clipping the decode_corners quads, on both sides of the
+        circumcircle test."""
+        far = 0
+        for a, b in pruning_pairs(4000, seed=31):
+            assert exact_rect_iou(a, b) == reference_rect_iou(a, b), (a, b)
+            far += math.hypot(b.cx - a.cx, b.cy - a.cy) > circumradius(a) + circumradius(b)
+        assert 1000 < far < 3000
+
+    def test_disjoint_circumcircles_skip_clipping(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("clipped a pair with disjoint circumcircles")
+
+        monkeypatch.setattr(polarjiou.oracle, "_clip_halfplane", fail)
+        a = OrientedBox(0, 0, 3, 1, 0.4)
+        reach = circumradius(a) * 2
+        for t in np.linspace(0.0, 2.0 * math.pi, 12):
+            b = OrientedBox(reach * 1.01 * math.cos(t), reach * 1.01 * math.sin(t), 3, 1, -0.7)
+            assert exact_rect_iou(a, b) == 0.0
+
+
+class TestTinyBoxes:
+    @pytest.mark.parametrize("exponent", range(-8, 7))
+    def test_self_iou_is_one_at_every_scale(self, exponent):
+        r = 10.0 ** exponent
+        for cx, cy in ((0.0, 0.0), (3.0 * r, -r)):
+            box = OrientedBox(cx, cy, r, 0.5 * r, 0.3)
+            assert exact_rect_iou(box, box) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overlapping_tiny_boxes_match_monte_carlo(self):
+        """Two 4e-7 x 1e-7 boxes overlap by most of their area."""
+        a = OrientedBox(0.0, 0.0, 2e-7, 5e-8, 0.0)
+        b = OrientedBox(1e-8, 5e-9, 2e-7, 5e-8, 0.05)
+        exact = exact_rect_iou(a, b)
+        estimate, se = mc_rect_iou(a, b, 100_000, seed=5)
+        assert exact > 0.8
+        assert abs(exact - estimate) <= 3 * se
+
+    def test_touching_tiny_boxes_are_disjoint(self):
+        a = OrientedBox(0.0, 0.0, 2e-7, 5e-8, 0.0)
+        assert exact_rect_iou(a, OrientedBox(4e-7, 0.0, 2e-7, 5e-8, 0.0)) == 0.0
+        assert exact_rect_iou(a, OrientedBox(4e-7, 1e-7, 2e-7, 5e-8, 0.0)) == 0.0
+
+
+# Anchor boxes for the degenerate-geometry properties: centers up to 1e3,
+# half-extents from 1e-3 to 1e3.
+anchors = st.builds(
+    OrientedBox,
+    finite_floats(-1e3, 1e3), finite_floats(-1e3, 1e3),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    finite_floats(-4.0, 4.0),
+)
+unit_fractions = st.floats(-1.0, 1.0)
+ratios = st.floats(0.1, 10.0)
+
+
+def rounding_tol(a, b):
+    """IoU tolerance for boxes clipped in absolute coordinates: the shoelace
+    sum's rounding grows with the squared coordinate extent and is divided
+    by the smaller box's area."""
+    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + max(circumradius(a), circumradius(b))
+    return 1e-12 + 1e-14 * extent * extent / (4.0 * min(a.r1 * a.r2, b.r1 * b.r2))
+
+
+class TestDegenerateGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, st.integers(0, 3), unit_fractions, ratios, ratios)
+    def test_edges_touching(self, a, side, slide, k1, k2):
+        """b shares part of one of a's edges, from outside."""
+        r1, r2 = k1 * a.r1, k2 * a.r2
+        if side % 2 == 0:
+            u, v = a.r1 + r1, slide * (a.r2 + r2)
+        else:
+            u, v = slide * (a.r1 + r1), a.r2 + r2
+        if side >= 2:
+            u, v = -u, -v
+        assert exact_rect_iou(a, placed(a, u, v, r1, r2, 0.0)) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, st.integers(0, 3), ratios, ratios)
+    def test_corners_touching(self, a, corner, k1, k2):
+        r1, r2 = k1 * a.r1, k2 * a.r2
+        su, sv = (1, 1, -1, -1)[corner], (1, -1, 1, -1)[corner]
+        b = placed(a, su * (a.r1 + r1), sv * (a.r2 + r2), r1, r2, 0.0)
+        assert exact_rect_iou(a, b) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, unit_fractions, ratios, ratios, st.floats(0.05, 1.5))
+    def test_rotated_corner_touching_edge(self, a, slide, k1, k2, dphi):
+        """b, rotated by dphi, rests one corner on a's +r1 edge."""
+        r1, r2 = k1 * a.r1, k2 * a.r2
+        c, s = math.cos(dphi), math.sin(dphi)
+        low_u, low_v = min((c * p * r1 - s * q * r2, s * p * r1 + c * q * r2)
+                           for p in (-1, 1) for q in (-1, 1))
+        b = placed(a, a.r1 - low_u, slide * a.r2 - low_v, r1, r2, dphi)
+        assert exact_rect_iou(a, b) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(anchors)
+    def test_identical(self, a):
+        assert exact_rect_iou(a, a) == pytest.approx(1.0, abs=rounding_tol(a, a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(anchors, st.floats(0.05, 0.95), st.floats(0.05, 0.95), unit_fractions, unit_fractions)
+    def test_nested(self, a, k1, k2, fu, fv):
+        """An inner box anywhere inside a: IoU is the area ratio."""
+        r1, r2 = k1 * a.r1, k2 * a.r2
+        inner = placed(a, fu * (a.r1 - r1), fv * (a.r2 - r2), r1, r2, 0.0)
+        tol = rounding_tol(a, inner)
+        assert exact_rect_iou(a, inner) == pytest.approx(k1 * k2, abs=tol)
+        assert exact_rect_iou(inner, a) == pytest.approx(k1 * k2, abs=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(anchors, st.floats(-1e-12, 1e-12), st.floats(0.1, 1.9), unit_fractions)
+    def test_near_parallel_edges(self, a, dphi, shift, slide):
+        """Tilting b by at most 1e-12 rad moves the IoU of an edge-sharing
+        overlap by no more than the tilt itself does: the tilted box sweeps
+        an area of at most |dphi| (r1^2 + r2^2) out of 4 r1 r2."""
+        v = slide * a.r2 * 0.5
+        aligned = exact_rect_iou(a, placed(a, shift * a.r1, v, a.r1, a.r2, 0.0))
+        tilted = exact_rect_iou(a, placed(a, shift * a.r1, v, a.r1, a.r2, dphi))
+        sweep = abs(dphi) * (a.r1 / a.r2 + a.r2 / a.r1)
+        assert 0.0 < tilted <= 1.0
+        assert tilted == pytest.approx(aligned, abs=sweep + rounding_tol(a, a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, anchors)
+    def test_symmetric(self, a, b):
+        assert exact_rect_iou(a, b) == pytest.approx(exact_rect_iou(b, a), abs=rounding_tol(a, b))
+
+    def test_extreme_aspect_ratio_matches_monte_carlo(self):
+        """Boxes with aspect ratio >= 100: exact IoU within 3 standard errors
+        of point sampling."""
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 12:
+            a = OrientedBox(0.0, 0.0, 50.0, 50.0 / rng.uniform(100, 400), rng.uniform(-1.5, 1.5))
+            b = placed(a, rng.uniform(-20, 20), rng.uniform(-0.2, 0.2),
+                       rng.uniform(20, 50), 50.0 / rng.uniform(100, 400), rng.uniform(-0.01, 0.01))
+            exact = exact_rect_iou(a, b)
+            if exact < 0.02:
+                continue
+            estimate, se = mc_rect_iou(a, b, 100_000, seed=700 + checked)
+            assert se > 0.0
+            assert abs(estimate - exact) <= 3 * se, (a, b, exact, estimate, se)
+            checked += 1
 
 
 class TestMonteCarloEllipse:
@@ -190,6 +398,39 @@ class TestRotatedNms:
             for b in kept[i + 1:]:
                 if a.category == b.category:
                     assert exact_rect_iou(a.box, b.box) <= 0.3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unpartitioned_greedy_loop(self, seed):
+        """Many categories, tied scores and duplicate boxes: the per-category
+        loop keeps exactly what the loop over all detections keeps."""
+        rng = np.random.default_rng(100 + seed)
+        protos = [random_box(rng, max_center=20.0, min_r=1.0, max_r=8.0) for _ in range(30)]
+        scores = rng.choice([0.2, 0.5, 0.5, 0.9], size=120)
+        dets = []
+        for k in range(120):
+            box = protos[int(rng.integers(len(protos)))]
+            if rng.uniform() < 0.5:
+                box = OrientedBox(box.cx + rng.uniform(-1, 1), box.cy + rng.uniform(-1, 1),
+                                  box.r1, box.r2, box.phi + rng.uniform(-0.2, 0.2))
+            dets.append(Detection(box, float(scores[k]), int(rng.integers(0, 7))))
+        for thr in (0.1, 0.5, 0.9):
+            assert rotated_nms(dets, thr) == reference_nms(dets, thr)
+
+    def test_one_iou_call_per_unsuppressed_same_category_pair(self, monkeypatch):
+        calls = []
+        original = polarjiou.oracle.exact_rect_iou
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polarjiou.oracle, "exact_rect_iou", counted)
+        box = OrientedBox(0, 0, 2, 1, 0)
+        far = OrientedBox(50, 50, 2, 1, 0)
+        dets = [Detection(box, 0.9, 0), Detection(box, 0.8, 0), Detection(far, 0.7, 0),
+                Detection(box, 0.6, 1)]
+        assert rotated_nms(dets, 0.5) == [dets[0], dets[2], dets[3]]
+        assert calls == [(box, box), (box, far)]
 
     def test_threshold_validated(self):
         box = OrientedBox(0, 0, 1, 1, 0)
