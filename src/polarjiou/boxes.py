@@ -98,7 +98,19 @@ class CornerQuad:
         object.__setattr__(self, "corners", arr)
 
 
-_BASE_SIGNS = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+def corner_points(box: OrientedBox) -> list[tuple[float, float]]:
+    """Corners of a box as (x, y) float tuples, in decode_corners' order.
+
+    Raises InvalidBoxError when a corner overflows to a non-finite value,
+    as CornerQuad does.
+    """
+    c, s = math.cos(box.phi), math.sin(box.phi)
+    r1, r2, cx, cy = box.r1, box.r2, box.cx, box.cy
+    pts = [(c * bx - s * by + cx, s * bx + c * by + cy)
+           for bx, by in ((-r1, -r2), (r1, -r2), (r1, r2), (-r1, r2))]
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise InvalidBoxError("non-finite corner coordinates")
+    return pts
 
 
 def decode_corners(box: OrientedBox) -> CornerQuad:
@@ -107,12 +119,7 @@ def decode_corners(box: OrientedBox) -> CornerQuad:
     The order starts at the corner that sits at (-r1, -r2) in the box frame
     and runs clockwise on screen.
     """
-    c, s = math.cos(box.phi), math.sin(box.phi)
-    bx = _BASE_SIGNS[:, 0] * box.r1
-    by = _BASE_SIGNS[:, 1] * box.r2
-    x = c * bx - s * by + box.cx
-    y = s * bx + c * by + box.cy
-    return CornerQuad(np.stack([x, y], axis=1))
+    return CornerQuad(corner_points(box))
 
 
 def signed_area(corners) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, decode_corners
+from .boxes import OrientedBox, corner_points, decode_corners
 from .errors import InsufficientSamplesError, InvalidBoxError
 
 # An intersection counts as empty below this fraction of the two boxes'
@@ -69,14 +69,6 @@ def _shoelace_abs(poly) -> float:
     return abs(acc) / 2.0
 
 
-def _corner_points(box: OrientedBox):
-    """decode_corners(box) as float tuples, with the same arithmetic."""
-    c, s = math.cos(box.phi), math.sin(box.phi)
-    r1, r2, cx, cy = box.r1, box.r2, box.cx, box.cy
-    return [(c * bx - s * by + cx, s * bx + c * by + cy)
-            for bx, by in ((-r1, -r2), (r1, -r2), (r1, r2), (-r1, r2))]
-
-
 def _overlap_floor(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection area below which an overlap counts as empty.
 
@@ -96,14 +88,19 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Exact IoU of two rotated rectangles (half-plane clipping + shoelace area).
 
     Pairs whose circumcircles are disjoint return 0.0 before any clipping.
+    An intersection smaller than MIN_OVERLAP_FRACTION times the summed box
+    areas plus CLIP_ROUNDING * extent^2 reads as empty, extent being the
+    largest center coordinate plus the larger circumradius.  The second term
+    makes every overlap of two 2x2 boxes read 0.0 once a center coordinate
+    passes about 4.47e7.  Raises InvalidBoxError when a corner overflows.
     """
+    poly = corner_points(a)
+    clip = corner_points(b)
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
     slack = PRUNE_REACH_SLACK * reach + PRUNE_CENTER_SLACK * (
         abs(a.cx) + abs(a.cy) + abs(b.cx) + abs(b.cy))
     if math.hypot(b.cx - a.cx, b.cy - a.cy) > reach + slack:
         return 0.0
-    poly = _corner_points(a)
-    clip = _corner_points(b)
     for i in range(4):
         if not poly:
             break

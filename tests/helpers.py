@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polarjiou import (
     OrientedBox,
     canonicalize,
-    decode_corners,
     encode_offset,
     exact_rect_iou,
     gaussian_sigma,
@@ -121,11 +120,21 @@ def dyadic(x, bits=20):
     return round(x * scale) / scale
 
 
+def reference_corners(box):
+    """Corners from numpy arithmetic over a sign table: the values that
+    corner_points and decode_corners must reproduce bit for bit."""
+    signs = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    c, s = math.cos(box.phi), math.sin(box.phi)
+    bx = signs[:, 0] * box.r1
+    by = signs[:, 1] * box.r2
+    return np.stack([c * bx - s * by + box.cx, s * bx + c * by + box.cy], axis=1)
+
+
 def reference_rect_iou(a, b):
-    """exact_rect_iou without the circumcircle early return, clipping the
-    numpy corners of decode_corners; the empty-area rule is the same."""
-    poly = [tuple(p) for p in decode_corners(a).corners]
-    clip = [tuple(p) for p in decode_corners(b).corners]
+    """exact_rect_iou without the circumcircle early return, clipping
+    reference_corners; the empty-area rule is the same."""
+    poly = [tuple(p) for p in reference_corners(a)]
+    clip = [tuple(p) for p in reference_corners(b)]
     for i in range(4):
         if not poly:
             break

@@ -325,6 +325,13 @@ class TestNmsCommand:
         code, _, err = run_cli(["nms", str(src)])
         assert code == 2 and "error:" in err
 
+    def test_overflowing_box_exits_two(self, tmp_path):
+        src = tmp_path / "dets.csv"
+        src.write_text(DETECTIONS_CSV_HEADER + "\n1e308,0,1e308,1,0,0.9,0\n"
+                       "1e308,0,1e308,1,0,0.8,0\n")
+        code, _, err = run_cli(["nms", str(src)])
+        assert code == 2 and "non-finite corner" in err
+
     def test_parse_detections_line_numbers(self, tmp_path):
         src = tmp_path / "dets.csv"
         src.write_text(DETECTIONS_CSV_HEADER + "\n0,0,1,1,0,0.9,0\n0,0,1,1,0,zz,0\n")

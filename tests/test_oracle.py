@@ -12,19 +12,23 @@ from helpers import (
     finite_floats,
     mc_agreement_pairs,
     random_box,
+    reference_corners,
     reference_nms,
     reference_rect_iou,
 )
 from polarjiou import (
     Detection,
     OrientedBox,
+    decode_corners,
     exact_rect_iou,
     jiou_bar,
     mc_ellipse_iou,
     mc_rect_iou,
     rotated_nms,
 )
+from polarjiou.boxes import corner_points
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
+from polarjiou.oracle import CLIP_ROUNDING
 
 
 def unit_square(cx=0.0, cy=0.0, phi=0.0):
@@ -148,6 +152,23 @@ class TestPruningEquivalence:
             far += math.hypot(b.cx - a.cx, b.cy - a.cy) > circumradius(a) + circumradius(b)
         assert 1000 < far < 3000
 
+    def test_scalar_corners_match_numpy_arithmetic(self):
+        for pair in pruning_pairs(500, seed=32):
+            for box in pair:
+                ref = reference_corners(box)
+                assert np.array_equal(np.array(corner_points(box)), ref), box
+                assert np.array_equal(decode_corners(box).corners, ref), box
+
+    @pytest.mark.parametrize("other", [
+        OrientedBox(-7e307, 0.0, 1.0, 1.0, 0.0),  # circumcircles disjoint
+        OrientedBox(0.0, 0.0, 1.0, 1.0, 0.0),     # clipped
+    ])
+    def test_overflowing_corner_rejected(self, other):
+        huge = OrientedBox(1e308, 0.0, 1e308, 1.0, 0.0)
+        for a, b in ((huge, other), (other, huge)):
+            with pytest.raises(InvalidBoxError, match="non-finite corner"):
+                exact_rect_iou(a, b)
+
     def test_disjoint_circumcircles_skip_clipping(self, monkeypatch):
         def fail(*args):
             raise AssertionError("clipped a pair with disjoint circumcircles")
@@ -181,6 +202,19 @@ class TestTinyBoxes:
         a = OrientedBox(0.0, 0.0, 2e-7, 5e-8, 0.0)
         assert exact_rect_iou(a, OrientedBox(4e-7, 0.0, 2e-7, 5e-8, 0.0)) == 0.0
         assert exact_rect_iou(a, OrientedBox(4e-7, 1e-7, 2e-7, 5e-8, 0.0)) == 0.0
+
+
+class TestRoundingFloor:
+    def test_overlaps_vanish_past_the_extent_limit(self):
+        """Two identical 2x2 boxes overlap by 4, which reads as empty once
+        CLIP_ROUNDING * extent^2 exceeds it: past |cx| = sqrt(4 / 2e-15) -
+        sqrt(2), about 4.4721e7.  Clipping in a frame centred on one box
+        would move this limit."""
+        limit = math.sqrt(4.0 / CLIP_ROUNDING) - math.sqrt(2.0)
+        assert 4.47e7 < limit < 4.48e7
+        for cx, expected in ((4.47e7, 1.0), (4.48e7, 0.0), (-4.47e7, 1.0), (-4.48e7, 0.0)):
+            for box in (OrientedBox(cx, 0.0, 1.0, 1.0, 0.0), OrientedBox(0.0, cx, 1.0, 1.0, 0.0)):
+                assert exact_rect_iou(box, box) == pytest.approx(expected, abs=1e-6), box
 
 
 # Anchor boxes for the degenerate-geometry properties: centers up to 1e3,
