@@ -128,10 +128,11 @@ def signed_area(corners) -> float:
     On-screen means the image frame (y down), so corner quads decoded from a
     box come out negative: they run clockwise.
     """
-    pts = np.asarray(corners, dtype=np.float64)
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(xn * y - x * yn))
+    pts = list(corners)
+    acc = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        acc += x1 * y0 - x0 * y1
+    return 0.5 * float(acc)
 
 
 def corners_to_box(quad: CornerQuad) -> OrientedBox:
@@ -171,6 +172,12 @@ def corners_to_box(quad: CornerQuad) -> OrientedBox:
     return canonicalize(OrientedBox(float(center[0]), float(center[1]), r1, r2, phi))
 
 
+# Row orders of a quad's 4 cyclic shifts in both traversal directions:
+# row k is np.roll(order, k) for order 0123, then for 3210.
+_CORNER_ORDERS = np.array([np.roll(order, k) for order in ((0, 1, 2, 3), (3, 2, 1, 0))
+                           for k in range(4)])
+
+
 def corner_set_distance(a, b) -> float:
     """Max corner deviation between two quads, minimized over cyclic shifts.
 
@@ -179,12 +186,7 @@ def corner_set_distance(a, b) -> float:
     """
     pa = np.asarray(a, dtype=np.float64).reshape(4, 2)
     pb = np.asarray(b, dtype=np.float64).reshape(4, 2)
-    best = math.inf
-    for seq in (pb, pb[::-1]):
-        for k in range(4):
-            d = float(np.abs(np.roll(seq, k, axis=0) - pa).max())
-            best = min(best, d)
-    return best
+    return float(np.abs(pb[_CORNER_ORDERS] - pa).max(axis=(1, 2)).min())
 
 
 def phi_distance(a: float, b: float) -> float:
@@ -243,13 +245,16 @@ def parse_dota_record(line: str, lineno: int | None = None):
 
 def iter_dota_object_lines(path):
     """Yield (lineno, line) for annotation object lines, skipping metadata
-    headers ("imagesource", "gsd") and blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(DOTA_META_PREFIXES):
-                continue
-            yield lineno, line
+    headers ("imagesource", "gsd") and blank lines; AnnotationError if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith(DOTA_META_PREFIXES):
+                    continue
+                yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AnnotationError.unreadable(path, exc) from None
 
 
 def load_dota_annotations(path):

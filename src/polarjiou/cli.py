@@ -42,11 +42,13 @@ from .fitting import (
     DEFAULT_LR,
     DEFAULT_MAX_ITERS,
     DEFAULT_SEED,
+    SWEEP_CSV_HEADER,
     default_fit_suite,
     deviation_sweep,
     fit_box,
     fmt9,
     run_fit_suite,
+    write_csv,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -116,24 +118,6 @@ FLAGS = {
 }
 
 
-def _open_out(path):
-    try:
-        return open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc}") from None
-
-
-def _write(writer, data, path):
-    try:
-        writer(data, path)
-    except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc}") from None
-
-
-class _Unwritable(Exception):
-    pass
-
-
 def cmd_jiou(args) -> int:
     pred = parse_box_spec(args.pred, args.degrees)
     target = parse_box_spec(args.target, args.degrees)
@@ -148,9 +132,9 @@ def cmd_jiou(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _open_out(args.out).close()  # fail fast before the sweep runs
+    write_csv(args.out, SWEEP_CSV_HEADER, ())  # fail fast before the sweep runs
     records = deviation_sweep(seed=args.seed)
-    _write(write_sweep_csv, records, args.out)
+    write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -220,11 +204,9 @@ def cmd_fit(args) -> int:
         print(f"converged {converged}")
         print(f"mean_final_iou {fmt9(mean_iou)}")
         if args.out:
-            with _open_out(args.out) as fh:
-                fh.write("case,converged,steps,final_exact_iou\n")
-                for i, t in enumerate(traces):
-                    fh.write(f"{i},{int(t.converged)},{len(t.steps) - 1},"
-                             f"{fmt9(t.final_exact_iou)}\n")
+            write_csv(args.out, "case,converged,steps,final_exact_iou", (
+                (str(i), str(int(t.converged)), str(len(t.steps) - 1), fmt9(t.final_exact_iou))
+                for i, t in enumerate(traces)))
         return 0
     if not args.init or not args.target:
         raise SpecError("fit needs --init and --target (or --suite)")
@@ -239,15 +221,19 @@ def cmd_fit(args) -> int:
         if args.degrees:
             trace = replace(trace, steps=tuple(replace(s, phi=math.degrees(s.phi))
                                                for s in trace.steps))
-        _write(write_trace_csv, trace, args.out)
+        write_trace_csv(trace, args.out)
     return 0
 
 
 def parse_detections_csv(path, degrees: bool = False):
-    """Read a detections CSV with the fixed header cx,cy,r1,r2,phi,score,category."""
+    """Read a detections CSV with the fixed header cx,cy,r1,r2,phi,score,category;
+    AnnotationError if the file is unreadable or a line is malformed."""
     detections = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AnnotationError.unreadable(path, exc) from None
     if not lines or lines[0] != DETECTIONS_CSV_HEADER:
         raise AnnotationError(f"expected header {DETECTIONS_CSV_HEADER!r}", 1)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -271,20 +257,17 @@ def parse_detections_csv(path, degrees: bool = False):
 def cmd_nms(args) -> int:
     detections = parse_detections_csv(args.detections, args.degrees)
     kept = rotated_nms(detections, args.nms_iou)
-    rows = [DETECTIONS_CSV_HEADER]
-    for d in kept:
-        rows.append(",".join((
-            fmt9(d.box.cx), fmt9(d.box.cy), fmt9(d.box.r1), fmt9(d.box.r2),
-            fmt9(math.degrees(d.box.phi) if args.degrees else d.box.phi),
-            fmt9(d.score), str(d.category),
-        )))
+    rows = [(fmt9(d.box.cx), fmt9(d.box.cy), fmt9(d.box.r1), fmt9(d.box.r2),
+             fmt9(math.degrees(d.box.phi) if args.degrees else d.box.phi),
+             fmt9(d.score), str(d.category))
+            for d in kept]
     print(f"kept {len(kept)} of {len(detections)}")
     if args.out:
-        with _open_out(args.out) as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(args.out, DETECTIONS_CSV_HEADER, rows)
     else:
+        print(DETECTIONS_CSV_HEADER)
         for row in rows:
-            print(row)
+            print(",".join(row))
     return 0
 
 
@@ -330,11 +313,9 @@ def cmd_heatmap_demo(args) -> int:
     print(f"total {fmt9(report.total)}")
     if args.out:
         heat = enc.heatmap.values
-        with _open_out(args.out) as fh:
-            fh.write(HEATMAP_CSV_HEADER + "\n")
-            cs, ys, xs = np.nonzero(heat >= 1e-9)
-            for c, y, x in zip(cs, ys, xs):
-                fh.write(f"{c},{y},{x},{fmt9(heat[c, y, x])}\n")
+        cells = zip(*np.nonzero(heat >= 1e-9))
+        write_csv(args.out, HEATMAP_CSV_HEADER,
+                  ((str(c), str(y), str(x), fmt9(heat[c, y, x])) for c, y, x in cells))
     return 0
 
 
@@ -398,8 +379,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except _Unwritable as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # Input readers raise AnnotationError, so an OSError here is a failed write.
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -18,6 +18,11 @@ class AnnotationError(ValueError):
             message = f"line {lineno}: {message}"
         super().__init__(message)
 
+    @classmethod
+    def unreadable(cls, path, exc):
+        """The error for an input file that cannot be opened or decoded."""
+        return cls(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+
 
 class DiscretizationError(ValueError):
     """Angular discretization is too coarse or inconsistent."""

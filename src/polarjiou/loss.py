@@ -20,7 +20,7 @@ import numpy as np
 
 from .boxes import OrientedBox
 from .errors import EmptyBatchError, ShapeError
-from .polar import grid_angles, radius_at
+from .polar import _profile_terms, grid_angles, radius_at
 
 DEFAULT_N = 720
 
@@ -47,6 +47,13 @@ class JiouGradient:
     d_r2: float
 
 
+def _sums(rho_p, rho_t):
+    """sum(min^2) and sum(max^2) of two profiles: the ratio's numerator and denominator."""
+    lo = np.minimum(rho_p, rho_t)
+    hi = np.maximum(rho_p, rho_t)
+    return float(np.sum(lo * lo)), float(np.sum(hi * hi))
+
+
 def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouValue:
     """Discrete radial IoU ratio of two boxes and its -log loss.
 
@@ -56,10 +63,9 @@ def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> Jiou
     thetas = grid_angles(n)
     rho_p = radius_at(pred, thetas)
     rho_t = radius_at(target, thetas)
-    lo = np.minimum(rho_p, rho_t)
-    hi = np.maximum(rho_p, rho_t)
-    ratio = float(np.sum(lo * lo)) / float(np.sum(hi * hi))
-    if ratio == 1.0 and not np.array_equal(lo, hi):
+    s_min, s_max = _sums(rho_p, rho_t)
+    ratio = s_min / s_max
+    if ratio == 1.0 and not np.array_equal(rho_p, rho_t):
         # Distinct profiles have a true ratio below 1 even when the two sums
         # round to the same float.
         ratio = math.nextafter(1.0, 0.0)
@@ -82,20 +88,12 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
     stationary point (zero gradient at the loss minimum).
     """
     thetas = grid_angles(n)
-    t = thetas - pred.phi
-    c = np.cos(t)
-    s = np.sin(t)
-    r1, r2 = pred.r1, pred.r2
-    denom = (r2 * c) ** 2 + (r1 * s) ** 2
-    rho_p = np.full(n, r1) if r1 == r2 else r1 * r2 / np.sqrt(denom)  # as radius_at
+    rho_p, c, s, denom = _profile_terms(pred, thetas)
     rho_t = radius_at(target, thetas)
-
-    lo = np.minimum(rho_p, rho_t)
-    hi = np.maximum(rho_p, rho_t)
-    s_min = float(np.sum(lo * lo))
-    s_max = float(np.sum(hi * hi))
+    s_min, s_max = _sums(rho_p, rho_t)
 
     # Closed-form derivatives of rho_p at each angle.
+    r1, r2 = pred.r1, pred.r2
     drho_dr1 = rho_p * (r2 * c) ** 2 / (r1 * denom)
     drho_dr2 = rho_p * (r1 * s) ** 2 / (r2 * denom)
     drho_dphi = rho_p * c * s * (r1 * r1 - r2 * r2) / denom

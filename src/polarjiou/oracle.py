@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, corner_points, decode_corners
+from .boxes import OrientedBox, corner_points, signed_area
 from .errors import InsufficientSamplesError, InvalidBoxError
 
 # An intersection counts as empty below this fraction of the two boxes'
@@ -57,18 +57,6 @@ def _clip_halfplane(poly, a, b):
     return out
 
 
-def _shoelace_abs(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    acc = 0.0
-    m = len(poly)
-    for i in range(m):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % m]
-        acc += x0 * y1 - x1 * y0
-    return abs(acc) / 2.0
-
-
 def _overlap_floor(a: OrientedBox, b: OrientedBox) -> float:
     """Intersection area below which an overlap counts as empty.
 
@@ -105,7 +93,7 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
         if not poly:
             break
         poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
-    inter = _shoelace_abs(poly)
+    inter = abs(signed_area(poly))
     if inter < _overlap_floor(a, b):
         return 0.0
     area_a = 4.0 * a.r1 * a.r2
@@ -141,8 +129,8 @@ def _ellipse_aabb(box: OrientedBox):
 
 
 def _rect_aabb(box: OrientedBox):
-    pts = decode_corners(box).corners
-    return tuple(pts.min(axis=0)), tuple(pts.max(axis=0))
+    xs, ys = zip(*corner_points(box))
+    return (min(xs), min(ys)), (max(xs), max(ys))
 
 
 def _mc_iou(a, b, samples, seed, contains, aabb):

@@ -13,6 +13,20 @@ from .errors import DiscretizationError
 MIN_GRID_ANGLES = 4
 
 
+def _profile_terms(box: OrientedBox, theta):
+    """radius_at's rho, plus the cos(t), sin(t) and (r2 cos t)^2 + (r1 sin t)^2
+    at t = theta - phi that the loss gradient reuses."""
+    t = np.asarray(theta, dtype=np.float64) - box.phi
+    c = np.cos(t)
+    s = np.sin(t)
+    denom = (box.r2 * c) ** 2 + (box.r1 * s) ** 2
+    # A circle's radius is the same at every angle; the trig form would add
+    # phi-dependent rounding, so equal circles would get profiles that differ
+    # in the last bit.
+    rho = np.full(t.shape, box.r1) if box.r1 == box.r2 else box.r1 * box.r2 / np.sqrt(denom)
+    return rho, c, s, denom
+
+
 def radius_at(box: OrientedBox, theta):
     """Polar radius of the box's inscribed ellipse at angle theta, about the center.
 
@@ -21,16 +35,7 @@ def radius_at(box: OrientedBox, theta):
     the ellipse with semi-axes (r1, r2) rotated by phi.  Accepts a scalar or
     an array of angles.
     """
-    t = np.asarray(theta, dtype=np.float64) - box.phi
-    if box.r1 == box.r2:
-        # A circle's radius is the same at every angle; the trig form below
-        # would add phi-dependent rounding, so equal circles would get profiles
-        # that differ in the last bit.
-        rho = np.full(t.shape, box.r1)
-    else:
-        c = np.cos(t)
-        s = np.sin(t)
-        rho = box.r1 * box.r2 / np.sqrt((box.r2 * c) ** 2 + (box.r1 * s) ** 2)
+    rho = _profile_terms(box, theta)[0]
     return float(rho) if rho.ndim == 0 else rho
 
 

@@ -16,7 +16,8 @@ from polarjiou import (
     jiou_gradient,
     radius_at,
 )
-from polarjiou.oracle import _clip_halfplane, _overlap_floor, _shoelace_abs
+from polarjiou.loss import RATIO_FLOOR
+from polarjiou.oracle import _clip_halfplane, _overlap_floor
 
 
 def finite_floats(lo, hi):
@@ -130,6 +131,20 @@ def reference_corners(box):
     return np.stack([c * bx - s * by + box.cx, s * bx + c * by + box.cy], axis=1)
 
 
+def reference_shoelace_abs(poly):
+    """Absolute polygon area as oracle summed it before boxes.signed_area
+    became the one shoelace: the same terms, negated, in the same order."""
+    if len(poly) < 3:
+        return 0.0
+    acc = 0.0
+    m = len(poly)
+    for i in range(m):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % m]
+        acc += x0 * y1 - x1 * y0
+    return abs(acc) / 2.0
+
+
 def reference_rect_iou(a, b):
     """exact_rect_iou without the circumcircle early return, clipping
     reference_corners; the empty-area rule is the same."""
@@ -139,12 +154,65 @@ def reference_rect_iou(a, b):
         if not poly:
             break
         poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
-    inter = _shoelace_abs(poly)
+    inter = reference_shoelace_abs(poly)
     if inter < _overlap_floor(a, b):
         return 0.0
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
     return float(inter / (area_a + area_b - inter))
+
+
+def reference_profile(box, thetas):
+    """rho, cos, sin and denominator of the ellipse radius, derived inline as
+    jiou_gradient did before polar owned the formula."""
+    t = thetas - box.phi
+    c = np.cos(t)
+    s = np.sin(t)
+    r1, r2 = box.r1, box.r2
+    denom = (r2 * c) ** 2 + (r1 * s) ** 2
+    rho = np.full(len(thetas), r1) if r1 == r2 else r1 * r2 / np.sqrt(denom)
+    return rho, c, s, denom
+
+
+def reference_jiou(pred, target, n):
+    """(ratio, loss, (d_phi, d_r1, d_r2)) computed as jiou_bar and
+    jiou_gradient did with their own min/max sums, on reference_profile."""
+    thetas = grid_angles(n)
+    rho_p, c, s, denom = reference_profile(pred, thetas)
+    rho_t = reference_profile(target, thetas)[0]
+    lo = np.minimum(rho_p, rho_t)
+    hi = np.maximum(rho_p, rho_t)
+    s_min = float(np.sum(lo * lo))
+    s_max = float(np.sum(hi * hi))
+    ratio = s_min / s_max
+    if ratio == 1.0 and not np.array_equal(lo, hi):
+        ratio = math.nextafter(1.0, 0.0)
+    loss = -math.log(max(ratio, RATIO_FLOOR)) + 0.0
+
+    r1, r2 = pred.r1, pred.r2
+    in_min = rho_p <= rho_t
+    in_max = rho_p >= rho_t
+    weight = 2.0 * rho_p
+
+    def d_loss(drho):
+        contrib = weight * drho
+        return float(np.sum(contrib[in_max])) / s_max - float(np.sum(contrib[in_min])) / s_min
+
+    grad = (d_loss(rho_p * c * s * (r1 * r1 - r2 * r2) / denom),
+            d_loss(rho_p * (r2 * c) ** 2 / (r1 * denom)),
+            d_loss(rho_p * (r1 * s) ** 2 / (r2 * denom)))
+    return ratio, loss, grad
+
+
+def reference_corner_set_distance(a, b):
+    """corner_set_distance as a loop over the 8 np.roll shifts."""
+    pa = np.asarray(a, dtype=np.float64).reshape(4, 2)
+    pb = np.asarray(b, dtype=np.float64).reshape(4, 2)
+    best = math.inf
+    for seq in (pb, pb[::-1]):
+        for k in range(4):
+            best = min(best, float(np.abs(np.roll(seq, k, axis=0) - pa).max()))
+    return best
 
 
 def reference_nms(detections, iou_threshold):

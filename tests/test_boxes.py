@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import boxes, random_box
+from helpers import boxes, random_box, reference_corner_set_distance
 from polarjiou import (
     CenterOffset,
     CornerQuad,
@@ -147,6 +147,11 @@ class TestSignedArea:
     def test_reversed_is_positive(self):
         assert signed_area([(8, 11), (12, 11), (12, 9), (8, 9)]) == 8.0
 
+    @pytest.mark.parametrize("pts", [[], [(3.5, -2.0)], [(1e8, 3.3), (-7.1, 2e-5)]])
+    def test_fewer_than_three_points_is_zero(self, pts):
+        # Clipping can leave such polygons; their terms cancel exactly.
+        assert signed_area(pts) == 0.0
+
 
 class TestCornersToBox:
     def test_axis_aligned_example(self):
@@ -199,6 +204,21 @@ class TestCornerSetDistance:
     def test_translation_detected(self):
         pts = decode_corners(OrientedBox(0, 0, 3, 1, 0.4)).corners
         assert corner_set_distance(pts, pts + 0.5) == pytest.approx(0.5)
+
+    def test_matches_roll_loop(self):
+        """The index-table gather gives the roll loop's bits on exact,
+        shifted, reversed and jittered quads."""
+        rng = np.random.default_rng(5)
+        for i in range(400):
+            pa = decode_corners(random_box(rng)).corners
+            pb = np.roll(pa, int(rng.integers(4)), axis=0)
+            if i % 2:
+                pb = pb[::-1]
+            if i % 4 > 1:
+                pb = pb + rng.normal(0.0, 10.0 ** -rng.uniform(1, 9), size=(4, 2))
+            if i % 8 == 7:
+                pb = decode_corners(random_box(rng)).corners
+            assert corner_set_distance(pa, pb) == reference_corner_set_distance(pa, pb)
 
 
 class TestPhiDistance:
@@ -275,3 +295,8 @@ class TestDotaParsing:
         )
         records = load_dota_annotations(path)
         assert [cat for _, cat, _ in records] == ["plane", "ship"]
+
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_file(self, tmp_path, name):
+        with pytest.raises(AnnotationError, match="cannot read"):
+            load_dota_annotations(tmp_path / name)

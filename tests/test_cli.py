@@ -1,6 +1,7 @@
 """Command-line front end: parsing, outputs, exit codes, golden agreement."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from polarjiou.fitting import (
     fmt9,
 )
 from polarjiou.loss import DEFAULT_N
+
+GOLDEN_DETECTIONS = Path(__file__).parent / "golden" / "detections.csv"
 
 
 def write_rect_file(path, boxes_and_cats, jitter=None, rng=None):
@@ -359,6 +362,35 @@ class TestHeatmapDemo:
         code, _, err = run_cli(["heatmap-demo", "--num-objects", "500",
                                 "--height", "16", "--width", "16"])
         assert code == 2 and "error:" in err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["nms", "{missing}"],
+        ["roundtrip", "{missing}"],
+        ["nms", "{dir}"],
+        ["nms", "{binary}"],
+        ["roundtrip", "{binary}"],
+    ])
+    def test_unreadable_input_exits_two(self, tmp_path, argv):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"imagesource:x\n\xff\xfe\xd0 not utf-8\n")
+        argv = [a.format(missing=tmp_path / "missing.csv", dir=tmp_path, binary=binary)
+                for a in argv]
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert f"error: cannot read {argv[1]}" in err and "usage" in err.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["nms", str(GOLDEN_DETECTIONS)],
+        ["fit", "--suite", "--iters", "1"],
+        ["heatmap-demo"],
+    ])
+    def test_unwritable_output_exits_three(self, argv):
+        out = "/nonexistent-dir-xyz/out.csv"
+        code, _, err = run_cli(argv + ["--out", out])
+        assert code == 3
+        assert f"error: cannot write {out}" in err
 
 
 class TestArgumentErrors:

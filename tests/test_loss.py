@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import boxes, fd_gradient, fd_suite, finite_floats, random_box
+from helpers import boxes, fd_gradient, fd_suite, finite_floats, random_box, reference_jiou
 from polarjiou import (
     OrientedBox,
     batch_jiou,
@@ -139,6 +139,36 @@ class TestJiouGradient:
     def test_gradient_finite(self, a, b):
         g = jiou_gradient(a, b, 64)
         assert all(math.isfinite(v) for v in (g.d_phi, g.d_r1, g.d_r2))
+
+
+def test_matches_frozen_reference():
+    """jiou_bar and jiou_gradient keep the bits of the inline profile and the
+    per-function min/max sums they replaced, on seeded pairs of every kind the
+    profile code branches on: ellipses, equal and unequal circles, a circle
+    against an ellipse, identical boxes (every angle a tie), and a copy turned
+    by pi (profiles equal up to rounding)."""
+    rng = np.random.default_rng(11)
+    for i in range(600):
+        a = random_box(rng)
+        kind = i % 6
+        if kind == 0:
+            b = random_box(rng)
+        elif kind in (1, 2):
+            a = OrientedBox(a.cx, a.cy, a.r1, a.r1, a.phi)
+            r = a.r1 if kind == 1 else rng.uniform(0.5, 30.0)
+            b = OrientedBox(a.cx, a.cy, r, r, rng.uniform(-7.0, 7.0))
+        elif kind == 3:
+            b = OrientedBox(a.cx, a.cy, a.r2, a.r2, a.phi)
+        elif kind == 4:
+            b = OrientedBox(a.cx + 1.0, a.cy, a.r1, a.r2, a.phi)
+        else:
+            b = OrientedBox(a.cx, a.cy, a.r1, a.r2, a.phi + math.pi)
+        n = (16, 64, 720)[i % 3]
+        ratio, loss, grad = reference_jiou(a, b, n)
+        value = jiou_bar(a, b, n)
+        g = jiou_gradient(a, b, n)
+        assert (value.ratio, value.loss) == (ratio, loss), (a, b, n)
+        assert (g.d_phi, g.d_r1, g.d_r2) == grad, (a, b, n)
 
 
 class TestBatchJiou:
