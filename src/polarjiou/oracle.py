@@ -25,6 +25,9 @@ PRUNE_REACH_SLACK = 1e-9
 PRUNE_CENTER_SLACK = 1e-12
 
 MIN_MC_SAMPLES = 10_000
+# The Monte-Carlo oracles draw and test their samples this many at a time,
+# which bounds their working memory whatever the sample count.
+MC_CHUNK = 1 << 15
 
 
 def _cross(a, b, p):
@@ -101,23 +104,23 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     return float(inter / (area_a + area_b - inter))
 
 
-def _to_frame(box: OrientedBox, pts: np.ndarray):
+def _to_frame(box: OrientedBox, x: np.ndarray, y: np.ndarray):
     """Point coordinates in the box frame (origin at center, x along r1)."""
-    dx = pts[:, 0] - box.cx
-    dy = pts[:, 1] - box.cy
+    dx = x - box.cx
+    dy = y - box.cy
     c, s = math.cos(box.phi), math.sin(box.phi)
     return c * dx + s * dy, -s * dx + c * dy
 
 
-def _ellipse_contains(box: OrientedBox, pts: np.ndarray) -> np.ndarray:
-    u, v = _to_frame(box, pts)
+def _ellipse_contains(box: OrientedBox, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    u, v = _to_frame(box, x, y)
     u /= box.r1
     v /= box.r2
     return u * u + v * v <= 1.0
 
 
-def _rect_contains(box: OrientedBox, pts: np.ndarray) -> np.ndarray:
-    u, v = _to_frame(box, pts)
+def _rect_contains(box: OrientedBox, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    u, v = _to_frame(box, x, y)
     return (np.abs(u) <= box.r1) & (np.abs(v) <= box.r2)
 
 
@@ -140,14 +143,23 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
         )
     (ax0, ay0), (ax1, ay1) = aabb(a)
     (bx0, by0), (bx1, by1) = aabb(b)
-    lo = (min(ax0, bx0), min(ay0, by0))
-    hi = (max(ax1, bx1), max(ay1, by1))
+    x0, y0 = min(ax0, bx0), min(ay0, by0)
+    w, h = max(ax1, bx1) - x0, max(ay1, by1) - y0
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise OverflowError("Range exceeds valid bounds")
+    lo, span = np.array([x0, y0]), np.array([w, h])
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(samples, 2))
-    in_a = contains(a, pts)
-    in_b = contains(b, pts)
-    n_union = int(np.count_nonzero(in_a | in_b))
-    n_inter = int(np.count_nonzero(in_a & in_b))
+    n_union = n_inter = 0
+    for start in range(0, samples, MC_CHUNK):
+        # lo + span * u, as Generator.uniform computes it, from the same stream.
+        pts = rng.random((min(MC_CHUNK, samples - start), 2))
+        pts *= span
+        pts += lo
+        x, y = pts.T.copy()
+        in_a = contains(a, x, y)
+        in_b = contains(b, x, y)
+        n_union += int(np.count_nonzero(in_a | in_b))
+        n_inter += int(np.count_nonzero(in_a & in_b))
     if n_union == 0:
         return 0.0, 0.0
     p = n_inter / n_union
@@ -159,9 +171,12 @@ def mc_ellipse_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
     """Monte-Carlo IoU of the two boxes' inscribed ellipses.
 
     Uniform points are drawn over the united bounding box of the two
-    ellipses.  Returns (estimate, standard_error); the standard error is the
-    binomial deviation of the intersection fraction among union hits, so it
-    is 0 exactly when every union hit is an intersection hit.
+    ellipses, MC_CHUNK rows at a time from one seeded stream; the result
+    equals that of a single draw of all samples and does not depend on
+    MC_CHUNK.  Raises OverflowError when that box is wider than the
+    largest float.  Returns (estimate, standard_error); the standard error
+    is the binomial deviation of the intersection fraction among union
+    hits, so it is 0 exactly when every union hit is an intersection hit.
     """
     return _mc_iou(a, b, samples, seed, _ellipse_contains, _ellipse_aabb)
 

@@ -13,17 +13,23 @@ from .errors import DiscretizationError
 MIN_GRID_ANGLES = 4
 
 
-def _profile_terms(box: OrientedBox, theta):
+def _profile_terms(box: OrientedBox, theta, trig: bool = True):
     """radius_at's rho, plus the cos(t), sin(t) and (r2 cos t)^2 + (r1 sin t)^2
-    at t = theta - phi that the loss gradient reuses."""
+    at t = theta - phi that the loss gradient reuses.
+
+    With trig=False a circle skips the trig and gets None for all three.
+    """
     t = np.asarray(theta, dtype=np.float64) - box.phi
-    c = np.cos(t)
-    s = np.sin(t)
-    denom = (box.r2 * c) ** 2 + (box.r1 * s) ** 2
     # A circle's radius is the same at every angle; the trig form would add
     # phi-dependent rounding, so equal circles would get profiles that differ
     # in the last bit.
-    rho = np.full(t.shape, box.r1) if box.r1 == box.r2 else box.r1 * box.r2 / np.sqrt(denom)
+    circle = box.r1 == box.r2
+    c = s = denom = None
+    if trig or not circle:
+        c = np.cos(t)
+        s = np.sin(t)
+        denom = (box.r2 * c) ** 2 + (box.r1 * s) ** 2
+    rho = np.full(t.shape, box.r1) if circle else box.r1 * box.r2 / np.sqrt(denom)
     return rho, c, s, denom
 
 
@@ -32,10 +38,10 @@ def radius_at(box: OrientedBox, theta):
 
     rho(theta) = r1*r2 / sqrt(r2^2 cos^2(theta - phi) + r1^2 sin^2(theta - phi)),
     so the point (rho cos theta, rho sin theta) relative to the center lies on
-    the ellipse with semi-axes (r1, r2) rotated by phi.  Accepts a scalar or
-    an array of angles.
+    the ellipse with semi-axes (r1, r2) rotated by phi; a circle's radius is
+    r1 exactly.  Accepts a scalar or an array of angles.
     """
-    rho = _profile_terms(box, theta)[0]
+    rho = _profile_terms(box, theta, trig=False)[0]
     return float(rho) if rho.ndim == 0 else rho
 
 

@@ -17,7 +17,7 @@ from polarjiou import (
     radius_at,
 )
 from polarjiou.loss import RATIO_FLOOR
-from polarjiou.oracle import _clip_halfplane, _overlap_floor
+from polarjiou.oracle import _clip_halfplane, _ellipse_aabb, _overlap_floor, _rect_aabb
 
 
 def finite_floats(lo, hi):
@@ -160,6 +160,39 @@ def reference_rect_iou(a, b):
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
     return float(inter / (area_a + area_b - inter))
+
+
+def reference_mc_iou(a, b, samples, seed, ellipse):
+    """mc_ellipse_iou (ellipse=True) or mc_rect_iou (ellipse=False) as one
+    rng.uniform draw of every sample, before the oracle streamed them in
+    chunks; the point tests are inlined on the (samples, 2) array."""
+    aabb = _ellipse_aabb if ellipse else _rect_aabb
+
+    def contains(box, pts):
+        dx = pts[:, 0] - box.cx
+        dy = pts[:, 1] - box.cy
+        c, s = math.cos(box.phi), math.sin(box.phi)
+        u, v = c * dx + s * dy, -s * dx + c * dy
+        if ellipse:
+            u /= box.r1
+            v /= box.r2
+            return u * u + v * v <= 1.0
+        return (np.abs(u) <= box.r1) & (np.abs(v) <= box.r2)
+
+    (ax0, ay0), (ax1, ay1) = aabb(a)
+    (bx0, by0), (bx1, by1) = aabb(b)
+    lo = (min(ax0, bx0), min(ay0, by0))
+    hi = (max(ax1, bx1), max(ay1, by1))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, size=(samples, 2))
+    in_a = contains(a, pts)
+    in_b = contains(b, pts)
+    n_union = int(np.count_nonzero(in_a | in_b))
+    n_inter = int(np.count_nonzero(in_a & in_b))
+    if n_union == 0:
+        return 0.0, 0.0
+    p = n_inter / n_union
+    return p, math.sqrt(p * (1.0 - p) / n_union)
 
 
 def reference_profile(box, thetas):

@@ -1,6 +1,7 @@
 """Ground-truth IoU oracles (exact clipping, Monte-Carlo) and rotated NMS."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     mc_agreement_pairs,
     random_box,
     reference_corners,
+    reference_mc_iou,
     reference_nms,
     reference_rect_iou,
 )
@@ -28,7 +30,7 @@ from polarjiou import (
 )
 from polarjiou.boxes import corner_points
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
-from polarjiou.oracle import CLIP_ROUNDING
+from polarjiou.oracle import CLIP_ROUNDING, MC_CHUNK
 
 
 def unit_square(cx=0.0, cy=0.0, phi=0.0):
@@ -368,6 +370,66 @@ class TestMonteCarloEllipse:
             mc_ellipse_iou(box, box, 9_999, seed=0)
         with pytest.raises(InsufficientSamplesError):
             mc_rect_iou(box, box, 100, seed=0)
+
+
+MC_SAMPLE_COUNTS = (10_000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7, 1_000_000)
+MC_ORACLES = [pytest.param(mc_ellipse_iou, True, id="ellipse"),
+              pytest.param(mc_rect_iou, False, id="rect")]
+MC_STREAM_CASES = {
+    "identical": (OrientedBox(2, -1, 5, 2, 0.4), OrientedBox(2, -1, 5, 2, 0.4)),
+    "nested": (OrientedBox(0, 0, 6, 3, 0.3), OrientedBox(0.5, 0.2, 2, 1, -0.7)),
+    "disjoint": (OrientedBox(0, 0, 2, 1, 0.2), OrientedBox(10, 3, 2, 1, 1.0)),
+    "thin": (OrientedBox(0, 0, 50, 0.4, 0.1), OrientedBox(1, 0.5, 40, 0.3, 0.12)),
+    "far": (OrientedBox(1e6 + 0.3, -1e6, 4, 2, 0.5),
+            OrientedBox(1e6 + 1.1, -1e6 + 0.4, 3, 2.5, -0.2)),
+}
+
+
+class TestMcChunkedStream:
+    """The oracles stream their samples in MC_CHUNK rows; every estimate must
+    equal the one rng.uniform draw of all samples, bit for bit."""
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    @pytest.mark.parametrize("case", sorted(MC_STREAM_CASES))
+    @pytest.mark.parametrize("samples", MC_SAMPLE_COUNTS)
+    def test_mc_matches_single_draw(self, oracle, ellipse, case, samples):
+        a, b = MC_STREAM_CASES[case]
+        got = oracle(a, b, samples, seed=samples)
+        want = reference_mc_iou(a, b, samples, samples, ellipse)
+        assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    def test_mc_matches_single_draw_random_pairs(self, oracle, ellipse):
+        rng = np.random.default_rng(31)
+        for i in range(60):
+            a, b = random_box(rng, max_center=10.0), random_box(rng, max_center=10.0)
+            samples = int(rng.choice(MC_SAMPLE_COUNTS[:-1]))
+            got = oracle(a, b, samples, seed=i)
+            want = reference_mc_iou(a, b, samples, i, ellipse)
+            assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    def test_mc_overflowing_range_rejected(self, oracle, ellipse):
+        """A sampling range wider than the largest float raises, as
+        Generator.uniform does for the single draw."""
+        a = OrientedBox(-1.5e308, 0, 1, 1, 0)
+        b = OrientedBox(1.5e308, 0, 1, 1, 0)
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            reference_mc_iou(a, b, 10_000, 0, ellipse)
+        with pytest.raises(OverflowError):
+            oracle(a, b, 10_000, seed=0)
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    def test_mc_peak_memory_bounded(self, oracle, ellipse):
+        """One 1e6-sample call stays far below the 54 MiB a single draw takes."""
+        a, b = MC_STREAM_CASES["nested"]
+        tracemalloc.start()
+        try:
+            oracle(a, b, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDetection:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import boxes, finite_floats
 from polarjiou import OrientedBox, discretize, grid_angles, radius_at
 from polarjiou.errors import DiscretizationError
-from polarjiou.polar import RadialProfile
+from polarjiou.polar import RadialProfile, _profile_terms
 
 
 class TestRadiusAt:
@@ -18,6 +18,26 @@ class TestRadiusAt:
         box = OrientedBox(0, 0, 3, 3, 0.7)
         for theta in (0.0, 1.0, -2.5, 6.0):
             assert radius_at(box, theta) == pytest.approx(3.0, abs=1e-12)
+
+    def test_circle_profile_needs_no_trig(self, monkeypatch):
+        """A circle's profile is r1 exactly, with no cos or sin evaluated;
+        the gradient's terms still come with their trig."""
+        box = OrientedBox(0, 0, 3, 3, 0.7)
+        thetas = grid_angles(64)
+        want = _profile_terms(box, thetas)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("trig evaluated for a circle")
+
+        monkeypatch.setattr(np, "cos", fail)
+        monkeypatch.setattr(np, "sin", fail)
+        rho = radius_at(box, thetas)
+        assert rho.dtype == np.float64 and np.array_equal(rho, np.full(64, 3.0))
+        assert radius_at(box, 1.0) == 3.0
+        monkeypatch.undo()
+        assert np.array_equal(want[0], rho)
+        assert np.array_equal(want[1], np.cos(thetas - 0.7))
+        assert np.array_equal(want[2], np.sin(thetas - 0.7))
 
     def test_axis_endpoints(self):
         box = OrientedBox(0, 0, 2, 1, 0)
