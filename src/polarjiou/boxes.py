@@ -234,6 +234,8 @@ def parse_dota_record(line: str, lineno: int | None = None):
         coords = [float(tok) for tok in fields[:8]]
     except ValueError:
         raise AnnotationError(f"non-numeric corner coordinate in {line!r}", lineno) from None
+    if not all(math.isfinite(v) for v in coords):
+        raise AnnotationError(f"non-finite corner coordinate in {line!r}", lineno)
     category = fields[8]
     try:
         difficulty = int(fields[9])
@@ -243,18 +245,25 @@ def parse_dota_record(line: str, lineno: int | None = None):
     return quad, category, difficulty
 
 
-def iter_dota_object_lines(path):
-    """Yield (lineno, line) for annotation object lines, skipping metadata
-    headers ("imagesource", "gsd") and blank lines; AnnotationError if unreadable."""
+def iter_text_lines(path):
+    """Yield (lineno, line) for each non-blank line of a UTF-8 file, stripped,
+    with 1-based line numbers counted over every line; AnnotationError if
+    the file cannot be opened or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
-                if not line or line.startswith(DOTA_META_PREFIXES):
-                    continue
-                yield lineno, line
+                if line:
+                    yield lineno, line
     except (OSError, UnicodeDecodeError) as exc:
         raise AnnotationError.unreadable(path, exc) from None
+
+
+def iter_dota_object_lines(path):
+    """Yield (lineno, line) for annotation object lines: `iter_text_lines`
+    without the metadata headers ("imagesource", "gsd")."""
+    return ((lineno, line) for lineno, line in iter_text_lines(path)
+            if not line.startswith(DOTA_META_PREFIXES))
 
 
 def load_dota_annotations(path):

@@ -5,8 +5,8 @@ CSV), roundtrip (annotation encode/decode check), fit (descent traces and
 the seeded suite), nms (suppress a detection CSV), heatmap-demo (render a
 seeded synthetic scene).
 
-Exit codes: 0 success, 1 annotation parse failures in roundtrip, 2 malformed
-inputs, 3 unwritable output path.
+Exit codes: 0 success, 1 bad annotation records in roundtrip (malformed,
+non-finite or zero-area), 2 malformed inputs, 3 unwritable output path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .boxes import (
     corner_set_distance,
     corners_to_box,
     decode_corners,
+    encode_offset,
     iter_dota_object_lines,
+    iter_text_lines,
     parse_dota_record,
 )
 from .codec import (
@@ -37,7 +39,7 @@ from .codec import (
     focal_loss,
     total_loss,
 )
-from .errors import AnnotationError, InvalidBoxError, OutOfImageError
+from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError, OutOfImageError
 from .fitting import (
     DEFAULT_LR,
     DEFAULT_MAX_ITERS,
@@ -139,48 +141,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _roundtrip_grid(cells):
-    width = max(cx for cx, _ in cells) + 2
-    height = max(cy for _, cy in cells) + 2
-    return height, width
-
-
 def cmd_roundtrip(args) -> int:
     records = []
     parse_errors = 0
     for lineno, line in iter_dota_object_lines(args.annotations):
         try:
-            records.append(parse_dota_record(line, lineno))
-        except AnnotationError as exc:
+            quad, cat, _ = parse_dota_record(line, lineno)
+            records.append((corners_to_box(quad), quad, cat))
+        except (AnnotationError, DegenerateQuadError, InvalidBoxError) as exc:
             parse_errors += 1
+            if not isinstance(exc, AnnotationError):
+                exc = AnnotationError(str(exc), lineno)
             print(str(exc), file=sys.stderr)
     print(f"records {len(records) + parse_errors}")
     print(f"parse_errors {parse_errors}")
     if records:
-        categories = sorted({cat for _, cat, _ in records})
+        categories = sorted({cat for _, _, cat in records})
         class_of = {cat: i for i, cat in enumerate(categories)}
-        objects, quads = [], []
-        for quad, cat, _ in records:
-            box = corners_to_box(quad)
-            objects.append((box, class_of[cat]))
-            quads.append(quad)
-        cells = [(math.floor(b.cx / args.stride), math.floor(b.cy / args.stride))
-                 for b, _ in objects]
-        height, width = _roundtrip_grid(cells)
-        errors, detections = encode_decode_roundtrip(
+        objects = [(box, class_of[cat]) for box, _, cat in records]
+        cells = [encode_offset(box.cx, box.cy, args.stride) for box, _, _ in records]
+        height = max(c.cell_y for c in cells) + 2
+        width = max(c.cell_x for c in cells) + 2
+        errors, matches = encode_decode_roundtrip(
             objects, len(categories), height, width, args.stride)
-        corner_errors = np.full(len(objects), np.nan)
-        det_by_cell = {}
-        for det in detections:
-            cell = (det.category,
-                    math.floor(det.box.cx / args.stride),
-                    math.floor(det.box.cy / args.stride))
-            det_by_cell[cell] = det
-        for i, ((box, cls), quad) in enumerate(zip(objects, quads)):
-            det = det_by_cell.get((cls, cells[i][0], cells[i][1]))
-            if det is not None:
-                corner_errors[i] = corner_set_distance(
-                    decode_corners(det.box).corners, quad.corners)
+        corner_errors = np.array([
+            math.nan if det is None
+            else corner_set_distance(decode_corners(det.box).corners, quad.corners)
+            for det, (_, quad, _) in zip(matches, records)])
         field_max = errors[~np.isnan(errors).any(axis=1)]
         max_field = float(field_max.max()) if field_max.size else math.nan
         valid_corner = corner_errors[~np.isnan(corner_errors)]
@@ -229,14 +216,11 @@ def parse_detections_csv(path, degrees: bool = False):
     """Read a detections CSV with the fixed header cx,cy,r1,r2,phi,score,category;
     AnnotationError if the file is unreadable or a line is malformed."""
     detections = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise AnnotationError.unreadable(path, exc) from None
-    if not lines or lines[0] != DETECTIONS_CSV_HEADER:
-        raise AnnotationError(f"expected header {DETECTIONS_CSV_HEADER!r}", 1)
-    for lineno, line in enumerate(lines[1:], start=2):
+    lines = list(iter_text_lines(path))
+    if not lines or lines[0][1] != DETECTIONS_CSV_HEADER:
+        raise AnnotationError(f"expected header {DETECTIONS_CSV_HEADER!r}",
+                              lines[0][0] if lines else 1)
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 7:
             raise AnnotationError(f"expected 7 fields, got {len(parts)}", lineno)
@@ -363,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "render a seeded synthetic scene and report losses")
     p.add_argument("--num-objects", type=_positive_int, default=5)
     p.add_argument("--classes", type=_positive_int, default=3)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--height", type=_positive_int, default=64)
+    p.add_argument("--width", type=_positive_int, default=64)
     p.add_argument("--out", help="heatmap dump CSV path")
 
     return parser

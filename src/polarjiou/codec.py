@@ -48,18 +48,6 @@ class HeatmapTarget:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "positives", tuple(self.positives))
 
-    @property
-    def num_classes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
 
 def gaussian_sigma(box: OrientedBox, stride: int) -> float:
     """Object-adaptive kernel width in grid cells: the short side spans about
@@ -282,10 +270,12 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     """Drive encode -> peak extraction -> decode on noiseless targets.
 
     Objects are canonicalized, encoded together, and matched back to decoded
-    detections by center cell.  Returns (field_errors, detections): an
-    (N, 5) array of absolute errors in (cx, cy, r1, r2, phi) per object,
-    with NaN rows for objects whose cell produced no detection (e.g. cell
-    collisions), and the decoded detections.
+    detections by center cell.  Returns (field_errors, matches), both aligned
+    with `objects`: an (N, 5) array of absolute errors in (cx, cy, r1, r2,
+    phi), and the detection decoded at each object's center cell.  Objects
+    whose cell produced no detection get a NaN row and None.  Objects of one
+    class that share a cell share its one detection, which carries the
+    parameters of the last of them.
     """
     objects = [(canonicalize(box), cls) for box, cls in objects]
     enc = encode_targets(objects, num_classes, height, width, stride)
@@ -295,9 +285,9 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     by_cell = {}
     for det, peak in zip(detections, peaks):
         by_cell[(peak.category, peak.cell_x, peak.cell_y)] = det
+    matches = [by_cell.get(cell) for cell in enc.heatmap.positives]
     errors = np.full((len(objects), 5), np.nan)
-    for i, ((box, cls), cell) in enumerate(zip(objects, enc.heatmap.positives)):
-        det = by_cell.get(cell)
+    for i, ((box, _), det) in enumerate(zip(objects, matches)):
         if det is None:
             continue
         errors[i] = (
@@ -307,4 +297,4 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
             abs(det.box.r2 - box.r2),
             phi_distance(det.box.phi, box.phi),
         )
-    return errors, detections
+    return errors, matches

@@ -21,6 +21,7 @@ from polarjiou import (
     phi_distance,
     signed_area,
 )
+from polarjiou.boxes import iter_dota_object_lines, iter_text_lines
 from polarjiou.errors import (
     AnnotationError,
     DegenerateQuadError,
@@ -286,6 +287,17 @@ class TestDotaParsing:
         with pytest.raises(AnnotationError):
             parse_dota_record("0 0 x 0 4 2 0 2 plane 0", lineno=1)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coordinate_names_lineno(self, token):
+        with pytest.raises(AnnotationError, match="line 4: non-finite corner coordinate"):
+            parse_dota_record(f"0 0 4 0 4 {token} 0 2 plane 0", lineno=4)
+
+    def test_non_finite_record_in_file_names_its_line(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_text("gsd:1.0\n0 0 4 0 4 2 0 2 plane 0\n\n0 nan 4 0 4 2 0 2 ship 0\n")
+        with pytest.raises(AnnotationError, match="line 4: non-finite"):
+            load_dota_annotations(path)
+
     def test_file_skips_metadata(self, tmp_path):
         path = tmp_path / "ann.txt"
         path.write_text(
@@ -300,3 +312,17 @@ class TestDotaParsing:
     def test_unreadable_file(self, tmp_path, name):
         with pytest.raises(AnnotationError, match="cannot read"):
             load_dota_annotations(tmp_path / name)
+
+
+class TestTextLines:
+    def test_true_line_numbers_over_blank_lines(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("a\n\n   \n  b  \r\n\tc\n\n")
+        assert list(iter_text_lines(path)) == [(1, "a"), (4, "b"), (5, "c")]
+
+    def test_dota_lines_drop_metadata_keep_numbers(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_text("imagesource:x\n\ngsd:1.0\n0 0 4 0 4 2 0 2 plane 0\n\n"
+                        "1 1 5 1 5 3 1 3 ship 0\n")
+        assert list(iter_dota_object_lines(path)) == [
+            (4, "0 0 4 0 4 2 0 2 plane 0"), (6, "1 1 5 1 5 3 1 3 ship 0")]

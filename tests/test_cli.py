@@ -202,6 +202,47 @@ class TestRoundtripCommand:
         assert report["parse_errors"] == "1"
         assert report["failures"] == "0"
 
+    @pytest.mark.parametrize("bad,message", [
+        ("0 0 0 0 0 0 0 0 plane 0", "quad has (near-)zero area"),
+        ("0 nan 4 0 4 2 0 2 plane 0", "non-finite corner coordinate"),
+        ("0 0 4 0 inf 2 0 2 plane 0", "non-finite corner coordinate"),
+        ("1e308 0 -1e308 0 -1e308 1e308 1e308 1e308 plane 0", "non-finite box parameters"),
+    ], ids=["zero-area", "nan", "inf", "overflow"])
+    def test_bad_record_counted_and_skipped(self, tmp_path, bad, message):
+        """A record the parser or the box fit rejects is one parse error
+        naming its line; the records around it are still checked."""
+        rng = np.random.default_rng(24)
+        path = tmp_path / "ann.txt"
+        write_rect_file(path, [(b, "plane") for b in lattice_boxes(rng, 2)])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [bad] + lines[3:]) + "\n")
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(["roundtrip", str(path)])
+        assert code == 1
+        assert f"line 4: {message}" in err and "Traceback" not in err
+        report = dict(ln.split() for ln in out.splitlines())
+        assert report["records"] == "3"
+        assert report["parse_errors"] == "1"
+        assert report["failures"] == "0"
+        assert float(report["max_corner_error"]) <= 1e-6
+
+    def test_shared_cell_shares_one_detection(self, tmp_path):
+        """Two same-category centers in one stride cell decode to a single
+        detection, which both objects match; it carries the parameters of
+        the later object, so the earlier one is counted in failures."""
+        shared = [canonicalize(OrientedBox(41.2, 37.3, 10.0, 4.0, 0.6)),
+                  canonicalize(OrientedBox(42.7, 38.9, 8.0, 3.0, -0.4))]
+        apart = lattice_boxes(np.random.default_rng(25), 2, base_cell=20)
+        path = tmp_path / "ann.txt"
+        write_rect_file(path, [(b, "ship") for b in shared + apart])
+        code, out, _ = run_cli(["roundtrip", str(path)])
+        assert code == 0
+        report = dict(ln.split() for ln in out.splitlines())
+        assert report["records"] == "4"
+        assert report["failures"] == "1"
+        # Matched, not missing: the earlier object's field errors are reported.
+        assert float(report["max_box_field_error"]) == 2.0
+
     def test_jittered_failures_match_harness(self, tmp_path):
         """The failure count equals an independent recount: jittered quads
         whose fitted-box corners moved beyond 1e-6."""
@@ -341,6 +382,13 @@ class TestNmsCommand:
         with pytest.raises(AnnotationError, match="line 3"):
             parse_detections_csv(src)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        src = tmp_path / "dets.csv"
+        src.write_text(DETECTIONS_CSV_HEADER + "\n0,0,1,1,0,0.9,0\n\n  \n0,0,1,1,0,zz,0\n")
+        code, _, err = run_cli(["nms", str(src)])
+        assert code == 2
+        assert "error: line 5: non-numeric field" in err
+
 
 class TestHeatmapDemo:
     def test_scene_report(self, tmp_path):
@@ -402,6 +450,7 @@ class TestArgumentErrors:
         ["heatmap-demo", "--num-objects", "0"],
         ["heatmap-demo", "--classes", "0"],
         ["roundtrip", "a.txt", "--stride", "0"],
+        ["heatmap-demo", "--height", "-10", "--width", "-10"],
     ])
     def test_out_of_range_value_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ and the peak-extraction decode path."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,29 @@ class TestRoundtrip:
         errors, dets = encode_decode_roundtrip(objs, 3, 64, 64, 4)
         assert not np.isnan(errors).any()
         assert errors.max() <= 1e-6
+
+    def test_matches_aligned_with_objects(self):
+        """One match per object: None exactly where the errors row is NaN,
+        otherwise a detection of the object's category."""
+        rng = np.random.default_rng(33)
+        objs = lattice_objects(rng, 12, 3, 64, 64, 4)
+        box, cls = objs[0]
+        # Same class one cell to the right: the row-major-first cell of the
+        # plateau keeps the peak, so this object goes unmatched.
+        objs.append((replace(box, cx=box.cx + 4.0), cls))
+        # Same cell, other class: its own channel, its own detection.
+        objs.append((box, (cls + 1) % 3))
+        # Same cell, same class: both share the cell's one detection, which
+        # carries the parameters written last.
+        objs.append((replace(box, r1=box.r1 + 1.0), cls))
+        errors, matches = encode_decode_roundtrip(objs, 3, 64, 64, 4)
+        assert len(matches) == len(objs)
+        assert [m is None for m in matches] == list(np.isnan(errors).any(axis=1))
+        assert matches[-3] is None and matches[-2] is not None
+        assert matches[0] is matches[-1]
+        assert errors[0, 2] == pytest.approx(1.0) and errors[-1].max() <= 1e-9
+        for (_, obj_cls), det in zip(objs, matches):
+            assert det is None or det.category == obj_cls
 
     def test_encode_targets_aligned(self):
         rng = np.random.default_rng(31)
