@@ -33,7 +33,6 @@ from .codec import (
     HeatmapTarget,
     LossReport,
     Peak,
-    RegressionTarget,
     decode_detections,
     encode_decode_roundtrip,
     encode_targets,
@@ -91,7 +90,6 @@ __all__ = [
     "OrientedBox",
     "Peak",
     "RadialProfile",
-    "RegressionTarget",
     "SweepRecord",
     "apply_weights",
     "batch_jiou",

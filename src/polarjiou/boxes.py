@@ -144,20 +144,19 @@ def corners_to_box(quad: CornerQuad) -> OrientedBox:
     annotation order wins.  Warns when adjacent edges are far from
     orthogonal, raises on degenerate (zero-area or segment-like) quads.
     """
-    pts = quad.corners
+    pts = quad.corners.tolist()
     if abs(signed_area(pts)) <= 1e-12:
         raise DegenerateQuadError("quad has (near-)zero area")
-    center = pts.mean(axis=0)
-    edges = np.roll(pts, -1, axis=0) - pts
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
     # Opposite edges point opposite ways, so e0 - e2 and e1 - e3 are the
     # doubled averaged axis vectors.
-    axis_a = (edges[0] - edges[2]) / 2.0
-    axis_b = (edges[1] - edges[3]) / 2.0
-    len_a = float(np.hypot(axis_a[0], axis_a[1]))
-    len_b = float(np.hypot(axis_b[0], axis_b[1]))
+    ax, ay = ((x1 - x0) - (x3 - x2)) / 2.0, ((y1 - y0) - (y3 - y2)) / 2.0
+    bx, by = ((x2 - x1) - (x0 - x3)) / 2.0, ((y2 - y1) - (y0 - y3)) / 2.0
+    len_a = float(np.hypot(ax, ay))
+    len_b = float(np.hypot(bx, by))
     if len_a <= 1e-12 or len_b <= 1e-12:
         raise DegenerateQuadError("quad collapses to a segment")
-    sin_skew = abs(float(np.dot(axis_a, axis_b))) / (len_a * len_b)
+    sin_skew = abs(ax * bx + ay * by) / (len_a * len_b)
     if sin_skew > math.sin(ORTHOGONALITY_WARN_RAD):
         warnings.warn(
             f"quad edges deviate from orthogonal by "
@@ -165,11 +164,11 @@ def corners_to_box(quad: CornerQuad) -> OrientedBox:
             stacklevel=2,
         )
     if len_a >= len_b:
-        long_axis, r1, r2 = axis_a, len_a / 2.0, len_b / 2.0
+        (lx, ly), r1, r2 = (ax, ay), len_a / 2.0, len_b / 2.0
     else:
-        long_axis, r1, r2 = axis_b, len_b / 2.0, len_a / 2.0
-    phi = math.atan2(float(long_axis[1]), float(long_axis[0]))
-    return canonicalize(OrientedBox(float(center[0]), float(center[1]), r1, r2, phi))
+        (lx, ly), r1, r2 = (bx, by), len_b / 2.0, len_a / 2.0
+    cx, cy = (x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0
+    return canonicalize(OrientedBox(cx, cy, r1, r2, math.atan2(ly, lx)))
 
 
 # Row orders of a quad's 4 cyclic shifts in both traversal directions:

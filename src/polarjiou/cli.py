@@ -6,7 +6,8 @@ the seeded suite), nms (suppress a detection CSV), heatmap-demo (render a
 seeded synthetic scene).
 
 Exit codes: 0 success, 1 bad annotation records in roundtrip (malformed,
-non-finite or zero-area), 2 malformed inputs, 3 unwritable output path.
+non-finite, zero-area or with a negative fitted center), 2 malformed
+inputs, 3 unwritable output path.
 """
 
 from __future__ import annotations
@@ -147,8 +148,10 @@ def cmd_roundtrip(args) -> int:
     for lineno, line in iter_dota_object_lines(args.annotations):
         try:
             quad, cat, _ = parse_dota_record(line, lineno)
-            records.append((corners_to_box(quad), quad, cat))
-        except (AnnotationError, DegenerateQuadError, InvalidBoxError) as exc:
+            box = corners_to_box(quad)
+            cell = encode_offset(box.cx, box.cy, args.stride)
+            records.append((box, quad, cat, cell))
+        except (AnnotationError, DegenerateQuadError, InvalidBoxError, OutOfImageError) as exc:
             parse_errors += 1
             if not isinstance(exc, AnnotationError):
                 exc = AnnotationError(str(exc), lineno)
@@ -156,24 +159,19 @@ def cmd_roundtrip(args) -> int:
     print(f"records {len(records) + parse_errors}")
     print(f"parse_errors {parse_errors}")
     if records:
-        categories = sorted({cat for _, _, cat in records})
+        categories = sorted({cat for _, _, cat, _ in records})
         class_of = {cat: i for i, cat in enumerate(categories)}
-        objects = [(box, class_of[cat]) for box, _, cat in records]
-        cells = [encode_offset(box.cx, box.cy, args.stride) for box, _, _ in records]
-        height = max(c.cell_y for c in cells) + 2
-        width = max(c.cell_x for c in cells) + 2
+        objects = [(box, class_of[cat]) for box, _, cat, _ in records]
+        height = max(cell.cell_y for *_, cell in records) + 2
+        width = max(cell.cell_x for *_, cell in records) + 2
         errors, matches = encode_decode_roundtrip(
             objects, len(categories), height, width, args.stride)
-        corner_errors = np.array([
-            math.nan if det is None
-            else corner_set_distance(decode_corners(det.box).corners, quad.corners)
-            for det, (_, quad, _) in zip(matches, records)])
-        field_max = errors[~np.isnan(errors).any(axis=1)]
-        max_field = float(field_max.max()) if field_max.size else math.nan
-        valid_corner = corner_errors[~np.isnan(corner_errors)]
-        max_corner = float(valid_corner.max()) if valid_corner.size else math.nan
-        per_record = np.where(np.isnan(corner_errors), np.inf, corner_errors)
-        failures = int(np.count_nonzero(per_record > 1e-6))
+        matched = [i for i, det in enumerate(matches) if det is not None]
+        corner_errors = [corner_set_distance(decode_corners(matches[i].box).corners,
+                                             records[i][1].corners) for i in matched]
+        max_field = float(errors[matched].max()) if matched else math.nan
+        max_corner = max(corner_errors, default=math.nan)
+        failures = len(records) - sum(err <= 1e-6 for err in corner_errors)
         print(f"max_box_field_error {fmt9(max_field)}")
         print(f"max_corner_error {fmt9(max_corner)}")
         print(f"failures {failures}")

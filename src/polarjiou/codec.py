@@ -91,31 +91,15 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
 
 
 @dataclass(frozen=True)
-class RegressionTarget:
-    """Per-positive regression rows (phi, r1, r2, dx, dy), aligned with `cells`."""
-
-    cells: tuple
-    tuples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.tuples, dtype=np.float64).reshape(-1, 5)
-        if arr.shape[0] != len(self.cells):
-            raise ShapeError(f"{arr.shape[0]} rows for {len(self.cells)} cells")
-        arr.setflags(write=False)
-        object.__setattr__(self, "tuples", arr)
-        object.__setattr__(self, "cells", tuple(self.cells))
-
-
-@dataclass(frozen=True)
 class EncodedTargets:
     """Everything the decoder needs: heatmap plus dense offset/parameter maps.
 
     offset_map is (2, H, W) holding (dx, dy) and param_map is (3, H, W)
-    holding (phi, r1, r2), both written only at positive cells.
+    holding (phi, r1, r2), both written only at the cells listed in
+    `heatmap.positives`; these two maps are the regression targets.
     """
 
     heatmap: HeatmapTarget
-    regression: RegressionTarget
     offset_map: np.ndarray
     param_map: np.ndarray
 
@@ -126,14 +110,11 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     heatmap = render_heatmap(objects, num_classes, height, width, stride)
     offset_map = np.zeros((2, height, width))
     param_map = np.zeros((3, height, width))
-    rows = np.zeros((len(objects), 5))
-    for i, (box, _) in enumerate(objects):
+    for box, _ in objects:
         off = encode_offset(box.cx, box.cy, stride)
         offset_map[:, off.cell_y, off.cell_x] = (off.dx, off.dy)
         param_map[:, off.cell_y, off.cell_x] = (box.phi, box.r1, box.r2)
-        rows[i] = (box.phi, box.r1, box.r2, off.dx, off.dy)
-    regression = RegressionTarget(cells=heatmap.positives, tuples=rows)
-    return EncodedTargets(heatmap, regression, offset_map, param_map)
+    return EncodedTargets(heatmap, offset_map, param_map)
 
 
 def focal_loss(pred, target: HeatmapTarget, alpha: float = DEFAULT_ALPHA,

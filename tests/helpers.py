@@ -248,6 +248,25 @@ def reference_corner_set_distance(a, b):
     return best
 
 
+def reference_corners_to_box(corners):
+    """The box fit as numpy array arithmetic (corner mean, rolled edges,
+    hypot lengths): the values corners_to_box must reproduce bit for bit.
+    Assumes a non-degenerate quad and skips the skew warning."""
+    pts = np.asarray(corners, dtype=np.float64).reshape(4, 2)
+    center = pts.mean(axis=0)
+    edges = np.roll(pts, -1, axis=0) - pts
+    axis_a = (edges[0] - edges[2]) / 2.0
+    axis_b = (edges[1] - edges[3]) / 2.0
+    len_a = float(np.hypot(axis_a[0], axis_a[1]))
+    len_b = float(np.hypot(axis_b[0], axis_b[1]))
+    if len_a >= len_b:
+        long_axis, r1, r2 = axis_a, len_a / 2.0, len_b / 2.0
+    else:
+        long_axis, r1, r2 = axis_b, len_b / 2.0, len_a / 2.0
+    phi = math.atan2(float(long_axis[1]), float(long_axis[0]))
+    return canonicalize(OrientedBox(float(center[0]), float(center[1]), r1, r2, phi))
+
+
 def reference_nms(detections, iou_threshold):
     """Greedy NMS over all detections at once, skipping other categories
     inside the loop (rotated_nms partitions by category first)."""

@@ -1,12 +1,18 @@
 """Oriented-box types, canonical form, corner codecs, annotation parsing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import boxes, random_box, reference_corner_set_distance
+from helpers import (
+    boxes,
+    random_box,
+    reference_corner_set_distance,
+    reference_corners_to_box,
+)
 from polarjiou import (
     CenterOffset,
     CornerQuad,
@@ -181,6 +187,41 @@ class TestCornersToBox:
             pts = decode_corners(box).corners + rng.uniform(-0.01, 0.01, size=(4, 2))
             fitted = corners_to_box(CornerQuad(pts))
             assert corner_set_distance(decode_corners(fitted).corners, pts) <= 0.05
+
+    def test_matches_numpy_reference_bit_for_bit(self):
+        """Seeded quads in both windings, jittered or exact, with centers up
+        to 1e9: the fit equals the numpy-array reference exactly.  Extents
+        grow with the center so the absolute-frame shoelace keeps every
+        quad clear of the zero-area rejection."""
+        rng = np.random.default_rng(37)
+        for i in range(10_000):
+            scale = 10.0 ** rng.uniform(0, 9)
+            min_r = max(0.5, 1e-6 * scale)
+            box = random_box(rng, max_center=scale, min_r=min_r, max_r=60.0 * min_r)
+            pts = decode_corners(box).corners
+            if i % 2:
+                pts = pts[::-1]
+            if i % 4 >= 2:
+                pts = pts + rng.normal(0.0, 0.05 * box.r2, size=(4, 2))
+            pts = np.roll(pts, int(rng.integers(4)), axis=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fitted = corners_to_box(CornerQuad(pts))
+            assert fitted == reference_corners_to_box(pts)
+
+    @pytest.mark.parametrize("coords", [
+        (1e308, 0, -1e308, 0, -1e308, 1e308, 1e308, 1e308),
+        (-1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308),
+        (0, 0, 1.5e308, 0, 1.5e308, 1.5e308, 0, 1.5e308),
+    ], ids=["wide", "centered", "corner"])
+    def test_overflow_raises_without_numpy_warning(self, coords):
+        """A quad whose fit overflows is rejected as a non-finite box, with
+        no floating-point warning printed on the way."""
+        quad = CornerQuad(np.array(coords, dtype=float).reshape(4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBoxError, match="non-finite box parameters"):
+                corners_to_box(quad)
 
     def test_degenerate_quad_rejected(self):
         collinear = CornerQuad(np.array([(0, 0), (1, 0), (2, 0), (3, 0)], dtype=float))

@@ -207,7 +207,8 @@ class TestRoundtripCommand:
         ("0 nan 4 0 4 2 0 2 plane 0", "non-finite corner coordinate"),
         ("0 0 4 0 inf 2 0 2 plane 0", "non-finite corner coordinate"),
         ("1e308 0 -1e308 0 -1e308 1e308 1e308 1e308 plane 0", "non-finite box parameters"),
-    ], ids=["zero-area", "nan", "inf", "overflow"])
+        ("-10 -10 -6 -10 -6 -8 -10 -8 plane 0", "center (-8.0, -9.0) has negative coordinates"),
+    ], ids=["zero-area", "nan", "inf", "overflow", "negative-center"])
     def test_bad_record_counted_and_skipped(self, tmp_path, bad, message):
         """A record the parser or the box fit rejects is one parse error
         naming its line; the records around it are still checked."""

@@ -15,6 +15,7 @@ from polarjiou import (
     canonicalize,
     decode_detections,
     encode_decode_roundtrip,
+    encode_offset,
     encode_targets,
     extract_peaks,
     focal_loss,
@@ -397,6 +398,9 @@ class TestRoundtrip:
         enc = encode_targets(objs, 2, 32, 32, 4)
         assert enc.offset_map.shape == (2, 32, 32)
         assert enc.param_map.shape == (3, 32, 32)
-        assert len(enc.regression.cells) == 5
-        for (box, _), row in zip(objs, enc.regression.tuples):
-            assert row[0] == box.phi and row[1] == box.r1 and row[2] == box.r2
+        assert len(enc.heatmap.positives) == 5
+        for (box, cls), (pos_cls, cell_x, cell_y) in zip(objs, enc.heatmap.positives):
+            off = encode_offset(box.cx, box.cy, 4)
+            assert (pos_cls, cell_x, cell_y) == (cls, off.cell_x, off.cell_y)
+            assert tuple(enc.param_map[:, cell_y, cell_x]) == (box.phi, box.r1, box.r2)
+            assert tuple(enc.offset_map[:, cell_y, cell_x]) == (off.dx, off.dy)
