@@ -98,19 +98,25 @@ class CornerQuad:
         object.__setattr__(self, "corners", arr)
 
 
-def corner_points(box: OrientedBox) -> list[tuple[float, float]]:
-    """Corners of a box as (x, y) float tuples, in decode_corners' order.
+def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
+    """Corners of a box relative to its center, in decode_corners' order.
 
-    Raises InvalidBoxError when a corner overflows to a non-finite value,
-    as CornerQuad does.
+    Raises InvalidBoxError when a corner, offset plus center, overflows to a
+    non-finite value, as CornerQuad does.
     """
     c, s = math.cos(box.phi), math.sin(box.phi)
-    r1, r2, cx, cy = box.r1, box.r2, box.cx, box.cy
-    pts = [(c * bx - s * by + cx, s * bx + c * by + cy)
-           for bx, by in ((-r1, -r2), (r1, -r2), (r1, r2), (-r1, r2))]
-    if not all(math.isfinite(v) for pt in pts for v in pt):
+    r1, r2 = box.r1, box.r2
+    offsets = [(c * bx - s * by, s * bx + c * by)
+               for bx, by in ((-r1, -r2), (r1, -r2), (r1, r2), (-r1, r2))]
+    if not all(math.isfinite(ox + box.cx) and math.isfinite(oy + box.cy)
+               for ox, oy in offsets):
         raise InvalidBoxError("non-finite corner coordinates")
-    return pts
+    return offsets
+
+
+def corner_points(box: OrientedBox) -> list[tuple[float, float]]:
+    """Corners of a box as (x, y) float tuples: corner_offsets plus the center."""
+    return [(ox + box.cx, oy + box.cy) for ox, oy in corner_offsets(box)]
 
 
 def decode_corners(box: OrientedBox) -> CornerQuad:
@@ -144,14 +150,15 @@ def corners_to_box(quad: CornerQuad) -> OrientedBox:
     annotation order wins.  Warns when adjacent edges are far from
     orthogonal, raises on degenerate (zero-area or segment-like) quads.
     """
-    pts = quad.corners.tolist()
-    if abs(signed_area(pts)) <= 1e-12:
-        raise DegenerateQuadError("quad has (near-)zero area")
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.corners.tolist()
     # Opposite edges point opposite ways, so e0 - e2 and e1 - e3 are the
     # doubled averaged axis vectors.
     ax, ay = ((x1 - x0) - (x3 - x2)) / 2.0, ((y1 - y0) - (y3 - y2)) / 2.0
     bx, by = ((x2 - x1) - (x0 - x3)) / 2.0, ((y2 - y1) - (y0 - y3)) / 2.0
+    # Their cross product is the quad's shoelace area, computed from edge
+    # differences, so its rounding does not grow with the quad's position.
+    if abs(ax * by - ay * bx) <= 1e-12:
+        raise DegenerateQuadError("quad has (near-)zero area")
     len_a = float(np.hypot(ax, ay))
     len_b = float(np.hypot(bx, by))
     if len_a <= 1e-12 or len_b <= 1e-12:

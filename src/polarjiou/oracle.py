@@ -8,21 +8,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, corner_points, signed_area
+from .boxes import OrientedBox, corner_offsets, corner_points, signed_area
 from .errors import InsufficientSamplesError, InvalidBoxError
 
 # An intersection counts as empty below this fraction of the two boxes'
-# summed areas, plus CLIP_ROUNDING times the squared coordinate extent (see
-# _overlap_floor).  It keeps touching boxes and clipping slivers from
-# producing noise IoU at any box scale and position.
+# summed areas, plus CLIP_ROUNDING times the coordinate extent times the
+# boxes' reach (see exact_rect_iou).  It keeps touching boxes and clipping
+# slivers from producing noise IoU at any box scale and position.
 MIN_OVERLAP_FRACTION = 1e-12
 CLIP_ROUNDING = 2e-15
 
-# Circumcircles farther apart than their radii plus this slack prove the
-# boxes disjoint.  The slack covers rounding in the decoded corners, which
-# grows with the box size and with the center magnitudes.
+# Circumcircles farther apart than their radii plus this fraction of them
+# prove the boxes disjoint; the slack covers rounding in the corners.
 PRUNE_REACH_SLACK = 1e-9
-PRUNE_CENTER_SLACK = 1e-12
 
 MIN_MC_SAMPLES = 10_000
 # The Monte-Carlo oracles draw and test their samples this many at a time,
@@ -60,48 +58,37 @@ def _clip_halfplane(poly, a, b):
     return out
 
 
-def _overlap_floor(a: OrientedBox, b: OrientedBox) -> float:
-    """Intersection area below which an overlap counts as empty.
-
-    The area fraction keeps the rule scale-free.  The second term covers
-    rounding in clipping and in the shoelace sum: both work in absolute
-    coordinates, so touching boxes far from the origin leave a phantom area
-    of up to about eps * extent^2, extent bounding every corner coordinate
-    (0.92 eps * extent^2 was the largest seen over 2e5 touching pairs).
-    """
-    extent = (max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy))
-              + max(math.hypot(a.r1, a.r2), math.hypot(b.r1, b.r2)))
-    return (MIN_OVERLAP_FRACTION * 4.0 * (a.r1 * a.r2 + b.r1 * b.r2)
-            + CLIP_ROUNDING * extent * extent)
-
-
 def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Exact IoU of two rotated rectangles (half-plane clipping + shoelace area).
 
-    Pairs whose circumcircles are disjoint return 0.0 before any clipping.
-    An intersection smaller than MIN_OVERLAP_FRACTION times the summed box
-    areas plus CLIP_ROUNDING * extent^2 reads as empty, extent being the
-    largest center coordinate plus the larger circumradius.  The second term
-    makes every overlap of two 2x2 boxes read 0.0 once a center coordinate
-    passes about 4.47e7.  Raises InvalidBoxError when a corner overflows.
+    Clipping runs in a's frame, a's corner offsets against b's shifted by
+    the center difference, so its rounding follows the boxes' size, not
+    their position.  Pairs whose circumcircles are disjoint return 0.0
+    before any clipping.  An intersection below MIN_OVERLAP_FRACTION times
+    the summed box areas plus CLIP_ROUNDING * extent * reach reads as empty:
+    reach is the summed circumradii, extent the largest center coordinate
+    plus reach, and the term covers the eps * extent rounding that the
+    centers themselves carry.  The ratio is clamped at 1.  Raises
+    InvalidBoxError when a corner overflows.
     """
-    poly = corner_points(a)
-    clip = corner_points(b)
+    poly = corner_offsets(a)
+    clip = corner_offsets(b)
+    dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
-    slack = PRUNE_REACH_SLACK * reach + PRUNE_CENTER_SLACK * (
-        abs(a.cx) + abs(a.cy) + abs(b.cx) + abs(b.cy))
-    if math.hypot(b.cx - a.cx, b.cy - a.cy) > reach + slack:
+    if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
         return 0.0
+    clip = [(x + dx, y + dy) for x, y in clip]
     for i in range(4):
         if not poly:
             break
         poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
     inter = abs(signed_area(poly))
-    if inter < _overlap_floor(a, b):
-        return 0.0
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
-    return float(inter / (area_a + area_b - inter))
+    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
+    if inter < MIN_OVERLAP_FRACTION * (area_a + area_b) + CLIP_ROUNDING * extent * reach:
+        return 0.0
+    return min(1.0, inter / (area_a + area_b - inter))
 
 
 def _to_frame(box: OrientedBox, x: np.ndarray, y: np.ndarray):

@@ -17,7 +17,13 @@ from polarjiou import (
     radius_at,
 )
 from polarjiou.loss import RATIO_FLOOR
-from polarjiou.oracle import _clip_halfplane, _ellipse_aabb, _overlap_floor, _rect_aabb
+from polarjiou.oracle import (
+    CLIP_ROUNDING,
+    MIN_OVERLAP_FRACTION,
+    _clip_halfplane,
+    _ellipse_aabb,
+    _rect_aabb,
+)
 
 
 def finite_floats(lo, hi):
@@ -121,14 +127,20 @@ def dyadic(x, bits=20):
     return round(x * scale) / scale
 
 
-def reference_corners(box):
-    """Corners from numpy arithmetic over a sign table: the values that
-    corner_points and decode_corners must reproduce bit for bit."""
+def reference_corner_offsets(box):
+    """Corners relative to the center from numpy arithmetic over a sign
+    table: the values corner_offsets must reproduce bit for bit."""
     signs = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
     c, s = math.cos(box.phi), math.sin(box.phi)
     bx = signs[:, 0] * box.r1
     by = signs[:, 1] * box.r2
-    return np.stack([c * bx - s * by + box.cx, s * bx + c * by + box.cy], axis=1)
+    return np.stack([c * bx - s * by, s * bx + c * by], axis=1)
+
+
+def reference_corners(box):
+    """reference_corner_offsets plus the center: the values corner_points
+    and decode_corners must reproduce bit for bit."""
+    return reference_corner_offsets(box) + (box.cx, box.cy)
 
 
 def reference_shoelace_abs(poly):
@@ -146,20 +158,24 @@ def reference_shoelace_abs(poly):
 
 
 def reference_rect_iou(a, b):
-    """exact_rect_iou without the circumcircle early return, clipping
-    reference_corners; the empty-area rule is the same."""
-    poly = [tuple(p) for p in reference_corners(a)]
-    clip = [tuple(p) for p in reference_corners(b)]
+    """exact_rect_iou without the circumcircle early return: a's
+    reference_corner_offsets clipped against b's shifted by the center
+    difference, with a frozen copy of the empty-overlap floor."""
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    poly = [tuple(p) for p in reference_corner_offsets(a)]
+    clip = [(x + dx, y + dy) for x, y in reference_corner_offsets(b)]
     for i in range(4):
         if not poly:
             break
         poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
     inter = reference_shoelace_abs(poly)
-    if inter < _overlap_floor(a, b):
-        return 0.0
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
-    return float(inter / (area_a + area_b - inter))
+    reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
+    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
+    if inter < MIN_OVERLAP_FRACTION * (area_a + area_b) + CLIP_ROUNDING * extent * reach:
+        return 0.0
+    return min(1.0, float(inter / (area_a + area_b - inter)))
 
 
 def reference_mc_iou(a, b, samples, seed, ellipse):

@@ -191,8 +191,8 @@ class TestCornersToBox:
     def test_matches_numpy_reference_bit_for_bit(self):
         """Seeded quads in both windings, jittered or exact, with centers up
         to 1e9: the fit equals the numpy-array reference exactly.  Extents
-        grow with the center so the absolute-frame shoelace keeps every
-        quad clear of the zero-area rejection."""
+        grow with the center, so corner rounding stays small against the
+        box."""
         rng = np.random.default_rng(37)
         for i in range(10_000):
             scale = 10.0 ** rng.uniform(0, 9)
@@ -222,6 +222,15 @@ class TestCornersToBox:
             warnings.simplefilter("error")
             with pytest.raises(InvalidBoxError, match="non-finite box parameters"):
                 corners_to_box(quad)
+
+    def test_small_quad_far_from_origin(self):
+        """The zero-area test uses edge differences, so a 2x1 box at 1e9,
+        whose absolute-coordinate shoelace sum rounds to 0, still fits."""
+        box = OrientedBox(1e9, 1e9, 1.0, 0.5, 0.3)
+        back = corners_to_box(decode_corners(box))
+        for got, want in zip((back.cx, back.cy, back.r1, back.r2, back.phi),
+                             (box.cx, box.cy, box.r1, box.r2, box.phi)):
+            assert got == pytest.approx(want, abs=1e-6)
 
     def test_degenerate_quad_rejected(self):
         collinear = CornerQuad(np.array([(0, 0), (1, 0), (2, 0), (3, 0)], dtype=float))

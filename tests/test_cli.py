@@ -364,6 +364,21 @@ class TestNmsCommand:
         code, out, _ = run_cli(["nms", str(src)])
         assert code == 0 and "kept 1 of 3" in out
 
+    def test_translated_golden_scene_keeps_the_same_detections(self, tmp_path):
+        """The golden detections moved by (+1e8, -1e8) keep the same five
+        boxes at --nms-iou 0.5; only the centers change."""
+        header, *rows = GOLDEN_DETECTIONS.read_text().splitlines()
+        moved = [f"{float(cx) + 1e8!r},{float(cy) - 1e8!r},{rest}"
+                 for cx, cy, rest in (row.split(",", 2) for row in rows)]
+        src, out_csv = tmp_path / "dets.csv", tmp_path / "kept.csv"
+        src.write_text("\n".join([header] + moved) + "\n")
+        code, out, _ = run_cli(["nms", str(src), "--nms-iou", "0.5", "--out", str(out_csv)])
+        assert (code, out) == (0, "kept 5 of 8\n")
+        golden = (GOLDEN_DETECTIONS.parent / "nms.csv").read_text().splitlines()
+        kept = out_csv.read_text().splitlines()
+        assert [row.split(",", 2)[2] for row in kept[1:]] == [
+            row.split(",", 2)[2] for row in golden[1:]]
+
     def test_bad_header_exits_two(self, tmp_path):
         src = tmp_path / "dets.csv"
         src.write_text("cx,cy\n1,2\n")

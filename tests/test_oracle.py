@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polarjiou.oracle
@@ -13,6 +13,7 @@ from helpers import (
     finite_floats,
     mc_agreement_pairs,
     random_box,
+    reference_corner_offsets,
     reference_corners,
     reference_mc_iou,
     reference_nms,
@@ -28,7 +29,7 @@ from polarjiou import (
     mc_rect_iou,
     rotated_nms,
 )
-from polarjiou.boxes import corner_points
+from polarjiou.boxes import corner_offsets, corner_points
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
 from polarjiou.oracle import CLIP_ROUNDING, MC_CHUNK
 
@@ -41,6 +42,11 @@ class TestExactRectIou:
     def test_identical_boxes(self):
         box = OrientedBox(3, -1, 4, 2, 0.7)
         assert exact_rect_iou(box, box) == pytest.approx(1.0, abs=1e-12)
+
+    def test_identical_boxes_clamped_to_one(self):
+        """Rounding in the clip once read 1.000000000001 for this pair."""
+        box = OrientedBox(80, 2, 1, 0.01, 1.0)
+        assert exact_rect_iou(box, box) == 1.0
 
     def test_half_shifted_unit_squares(self):
         """Shift by half a side: intersection 0.5, union 1.5, IoU = 1/3."""
@@ -83,6 +89,24 @@ class TestExactRectIou:
                 return OrientedBox(x, y, box.r1, box.r2, box.phi + rot)
 
             assert exact_rect_iou(move(a), move(b)) == pytest.approx(base, abs=1e-9)
+
+    def test_translation_far_from_origin(self):
+        """Moving both boxes by +-1e3, +-1e6 or +-1e9 moves the IoU by at
+        most 1e-6: clipping follows the boxes' size, and the centers' own
+        rounding at 1e9 is about 1e-7."""
+        rng = np.random.default_rng(61)
+        overlapping = 0
+        for _ in range(2000):
+            a, b = random_box(rng, max_center=20.0), random_box(rng, max_center=20.0)
+            base = exact_rect_iou(a, b)
+            overlapping += base > 0.0
+            for shift in (1e3, 1e6, 1e9):
+                tx, ty = shift * rng.choice((-1.0, 1.0)), shift * rng.choice((-1.0, 1.0))
+                moved = exact_rect_iou(
+                    OrientedBox(a.cx + tx, a.cy + ty, a.r1, a.r2, a.phi),
+                    OrientedBox(b.cx + tx, b.cy + ty, b.r1, b.r2, b.phi))
+                assert moved == pytest.approx(base, abs=1e-6), (a, b, tx, ty)
+        assert overlapping > 1000
 
     def test_monte_carlo_agreement_sample(self):
         """Exact IoU sits within 3 standard errors of point sampling (the
@@ -158,6 +182,8 @@ class TestPruningEquivalence:
         for pair in pruning_pairs(500, seed=32):
             for box in pair:
                 ref = reference_corners(box)
+                assert np.array_equal(np.array(corner_offsets(box)),
+                                      reference_corner_offsets(box)), box
                 assert np.array_equal(np.array(corner_points(box)), ref), box
                 assert np.array_equal(decode_corners(box).corners, ref), box
 
@@ -208,15 +234,19 @@ class TestTinyBoxes:
 
 class TestRoundingFloor:
     def test_overlaps_vanish_past_the_extent_limit(self):
-        """Two identical 2x2 boxes overlap by 4, which reads as empty once
-        CLIP_ROUNDING * extent^2 exceeds it: past |cx| = sqrt(4 / 2e-15) -
-        sqrt(2), about 4.4721e7.  Clipping in a frame centred on one box
-        would move this limit."""
-        limit = math.sqrt(4.0 / CLIP_ROUNDING) - math.sqrt(2.0)
-        assert 4.47e7 < limit < 4.48e7
-        for cx, expected in ((4.47e7, 1.0), (4.48e7, 0.0), (-4.47e7, 1.0), (-4.48e7, 0.0)):
-            for box in (OrientedBox(cx, 0.0, 1.0, 1.0, 0.0), OrientedBox(0.0, cx, 1.0, 1.0, 0.0)):
-                assert exact_rect_iou(box, box) == pytest.approx(expected, abs=1e-6), box
+        """Two identical 2x2 boxes overlap by 4, clipped exactly in the first
+        box's frame, which reads as empty once CLIP_ROUNDING * extent * reach
+        exceeds it: reach is 2 sqrt(2) and extent = |cx| + reach, so the
+        limit is |cx| = 4 / (CLIP_ROUNDING * 2 sqrt(2)) - 2 sqrt(2), about
+        7.0711e14.  Below it the ratio reads exactly 1."""
+        reach = 2.0 * math.sqrt(2.0)
+        limit = 4.0 / (CLIP_ROUNDING * reach) - reach
+        assert 7.07e14 < limit < 7.08e14
+        for cx, expected in ((4.48e7, 1.0), (1e12, 1.0), (7.07e14, 1.0), (7.08e14, 0.0)):
+            for sign in (1.0, -1.0):
+                for box in (OrientedBox(sign * cx, 0.0, 1.0, 1.0, 0.0),
+                            OrientedBox(0.0, sign * cx, 1.0, 1.0, 0.0)):
+                    assert exact_rect_iou(box, box) == expected, box
 
 
 # Anchor boxes for the degenerate-geometry properties: centers up to 1e3,
@@ -233,16 +263,19 @@ ratios = st.floats(0.1, 10.0)
 
 
 def rounding_tol(a, b):
-    """IoU tolerance for boxes clipped in absolute coordinates: the shoelace
-    sum's rounding grows with the squared coordinate extent and is divided
-    by the smaller box's area."""
-    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + max(circumradius(a), circumradius(b))
-    return 1e-12 + 1e-14 * extent * extent / (4.0 * min(a.r1 * a.r2, b.r1 * b.r2))
+    """IoU tolerance for boxes clipped in the first box's frame: the centers
+    carry rounding of order eps * extent, which moves an edge of length up
+    to reach by that much, and the area it sweeps is divided by the smaller
+    box's area."""
+    reach = circumradius(a) + circumradius(b)
+    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
+    return 1e-12 + 1e-14 * extent * reach / (4.0 * min(a.r1 * a.r2, b.r1 * b.r2))
 
 
 class TestDegenerateGeometry:
     @settings(max_examples=300, deadline=None)
     @given(anchors, st.integers(0, 3), unit_fractions, ratios, ratios)
+    @example(a=OrientedBox(129.0, 0.0, 1.0, 0.001, 1.0), side=1, slide=0.0, k1=1.0, k2=0.25)
     def test_edges_touching(self, a, side, slide, k1, k2):
         """b shares part of one of a's edges, from outside."""
         r1, r2 = k1 * a.r1, k2 * a.r2
@@ -276,7 +309,9 @@ class TestDegenerateGeometry:
     @settings(max_examples=200, deadline=None)
     @given(anchors)
     def test_identical(self, a):
-        assert exact_rect_iou(a, a) == pytest.approx(1.0, abs=rounding_tol(a, a))
+        iou = exact_rect_iou(a, a)
+        assert iou <= 1.0
+        assert iou == pytest.approx(1.0, abs=rounding_tol(a, a))
 
     @settings(max_examples=200, deadline=None)
     @given(anchors, st.floats(0.05, 0.95), st.floats(0.05, 0.95), unit_fractions, unit_fractions)
@@ -285,8 +320,9 @@ class TestDegenerateGeometry:
         r1, r2 = k1 * a.r1, k2 * a.r2
         inner = placed(a, fu * (a.r1 - r1), fv * (a.r2 - r2), r1, r2, 0.0)
         tol = rounding_tol(a, inner)
-        assert exact_rect_iou(a, inner) == pytest.approx(k1 * k2, abs=tol)
-        assert exact_rect_iou(inner, a) == pytest.approx(k1 * k2, abs=tol)
+        for iou in (exact_rect_iou(a, inner), exact_rect_iou(inner, a)):
+            assert iou <= 1.0
+            assert iou == pytest.approx(k1 * k2, abs=tol)
 
     @settings(max_examples=200, deadline=None)
     @given(anchors, st.floats(-1e-12, 1e-12), st.floats(0.1, 1.9), unit_fractions)
