@@ -7,12 +7,14 @@ seeded synthetic scene).
 
 Exit codes: 0 success, 1 bad annotation records in roundtrip (malformed,
 non-finite, zero-area or with a negative fitted center), 2 malformed
-inputs, 3 unwritable output path.
+inputs or a roundtrip target grid (classes x height x width) too large to
+allocate, 3 unwritable output path.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -162,10 +164,17 @@ def cmd_roundtrip(args) -> int:
         categories = sorted({cat for _, _, cat, _ in records})
         class_of = {cat: i for i, cat in enumerate(categories)}
         objects = [(box, class_of[cat]) for box, _, cat, _ in records]
-        height = max(cell.cell_y for *_, cell in records) + 2
-        width = max(cell.cell_x for *_, cell in records) + 2
-        errors, matches = encode_decode_roundtrip(
-            objects, len(categories), height, width, args.stride)
+        grid = (len(categories), max(cell.cell_y for *_, cell in records) + 2,
+                max(cell.cell_x for *_, cell in records) + 2)
+        try:
+            # Past intp's range numpy raises ValueError, not MemoryError.
+            if math.prod(grid) > np.iinfo(np.intp).max // 8:
+                raise MemoryError
+            errors, matches = encode_decode_roundtrip(objects, *grid, args.stride)
+        except MemoryError:
+            print(f"error: cannot allocate the {'x'.join(map(str, grid))} target grid",
+                  file=sys.stderr)
+            return 2
         matched = [i for i, det in enumerate(matches) if det is not None]
         corner_errors = [corner_set_distance(decode_corners(matches[i].box).corners,
                                              records[i][1].corners) for i in matched]
@@ -352,8 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building the argparse tree costs about as much as
+# a small command, and parse_args keeps no state between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

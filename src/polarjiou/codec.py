@@ -61,12 +61,13 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     Each object stamps a Gaussian centered on its output-grid cell with the
     object-adaptive sigma; overlaps combine by pointwise max, so the result
     does not depend on object order, and center cells are set to exactly 1.
-    Only the window where the Gaussian does not underflow to 0.0 is written.
+    The stamp is computed once per distinct sigma in a call, over integer
+    offsets out to where the Gaussian underflows to 0.0 (capped at the grid
+    size), and each object writes only the slice of it that meets the grid.
     """
     values = np.zeros((num_classes, height, width))
     positives = []
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    xs = np.arange(width, dtype=np.float64)[None, :]
+    stamps = {}
     for box, cls in objects:
         if not 0 <= cls < num_classes:
             raise ShapeError(f"class {cls} outside [0, {num_classes})")
@@ -76,14 +77,18 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
                 f"center cell ({off.cell_x}, {off.cell_y}) outside {width}x{height} grid"
             )
         sigma = gaussian_sigma(box, stride)
-        # Capped at the grid size, which also keeps an infinite sigma finite.
-        reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), height + width))
+        if sigma not in stamps:
+            # Capped at the grid size, which also keeps an infinite sigma finite.
+            reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), max(height, width)))
+            d = np.arange(-reach, reach + 1, dtype=np.float64)
+            stamps[sigma] = reach, np.exp(-(d[None, :] ** 2 + d[:, None] ** 2)
+                                          / (2.0 * sigma * sigma))
+        reach, stamp = stamps[sigma]
         x0, x1 = max(0, off.cell_x - reach), min(width, off.cell_x + reach + 1)
         y0, y1 = max(0, off.cell_y - reach), min(height, off.cell_y + reach + 1)
-        g = np.exp(-((xs[:, x0:x1] - off.cell_x) ** 2 + (ys[y0:y1] - off.cell_y) ** 2)
-                   / (2.0 * sigma * sigma))
+        sx, sy = reach - off.cell_x, reach - off.cell_y
         window = values[cls, y0:y1, x0:x1]
-        np.maximum(window, g, out=window)
+        np.maximum(window, stamp[y0 + sy:y1 + sy, x0 + sx:x1 + sx], out=window)
         positives.append((int(cls), off.cell_x, off.cell_y))
     for cls, cx, cy in positives:
         values[cls, cy, cx] = 1.0
@@ -192,6 +197,13 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
     strictly exceed the neighbors that precede it in row-major order and
     weakly exceed the rest.  Results are sorted by descending score with
     (category, cell_y, cell_x) as the deterministic tie-break.
+
+    Only the cells at or above the threshold are tested, against their
+    in-grid neighbors, so the cost grows with their number: on a
+    15x130x130 map of 60 Gaussians about 0.4 ms for the 540 cells >= 0.3,
+    against 3.3 ms for a dense scan of all 8 shifted grids.  A map where
+    most cells pass is the worst case: 14 ms when all 253 500 cells do
+    (threshold 0), against 3.7 ms dense (Xeon VM core, numpy 2.4).
     """
     heat = np.asarray(heatmap, dtype=np.float64)
     if heat.ndim != 3:
@@ -200,24 +212,20 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    c, h, w = heat.shape
-    padded = np.full((c, h + 2, w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = heat
-
-    def shifted(dy, dx):
-        return padded[:, 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-
-    is_peak = heat >= threshold
-    for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
-        is_peak &= heat > shifted(dy, dx)
-    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        is_peak &= heat >= shifted(dy, dx)
-
-    cats, ys, xs = np.nonzero(is_peak)
-    peaks = [
-        Peak(int(ci), int(xi), int(yi), float(heat[ci, yi, xi]))
-        for ci, yi, xi in zip(cats, ys, xs)
-    ]
+    h, w = heat.shape[1:]
+    flat = heat.reshape(-1)
+    cells = np.flatnonzero(flat >= threshold)
+    ys, xs = np.divmod(cells % (h * w), w)
+    score = flat[cells]
+    for dy, dx, strict in ((-1, -1, True), (-1, 0, True), (-1, 1, True), (0, -1, True),
+                           (0, 1, False), (1, -1, False), (1, 0, False), (1, 1, False)):
+        # Clipped flat indices are compared, then ignored outside the grid.
+        other = flat.take(cells + (dy * w + dx), mode="clip")
+        keep = score > other if strict else score >= other
+        keep |= (ys + dy < 0) | (ys + dy >= h) | (xs + dx < 0) | (xs + dx >= w)
+        cells, ys, xs, score = cells[keep], ys[keep], xs[keep], score[keep]
+    peaks = [Peak(ci, xi, yi, si) for ci, yi, xi, si in zip(
+        (cells // (h * w)).tolist(), ys.tolist(), xs.tolist(), score.tolist())]
     peaks.sort(key=lambda p: (-p.score, p.category, p.cell_y, p.cell_x))
     return peaks[:k]
 

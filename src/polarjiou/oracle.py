@@ -21,6 +21,11 @@ CLIP_ROUNDING = 2e-15
 # Circumcircles farther apart than their radii plus this fraction of them
 # prove the boxes disjoint; the slack covers rounding in the corners.
 PRUNE_REACH_SLACK = 1e-9
+# Below this extent (largest center coordinate plus summed circumradii) no
+# corner can overflow: each corner coordinate is at most |center| plus
+# sqrt(2) times the box's circumradius, under the largest float.  A pair
+# pruned below it returns 0.0 without building corners.
+PRUNE_EXTENT_LIMIT = 1e308
 
 MIN_MC_SAMPLES = 10_000
 # The Monte-Carlo oracles draw and test their samples this many at a time,
@@ -64,18 +69,24 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     Clipping runs in a's frame, a's corner offsets against b's shifted by
     the center difference, so its rounding follows the boxes' size, not
     their position.  Pairs whose circumcircles are disjoint return 0.0
-    before any clipping.  An intersection below MIN_OVERLAP_FRACTION times
-    the summed box areas plus CLIP_ROUNDING * extent * reach reads as empty:
-    reach is the summed circumradii, extent the largest center coordinate
-    plus reach, and the term covers the eps * extent rounding that the
-    centers themselves carry.  The ratio is clamped at 1.  Raises
-    InvalidBoxError when a corner overflows.
+    before any clipping, and before their corners are built when the
+    extent stays below PRUNE_EXTENT_LIMIT.  An intersection below
+    MIN_OVERLAP_FRACTION times the summed box areas plus CLIP_ROUNDING *
+    extent * reach reads as empty: reach is the summed circumradii, extent
+    the largest center coordinate plus reach, and the term covers the
+    eps * extent rounding that the centers themselves carry.  The ratio is
+    clamped at 1.  Raises InvalidBoxError when a corner overflows, pruned
+    or not.
     """
-    poly = corner_offsets(a)
-    clip = corner_offsets(b)
     dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
-    if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
+    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
+    disjoint = math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK)
+    if disjoint and extent < PRUNE_EXTENT_LIMIT:
+        return 0.0
+    poly = corner_offsets(a)
+    clip = corner_offsets(b)
+    if disjoint:
         return 0.0
     clip = [(x + dx, y + dy) for x, y in clip]
     for i in range(4):
@@ -85,7 +96,6 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     inter = abs(signed_area(poly))
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
-    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
     if inter < MIN_OVERLAP_FRACTION * (area_a + area_b) + CLIP_ROUNDING * extent * reach:
         return 0.0
     return min(1.0, inter / (area_a + area_b - inter))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polarjiou import (
     OrientedBox,
+    Peak,
     canonicalize,
     encode_offset,
     exact_rect_iou,
@@ -317,3 +318,29 @@ def reference_heatmap(objects, num_classes, height, width, stride):
     for cls, cx, cy in centers:
         values[cls, cy, cx] = 1.0
     return values
+
+
+def reference_extract_peaks(heatmap, k, threshold):
+    """extract_peaks as a dense scan: the grid padded with -inf and compared
+    whole against each of its 8 shifts."""
+    heat = np.asarray(heatmap, dtype=np.float64)
+    c, h, w = heat.shape
+    padded = np.full((c, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = heat
+
+    def shifted(dy, dx):
+        return padded[:, 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+
+    is_peak = heat >= threshold
+    for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
+        is_peak &= heat > shifted(dy, dx)
+    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        is_peak &= heat >= shifted(dy, dx)
+
+    cats, ys, xs = np.nonzero(is_peak)
+    peaks = [
+        Peak(int(ci), int(xi), int(yi), float(heat[ci, yi, xi]))
+        for ci, yi, xi in zip(cats, ys, xs)
+    ]
+    peaks.sort(key=lambda p: (-p.score, p.category, p.cell_y, p.cell_x))
+    return peaks[:k]

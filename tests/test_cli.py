@@ -227,6 +227,21 @@ class TestRoundtripCommand:
         assert report["failures"] == "0"
         assert float(report["max_corner_error"]) <= 1e-6
 
+    @pytest.mark.parametrize("center, grid", [
+        (1e9, "1x250000002x250000002"),        # about 5e17 bytes: MemoryError
+        (1e11, "1x25000000002x25000000002"),   # past numpy's intp byte range
+    ])
+    def test_unallocatable_grid_exits_two(self, tmp_path, center, grid):
+        """A valid record far from the origin asks for a C x H x W target
+        grid that no 64-bit host can allocate; the allocation fails before
+        any memory is touched."""
+        path = tmp_path / "ann.txt"
+        write_rect_file(path, [(OrientedBox(center, center, 10.0, 5.0, 0.0), "plane")])
+        code, out, err = run_cli(["roundtrip", str(path)])
+        assert code == 2
+        assert out == "records 1\nparse_errors 0\n"
+        assert err == f"error: cannot allocate the {grid} target grid\n"
+
     def test_shared_cell_shares_one_detection(self, tmp_path):
         """Two same-category centers in one stride cell decode to a single
         detection, which both objects match; it carries the parameters of

@@ -24,7 +24,7 @@ from polarjiou import (
     smooth_l1,
     total_loss,
 )
-from helpers import reference_heatmap
+from helpers import reference_extract_peaks, reference_heatmap
 from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, HeatmapTarget, Peak
 from polarjiou.errors import InvalidLossError, OutOfImageError, ShapeError
 
@@ -165,6 +165,36 @@ class TestWindowedHeatmap:
             objs.append((box, int(rng.integers(0, 5))))
         assert same_bits(render_heatmap(objs, 5, height, width, stride).values,
                          reference_heatmap(objs, 5, height, width, stride))
+
+    def test_stamps_shared_across_sigmas(self, monkeypatch):
+        """One call mixing repeated sigmas, distinct sigmas, an infinite
+        sigma and objects on every grid corner: each stamp is computed once
+        per sigma and sliced per object, and the values are the full-grid
+        evaluation bit for bit."""
+        height, width, stride = 50, 70, 4
+        fx, fy = width * stride - 0.5, height * stride - 0.5
+        corners = [(0.0, 0.0), (fx, 0.0), (0.0, fy), (fx, fy)]
+        objs = [(OrientedBox(x, y, 6.0, 3.0, 0.4), k % 2) for k, (x, y) in enumerate(corners)]
+        objs += [(OrientedBox(x, y, 90.0, 60.0, -0.3), 2) for x, y in corners]
+        objs += [(OrientedBox(100.0 + 9 * k, 80.0 + 5 * k, 5.0 * k, 4.0 * k, 0.1), k % 3)
+                 for k in range(1, 12)]
+        # Infinite sigma on a corner: its stamp must reach the far side.
+        objs.append((OrientedBox(0.5, fy, 1e308, 1e308, 0.0), 3))
+        sigmas = [gaussian_sigma(box, stride) for box, _ in objs]
+        assert sigmas.count(1.0) >= 4 and sigmas.count(sigmas[4]) == 4
+        assert math.isinf(sigmas[-1]) and len(set(sigmas)) > 8
+        exp_calls = []
+
+        def counted_exp(x, *args, **kwargs):
+            exp_calls.append(np.shape(x))
+            return np_exp(x, *args, **kwargs)
+
+        np_exp = np.exp
+        monkeypatch.setattr(np, "exp", counted_exp)
+        values = render_heatmap(objs, 4, height, width, stride).values
+        monkeypatch.undo()
+        assert len(exp_calls) == len(set(sigmas))
+        assert same_bits(values, reference_heatmap(objs, 4, height, width, stride))
 
 
 class TestFocalLoss:
@@ -334,6 +364,69 @@ class TestExtractPeaks:
             extract_peaks(heat, threshold=1.0)
         with pytest.raises(ShapeError):
             extract_peaks(np.zeros((3, 3)))
+
+
+class TestSparsePeaks:
+    """extract_peaks tests only the cells at or above the threshold; its
+    peaks must equal the dense padded scan's, in order, by ==."""
+
+    @staticmethod
+    def agree(heat, k=10**6, thresholds=(0.0, 0.3, 0.99)):
+        for threshold in thresholds:
+            assert (extract_peaks(heat, k=k, threshold=threshold)
+                    == reference_extract_peaks(heat, k, threshold)), threshold
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rendered_scenes(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        height, width, stride = 60, 50, 4
+        objs = lattice_objects(rng, 40, 4, height, width, stride, max_r=12.0)
+        heat = render_heatmap(objs, 4, height, width, stride).values
+        self.agree(heat)
+        self.agree(heat * rng.uniform(0.9, 1.0, heat.shape))
+        self.agree(heat, k=7)
+
+    def test_plateaus_and_threshold_ties(self):
+        rng = np.random.default_rng(7)
+        heat = rng.choice([0.0, 0.3, 0.5, 0.99], size=(3, 17, 13))
+        heat[1, 4:9, 2:7] = 0.3
+        heat[2] = 0.99
+        self.agree(heat)
+        self.agree(heat, k=3)
+
+    def test_nan_and_infinite_cells(self):
+        rng = np.random.default_rng(8)
+        heat = rng.uniform(0.0, 1.0, (3, 12, 15))
+        for value in (np.nan, np.inf, -np.inf):
+            heat[rng.integers(0, 3, 12), rng.integers(0, 12, 12), rng.integers(0, 15, 12)] = value
+        heat[0, 0, :] = np.inf
+        heat[2, 5, 5] = np.nan
+        heat[2, 4:7, 4:7] = np.where(np.isnan(heat[2, 4:7, 4:7]), np.nan, 0.9)
+        self.agree(heat)
+        self.agree(heat, k=5)
+
+    def test_peaks_on_every_border(self):
+        heat = np.zeros((2, 6, 9))
+        for y, x in itertools.product((0, 2, 5), (0, 4, 8)):
+            heat[0, y, x] = 0.5 + 0.01 * (y + x)
+        heat[1, :, 0] = 0.7
+        heat[1, 5, :] = 0.7
+        heat[1, 0, 8] = 0.8
+        self.agree(heat)
+        self.agree(heat, k=2)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 7), (1, 7, 1), (3, 2, 2)])
+    def test_thin_grids(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.agree(rng.choice([0.2, 0.3, 0.6], size=shape))
+
+    def test_k_below_peak_count(self):
+        rng = np.random.default_rng(9)
+        heat = rng.uniform(0.0, 1.0, (2, 20, 20))
+        peaks = extract_peaks(heat, k=10**6, threshold=0.0)
+        assert len(peaks) > 20
+        for k in (1, 5, 20):
+            self.agree(heat, k=k)
 
 
 class TestDecodeDetections:

@@ -31,7 +31,7 @@ from polarjiou import (
 )
 from polarjiou.boxes import corner_offsets, corner_points
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
-from polarjiou.oracle import CLIP_ROUNDING, MC_CHUNK
+from polarjiou.oracle import CLIP_ROUNDING, MC_CHUNK, PRUNE_EXTENT_LIMIT, PRUNE_REACH_SLACK
 
 
 def unit_square(cx=0.0, cy=0.0, phi=0.0):
@@ -196,6 +196,39 @@ class TestPruningEquivalence:
         for a, b in ((huge, other), (other, huge)):
             with pytest.raises(InvalidBoxError, match="non-finite corner"):
                 exact_rect_iou(a, b)
+
+    def test_far_pairs_skip_corner_building(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built corners for a pruned pair")
+
+        far = [(a, b) for a, b in pruning_pairs(2000, seed=33)
+               if math.hypot(b.cx - a.cx, b.cy - a.cy)
+               > (circumradius(a) + circumradius(b)) * (1.0 + PRUNE_REACH_SLACK)]
+        assert len(far) > 500
+        monkeypatch.setattr(polarjiou.oracle, "corner_offsets", fail)
+        for a, b in far:
+            assert exact_rect_iou(a, b) == 0.0, (a, b)
+
+    @pytest.mark.parametrize("cx, corners_built", [
+        (math.nextafter(PRUNE_EXTENT_LIMIT, 0.0), 0),
+        (PRUNE_EXTENT_LIMIT, 4),
+        (math.nextafter(PRUNE_EXTENT_LIMIT, math.inf), 4),
+    ])
+    def test_pruned_pair_at_the_extent_limit(self, monkeypatch, cx, corners_built):
+        """From PRUNE_EXTENT_LIMIT on a pruned pair builds its corners first,
+        which are finite here, and still reads 0.0; just below the limit it
+        builds none."""
+        built = []
+
+        def counted(box):
+            built.append(box)
+            return corner_offsets(box)
+
+        monkeypatch.setattr(polarjiou.oracle, "corner_offsets", counted)
+        a, b = OrientedBox(cx, 0.0, 2.0, 1.0, 0.3), OrientedBox(0.0, 0.0, 2.0, 1.0, 0.3)
+        assert exact_rect_iou(a, b) == 0.0
+        assert exact_rect_iou(b, a) == 0.0
+        assert len(built) == corners_built
 
     def test_disjoint_circumcircles_skip_clipping(self, monkeypatch):
         def fail(*args):
