@@ -14,7 +14,6 @@ allocate, 3 unwritable output path.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from dataclasses import replace
@@ -42,7 +41,13 @@ from .codec import (
     focal_loss,
     total_loss,
 )
-from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError, OutOfImageError
+from .errors import (
+    AnnotationError,
+    DegenerateQuadError,
+    GridAllocationError,
+    InvalidBoxError,
+    OutOfImageError,
+)
 from .fitting import (
     DEFAULT_LR,
     DEFAULT_MAX_ITERS,
@@ -164,16 +169,13 @@ def cmd_roundtrip(args) -> int:
         categories = sorted({cat for _, _, cat, _ in records})
         class_of = {cat: i for i, cat in enumerate(categories)}
         objects = [(box, class_of[cat]) for box, _, cat, _ in records]
-        grid = (len(categories), max(cell.cell_y for *_, cell in records) + 2,
-                max(cell.cell_x for *_, cell in records) + 2)
+        height = max(cell.cell_y for *_, cell in records) + 2
+        width = max(cell.cell_x for *_, cell in records) + 2
         try:
-            # Past intp's range numpy raises ValueError, not MemoryError.
-            if math.prod(grid) > np.iinfo(np.intp).max // 8:
-                raise MemoryError
-            errors, matches = encode_decode_roundtrip(objects, *grid, args.stride)
-        except MemoryError:
-            print(f"error: cannot allocate the {'x'.join(map(str, grid))} target grid",
-                  file=sys.stderr)
+            errors, matches = encode_decode_roundtrip(
+                objects, len(categories), height, width, args.stride)
+        except GridAllocationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         matched = [i for i, det in enumerate(matches) if det is not None]
         corner_errors = [corner_set_distance(decode_corners(matches[i].box).corners,
@@ -361,13 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# One parser per process: building the argparse tree costs about as much as
-# a small command, and parse_args keeps no state between calls.
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import OrientedBox, canonicalize, encode_offset, phi_distance
-from .errors import InvalidLossError, OutOfImageError, ShapeError
+from .errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
 from .oracle import Detection
 
 DEFAULT_MU = 5.0
@@ -34,19 +34,35 @@ class HeatmapTarget:
 
     values[c, y, x] in [0, 1] is the pointwise max over per-object Gaussians;
     every positive (an object's center cell, listed in input order in
-    `positives` as (class, cell_x, cell_y)) holds exactly 1.
+    `positives` as (class, cell_x, cell_y)) holds exactly 1.  `values` is
+    stored read-only: a read-only float64 array that owns its data is kept
+    as given, and anything else is copied, so no writeable alias remains.
     """
 
     values: np.ndarray
     positives: tuple
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = self.values
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.base is None and not arr.flags.writeable):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 3:
             raise ShapeError(f"heatmap must be (C, H, W), got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "positives", tuple(self.positives))
+
+
+def target_grid(shape) -> np.ndarray:
+    """A zero float64 grid; GridAllocationError when it cannot be allocated."""
+    # Past intp's byte range numpy raises ValueError, not MemoryError.
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise GridAllocationError(shape)
+    try:
+        return np.zeros(shape)
+    except MemoryError as exc:
+        raise GridAllocationError(shape) from exc
 
 
 def gaussian_sigma(box: OrientedBox, stride: int) -> float:
@@ -61,13 +77,15 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     Each object stamps a Gaussian centered on its output-grid cell with the
     object-adaptive sigma; overlaps combine by pointwise max, so the result
     does not depend on object order, and center cells are set to exactly 1.
-    The stamp is computed once per distinct sigma in a call, over integer
-    offsets out to where the Gaussian underflows to 0.0 (capped at the grid
-    size), and each object writes only the slice of it that meets the grid.
+    Only the window where the Gaussian does not underflow to 0.0 is written.
+    Objects are visited grouped by sigma: each group computes one stamp over
+    the integer offsets its clipped windows span and writes a slice of it
+    into each window, and only one stamp is alive at a time.  A single
+    object's stamp is exactly its window.
     """
-    values = np.zeros((num_classes, height, width))
+    values = target_grid((num_classes, height, width))
     positives = []
-    stamps = {}
+    by_sigma = {}
     for box, cls in objects:
         if not 0 <= cls < num_classes:
             raise ShapeError(f"class {cls} outside [0, {num_classes})")
@@ -76,22 +94,30 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
             raise OutOfImageError(
                 f"center cell ({off.cell_x}, {off.cell_y}) outside {width}x{height} grid"
             )
-        sigma = gaussian_sigma(box, stride)
-        if sigma not in stamps:
-            # Capped at the grid size, which also keeps an infinite sigma finite.
-            reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), max(height, width)))
-            d = np.arange(-reach, reach + 1, dtype=np.float64)
-            stamps[sigma] = reach, np.exp(-(d[None, :] ** 2 + d[:, None] ** 2)
-                                          / (2.0 * sigma * sigma))
-        reach, stamp = stamps[sigma]
-        x0, x1 = max(0, off.cell_x - reach), min(width, off.cell_x + reach + 1)
-        y0, y1 = max(0, off.cell_y - reach), min(height, off.cell_y + reach + 1)
-        sx, sy = reach - off.cell_x, reach - off.cell_y
-        window = values[cls, y0:y1, x0:x1]
-        np.maximum(window, stamp[y0 + sy:y1 + sy, x0 + sx:x1 + sx], out=window)
         positives.append((int(cls), off.cell_x, off.cell_y))
+        by_sigma.setdefault(gaussian_sigma(box, stride), []).append(positives[-1])
+    for sigma, group in by_sigma.items():
+        # Capped at the grid size, which also keeps an infinite sigma finite.
+        reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), max(height, width)))
+        classes, cx, cy = np.array(group).T
+        # Each window as offsets from its center, clipped to the grid.
+        x0, x1 = np.maximum(-reach, -cx), np.minimum(reach + 1, width - cx)
+        y0, y1 = np.maximum(-reach, -cy), np.minimum(reach + 1, height - cy)
+        dx = np.arange(x0.min(), x1.max(), dtype=np.float64)
+        dy = np.arange(y0.min(), y1.max(), dtype=np.float64)
+        stamp = dx[None, :] ** 2 + dy[:, None] ** 2
+        # exp(-(dx^2 + dy^2) / (2 sigma^2)), computed in place.
+        np.negative(stamp, out=stamp)
+        np.divide(stamp, 2.0 * sigma * sigma, out=stamp)
+        np.exp(stamp, out=stamp)
+        sx, sy = x0.min(), y0.min()
+        for c, x, y, a, b, p, q in zip(*(v.tolist() for v in (classes, cx, cy, x0, x1, y0, y1))):
+            window = values[c, y + p:y + q, x + a:x + b]
+            np.maximum(window, stamp[p - sy:q - sy, a - sx:b - sx], out=window)
+        del stamp
     for cls, cx, cy in positives:
         values[cls, cy, cx] = 1.0
+    values.setflags(write=False)  # so HeatmapTarget keeps it without a copy
     return HeatmapTarget(values=values, positives=tuple(positives))
 
 
@@ -113,8 +139,8 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     """Build all training targets for (box, class) pairs on one output grid."""
     objects = list(objects)
     heatmap = render_heatmap(objects, num_classes, height, width, stride)
-    offset_map = np.zeros((2, height, width))
-    param_map = np.zeros((3, height, width))
+    offset_map = target_grid((2, height, width))
+    param_map = target_grid((3, height, width))
     for box, _ in objects:
         off = encode_offset(box.cx, box.cy, stride)
         offset_map[:, off.cell_y, off.cell_x] = (off.dx, off.dy)
@@ -199,11 +225,13 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
     (category, cell_y, cell_x) as the deterministic tie-break.
 
     Only the cells at or above the threshold are tested, against their
-    in-grid neighbors, so the cost grows with their number: on a
-    15x130x130 map of 60 Gaussians about 0.4 ms for the 540 cells >= 0.3,
-    against 3.3 ms for a dense scan of all 8 shifted grids.  A map where
-    most cells pass is the worst case: 14 ms when all 253 500 cells do
-    (threshold 0), against 3.7 ms dense (Xeon VM core, numpy 2.4).
+    in-grid neighbors, so the cost grows with their number and the function
+    is meant for sparse maps (targets, or predictions at a threshold few
+    cells reach): on a 15x130x130 map of 60 Gaussians about 0.5 ms for the
+    540 cells >= 0.3, against 3.7 ms for a dense scan of all 8 shifted
+    grids.  A map where most cells pass is the worst case: 14 ms when all
+    253 500 cells do (threshold 0), against 3.7 ms dense (Xeon VM core,
+    numpy 2.4).
     """
     heat = np.asarray(heatmap, dtype=np.float64)
     if heat.ndim != 3:

@@ -50,3 +50,11 @@ class GroupingError(ValueError):
 
 class InvalidLossError(ValueError):
     """Loss components must be finite."""
+
+
+class GridAllocationError(MemoryError):
+    """A target grid is too large to allocate; carries its shape."""
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        super().__init__(f"cannot allocate the {'x'.join(map(str, self.shape))} target grid")

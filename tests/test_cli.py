@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polarjiou.codec
 from conftest import run_cli
 from polarjiou import (
     CornerQuad,
@@ -241,6 +242,18 @@ class TestRoundtripCommand:
         assert code == 2
         assert out == "records 1\nparse_errors 0\n"
         assert err == f"error: cannot allocate the {grid} target grid\n"
+
+    def test_other_memory_errors_propagate(self, tmp_path, monkeypatch):
+        """Only a failed target-grid allocation becomes exit 2; a MemoryError
+        raised after the grids exist is not reported as one."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(polarjiou.codec, "extract_peaks", exhausted)
+        path = tmp_path / "ann.txt"
+        write_rect_file(path, [(OrientedBox(100.0, 100.0, 10.0, 5.0, 0.0), "plane")])
+        with pytest.raises(MemoryError):
+            run_cli(["roundtrip", str(path)])
 
     def test_shared_cell_shares_one_detection(self, tmp_path):
         """Two same-category centers in one stride cell decode to a single

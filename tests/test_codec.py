@@ -3,6 +3,7 @@ and the peak-extraction decode path."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +26,8 @@ from polarjiou import (
     total_loss,
 )
 from helpers import reference_extract_peaks, reference_heatmap
-from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, HeatmapTarget, Peak
-from polarjiou.errors import InvalidLossError, OutOfImageError, ShapeError
+from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, HeatmapTarget, Peak, target_grid
+from polarjiou.errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
 
 
 def lattice_objects(rng, count, num_classes, height, width, stride,
@@ -121,6 +122,25 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+class TestTargetGrid:
+    @pytest.mark.parametrize("shape", [(1, 250000002, 250000002), (1, 25000000002, 25000000002)])
+    def test_unallocatable_grid_names_its_shape(self, shape):
+        """About 5e17 bytes fails before memory is touched; the second shape
+        is past numpy's intp byte range, where numpy raises ValueError."""
+        with pytest.raises(GridAllocationError, match="x".join(map(str, shape))) as info:
+            target_grid(shape)
+        assert info.value.shape == shape
+
+    def test_negative_sizes_stay_value_errors(self):
+        with pytest.raises(ValueError) as info:
+            target_grid((1, -2, 3))
+        assert not isinstance(info.value, GridAllocationError)
+
+    def test_zero_grid(self):
+        grid = target_grid((2, 3, 4))
+        assert grid.shape == (2, 3, 4) and grid.dtype == np.float64 and not grid.any()
+
+
 class TestWindowedHeatmap:
     """render_heatmap stamps only where the Gaussian is non-zero; the values
     must equal the full-grid evaluation bit for bit."""
@@ -195,6 +215,91 @@ class TestWindowedHeatmap:
         monkeypatch.undo()
         assert len(exp_calls) == len(set(sigmas))
         assert same_bits(values, reference_heatmap(objs, 4, height, width, stride))
+
+    @pytest.mark.parametrize("centers, stamp_shape", [
+        ([(2.0, 2.0)], (2, 1500)),
+        ([(2.0, 2.0), (5990.0, 6.0)], (3, 2997)),
+    ])
+    def test_stamp_spans_only_the_clipped_windows(self, monkeypatch, centers, stamp_shape):
+        """A huge sigma on an elongated grid reaches past the long side, but
+        its stamp spans only the offsets the clipped windows need, not a
+        square of the long side; the call's traced peak stays below the grid
+        plus three stamps (the stamp and its offset vectors)."""
+        height, width, stride = 2, 1500, 4
+        objs = [(OrientedBox(x, y, 1e6, 1e6, 0.0), 0) for x, y in centers]
+        assert gaussian_sigma(objs[0][0], stride) > width
+        exp_calls = []
+
+        def counted_exp(x, *args, **kwargs):
+            exp_calls.append(np.shape(x))
+            return np_exp(x, *args, **kwargs)
+
+        np_exp = np.exp
+        monkeypatch.setattr(np, "exp", counted_exp)
+        tracemalloc.start()
+        try:
+            values = render_heatmap(objs, 1, height, width, stride).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert exp_calls == [stamp_shape]
+        assert peak < values.nbytes + 3 * 8 * math.prod(stamp_shape)
+        assert same_bits(values, reference_heatmap(objs, 1, height, width, stride))
+
+    def test_one_stamp_alive_for_distinct_sigmas(self):
+        """Forty objects with forty sigmas, most windows covering the whole
+        grid: one stamp is alive at a time, so the traced peak stays below
+        the grid, its copy in HeatmapTarget and three grid-sized arrays."""
+        size, stride = 100, 4
+        objs = [(OrientedBox(4.0 + 9.7 * k, 390.0 - 9.3 * k, 40.0 + 30.0 * k, 30.0 + 25.0 * k,
+                             0.1 * k), 0) for k in range(40)]
+        assert len({gaussian_sigma(box, stride) for box, _ in objs}) == 40
+        tracemalloc.start()
+        try:
+            values = render_heatmap(objs, 1, size, size, stride).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * values.nbytes
+        assert same_bits(values, reference_heatmap(objs, 1, size, size, stride))
+
+
+class TestHeatmapTargetStorage:
+    """values is read-only with no writeable alias; only an array that is
+    already read-only, float64 and owns its data is kept uncopied."""
+
+    def test_render_keeps_its_grid(self):
+        """One small object on a large grid: the grid is allocated once and
+        not copied again into the HeatmapTarget."""
+        objs = [(OrientedBox(800.0, 800.0, 4.0, 2.0, 0.0), 0)]
+        tracemalloc.start()
+        try:
+            values = render_heatmap(objs, 1, 400, 400, 4).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not values.flags.writeable and values.base is None
+        assert peak < 1.25 * values.nbytes
+
+    def test_read_only_owned_array_kept(self):
+        arr = np.zeros((1, 2, 2))
+        arr.setflags(write=False)
+        assert HeatmapTarget(values=arr, positives=()).values is arr
+
+    @pytest.mark.parametrize("read_only, dtype", [
+        (False, np.float64), (True, np.float64), (True, np.float32)])
+    def test_other_arrays_copied(self, read_only, dtype):
+        """A writeable view, a read-only view of a writeable base, and a
+        read-only array of another dtype: writes to the base stay out of
+        the target."""
+        base = np.zeros((1, 2, 4), dtype=dtype)
+        arr = base[:, :, :2]
+        arr.setflags(write=not read_only)
+        target = HeatmapTarget(values=arr, positives=())
+        base[...] = 5.0
+        assert target.values.dtype == np.float64 and not target.values.flags.writeable
+        assert not target.values.any()
 
 
 class TestFocalLoss:

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli
-from polarjiou import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 ANNOTATIONS = str(GOLDEN / "annotations.txt")
@@ -38,7 +37,8 @@ CASES = {
 }
 
 
-def replay(name, tmp_path):
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay(name, tmp_path):
     argv, expected_code, writes_csv = CASES[name]
     out = tmp_path / f"{name}.csv"
     if writes_csv:
@@ -48,20 +48,6 @@ def replay(name, tmp_path):
     assert stdout.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     if writes_csv:
         assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_replay(name, tmp_path):
-    replay(name, tmp_path)
-
-
-def test_reused_parser_keeps_no_state(tmp_path):
-    """cli.main builds its parser once per process; flags and defaults of
-    one call must not leak into the next."""
-    assert cli._parser() is cli._parser()
-    assert cli.build_parser() is not cli.build_parser()
-    for name in ("nms_degrees", "nms", "roundtrip_stride32", "heatmap_demo"):
-        replay(name, tmp_path)
 
 
 def test_sweep(cli_sweep):
