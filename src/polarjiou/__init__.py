@@ -70,7 +70,7 @@ from .oracle import (
     mc_rect_iou,
     rotated_nms,
 )
-from .polar import RadialProfile, discretize, grid_angles, radius_at
+from .polar import grid_angles, radius_at
 from . import errors
 
 __all__ = [
@@ -89,7 +89,6 @@ __all__ = [
     "LossReport",
     "OrientedBox",
     "Peak",
-    "RadialProfile",
     "SweepRecord",
     "apply_weights",
     "batch_jiou",
@@ -100,7 +99,6 @@ __all__ = [
     "decode_detections",
     "default_fit_suite",
     "deviation_sweep",
-    "discretize",
     "encode_decode_roundtrip",
     "encode_offset",
     "encode_targets",

@@ -7,8 +7,8 @@ seeded synthetic scene).
 
 Exit codes: 0 success, 1 bad annotation records in roundtrip (malformed,
 non-finite, zero-area or with a negative fitted center), 2 malformed
-inputs or a roundtrip target grid (classes x height x width) too large to
-allocate, 3 unwritable output path.
+inputs or a roundtrip or heatmap-demo target grid (classes x height x
+width) too large to allocate, 3 unwritable output path.
 """
 
 from __future__ import annotations
@@ -171,12 +171,8 @@ def cmd_roundtrip(args) -> int:
         objects = [(box, class_of[cat]) for box, _, cat, _ in records]
         height = max(cell.cell_y for *_, cell in records) + 2
         width = max(cell.cell_x for *_, cell in records) + 2
-        try:
-            errors, matches = encode_decode_roundtrip(
-                objects, len(categories), height, width, args.stride)
-        except GridAllocationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        errors, matches = encode_decode_roundtrip(
+            objects, len(categories), height, width, args.stride)
         matched = [i for i, det in enumerate(matches) if det is not None]
         corner_errors = [corner_set_distance(decode_corners(matches[i].box).corners,
                                              records[i][1].corners) for i in matched]
@@ -269,8 +265,8 @@ def _demo_scene(seed: int, stride: int, num_objects: int, num_classes: int,
     """Seeded random boxes on non-adjacent cells, so every center survives
     peak extraction."""
     rng = np.random.default_rng(seed)
-    lattice_h = (height - 2) // 3
-    lattice_w = (width - 2) // 3
+    lattice_h = max(0, (height - 2) // 3)
+    lattice_w = max(0, (width - 2) // 3)
     if num_objects > lattice_h * lattice_w:
         raise SpecError(f"{num_objects} objects do not fit a {height}x{width} grid")
     slots = rng.choice(lattice_h * lattice_w, size=num_objects, replace=False)
@@ -371,6 +367,9 @@ def main(argv=None) -> int:
     except (SpecError, AnnotationError, InvalidBoxError, OutOfImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
+        return 2
+    except GridAllocationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # Input readers raise AnnotationError, so an OSError here is a failed write.

@@ -2,7 +2,8 @@
 
 
 class InvalidBoxError(ValueError):
-    """Box parameters are non-finite or have non-positive extents."""
+    """Box parameters are non-finite, have non-positive extents, or have
+    extents outside the range a radial profile supports."""
 
 
 class DegenerateQuadError(ValueError):
@@ -25,7 +26,7 @@ class AnnotationError(ValueError):
 
 
 class DiscretizationError(ValueError):
-    """Angular discretization is too coarse or inconsistent."""
+    """Angular discretization is too coarse."""
 
 
 class ShapeError(ValueError):

@@ -1,16 +1,25 @@
-"""Polar evaluation of a box's inscribed ellipse and its discrete radial profile."""
+"""Polar evaluation of a box's inscribed ellipse.
+
+A box's discrete radial profile is radius_at(box, grid_angles(n)).
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import OrientedBox
-from .errors import DiscretizationError
+from .errors import DiscretizationError, InvalidBoxError
 
 MIN_GRID_ANGLES = 4
+
+# Half-extents a profile accepts.  Inside this range the loss gradient's
+# products of three extents (about r**3) stay normal floats; past it
+# jiou_gradient overflows to NaN or underflows to a silent 0.0 while the
+# ratio is still finite.
+MIN_EXTENT = 1e-100
+MAX_EXTENT = 1e100
 
 
 def _profile_terms(box: OrientedBox, theta, trig: bool = True):
@@ -19,6 +28,10 @@ def _profile_terms(box: OrientedBox, theta, trig: bool = True):
 
     With trig=False a circle skips the trig and gets None for all three.
     """
+    if not (MIN_EXTENT <= box.r1 <= MAX_EXTENT and MIN_EXTENT <= box.r2 <= MAX_EXTENT):
+        raise InvalidBoxError(
+            f"half-extents must lie in [{MIN_EXTENT:g}, {MAX_EXTENT:g}] for a radial "
+            f"profile, got r1={box.r1}, r2={box.r2}")
     t = np.asarray(theta, dtype=np.float64) - box.phi
     # A circle's radius is the same at every angle; the trig form would add
     # phi-dependent rounding, so equal circles would get profiles that differ
@@ -39,7 +52,8 @@ def radius_at(box: OrientedBox, theta):
     rho(theta) = r1*r2 / sqrt(r2^2 cos^2(theta - phi) + r1^2 sin^2(theta - phi)),
     so the point (rho cos theta, rho sin theta) relative to the center lies on
     the ellipse with semi-axes (r1, r2) rotated by phi; a circle's radius is
-    r1 exactly.  Accepts a scalar or an array of angles.
+    r1 exactly.  Accepts a scalar or an array of angles.  InvalidBoxError
+    when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
     """
     rho = _profile_terms(box, theta, trig=False)[0]
     return float(rho) if rho.ndim == 0 else rho
@@ -50,32 +64,3 @@ def grid_angles(n: int) -> np.ndarray:
     if n < MIN_GRID_ANGLES:
         raise DiscretizationError(f"need at least {MIN_GRID_ANGLES} grid angles, got n={n}")
     return np.arange(n) * (2.0 * math.pi / n)
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Inscribed-ellipse radii sampled on the even angle grid theta_i = 2*pi*i/n."""
-
-    n: int
-    rho: np.ndarray
-
-    def __post_init__(self):
-        if self.n < MIN_GRID_ANGLES:
-            raise DiscretizationError(
-                f"need at least {MIN_GRID_ANGLES} grid angles, got n={self.n}")
-        arr = np.array(self.rho, dtype=np.float64)
-        if arr.shape != (self.n,):
-            raise DiscretizationError(
-                f"profile shape {arr.shape} does not match n={self.n}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "rho", arr)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return grid_angles(self.n)
-
-
-def discretize(box: OrientedBox, n: int) -> RadialProfile:
-    """Sample the inscribed ellipse's polar radius at each of the n grid angles."""
-    return RadialProfile(n, radius_at(box, grid_angles(n)))

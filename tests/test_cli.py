@@ -154,6 +154,17 @@ class TestJiouCommand:
         assert code == 2
         assert "error:" in err and "usage" in err.lower()
 
+    @pytest.mark.parametrize("command", [["jiou", "--pred"], ["fit", "--init"]])
+    def test_extents_off_the_supported_range_exit_two(self, command):
+        """Boxes this large would print a NaN gradient (jiou) or blame a
+        non-finite box mid-descent (fit); both name the extent range instead."""
+        code, out, err = run_cli([*command, "0,0,2e110,1e110,0.9",
+                                  "--target", "0,0,2e110,1e110,0.1"])
+        assert code == 2 and out == ""
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            "error: half-extents must lie in [1e-100, 1e+100] for a radial profile, "
+            "got r1=2e+110, r2=1e+110"]
+
 
 class TestSweepCommand:
     def test_full_grid(self, cli_sweep):
@@ -451,9 +462,20 @@ class TestHeatmapDemo:
         assert len(lines) > 4
 
     def test_too_many_objects_exit_two(self):
-        code, _, err = run_cli(["heatmap-demo", "--num-objects", "500",
-                                "--height", "16", "--width", "16"])
-        assert code == 2 and "error:" in err
+        """A 1x1 grid has no lattice slot on either axis, not (-1)*(-1) = 1."""
+        for objects, side in (("500", "16"), ("1", "1")):
+            code, _, err = run_cli(["heatmap-demo", "--num-objects", objects,
+                                    "--height", side, "--width", side])
+            assert code == 2
+            assert err.splitlines()[0] == (
+                f"error: {objects} objects do not fit a {side}x{side} grid")
+
+    def test_unallocatable_grid_exits_two(self):
+        """The target grid is rejected by size before anything is allocated."""
+        code, out, err = run_cli(["heatmap-demo", "--classes", "100000", "--height",
+                                  "10000000", "--width", "10000000", "--num-objects", "1"])
+        assert code == 2 and out == ""
+        assert err == "error: cannot allocate the 100000x10000000x10000000 target grid\n"
 
 
 class TestFileErrors:

@@ -2,9 +2,13 @@
 
 The files under tests/golden/ were captured once from the CLI and are never
 edited: a change that alters any of them alters behaviour.  Each case names
-its argv, its exit code, and whether it writes an --out CSV.
+its argv, its exit code, and whether it writes an --out CSV.  When the
+installed polarjiou console script is on PATH, every case is also replayed
+through it in a subprocess.
 """
 
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -37,17 +41,49 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_replay(name, tmp_path):
+CONSOLE_SCRIPT = shutil.which("polarjiou")
+needs_console_script = pytest.mark.skipif(
+    CONSOLE_SCRIPT is None, reason="polarjiou console script not on PATH")
+
+
+def replay(name, tmp_path, run):
+    """Run one case through run(argv) -> (exit code, stdout bytes) and
+    compare the exit code, stdout and any --out CSV with the goldens."""
     argv, expected_code, writes_csv = CASES[name]
     out = tmp_path / f"{name}.csv"
     if writes_csv:
         argv = argv + ["--out", str(out)]
-    code, stdout, _ = run_cli(argv)
+    code, stdout = run(argv)
     assert code == expected_code
-    assert stdout.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     if writes_csv:
         assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay(name, tmp_path):
+    def in_process(argv):
+        code, stdout, _ = run_cli(argv)
+        return code, stdout.encode()
+
+    replay(name, tmp_path, in_process)
+
+
+@needs_console_script
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_console_script_replay(name, tmp_path):
+    def console_script(argv):
+        proc = subprocess.run([CONSOLE_SCRIPT, *argv], capture_output=True)
+        return proc.returncode, proc.stdout
+
+    replay(name, tmp_path, console_script)
+
+
+@needs_console_script
+def test_console_script_missing_input_exits_two(tmp_path):
+    proc = subprocess.run([CONSOLE_SCRIPT, "nms", "no-such-file.csv"],
+                          capture_output=True, cwd=tmp_path)
+    assert proc.returncode == 2
 
 
 def test_sweep(cli_sweep):

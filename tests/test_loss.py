@@ -11,13 +11,14 @@ from helpers import boxes, fd_gradient, fd_suite, finite_floats, random_box, ref
 from polarjiou import (
     OrientedBox,
     batch_jiou,
-    discretize,
+    grid_angles,
     jiou_bar,
     jiou_gradient,
     jiou_loss,
     mc_ellipse_iou,
+    radius_at,
 )
-from polarjiou.errors import DiscretizationError, EmptyBatchError, ShapeError
+from polarjiou.errors import DiscretizationError, EmptyBatchError, InvalidBoxError, ShapeError
 
 
 class TestJiouBar:
@@ -77,7 +78,8 @@ class TestJiouBar:
     @example(OrientedBox(0, 0, 0.1, 0.1, 0.0), OrientedBox(0, 0, 0.1, 0.10000000000000002, 0.0))
     def test_ratio_one_iff_profiles_match(self, a, b):
         value = jiou_bar(a, b, 64)
-        same = np.array_equal(discretize(a, 64).rho, discretize(b, 64).rho)
+        thetas = grid_angles(64)
+        same = np.array_equal(radius_at(a, thetas), radius_at(b, thetas))
         assert (value.ratio == 1.0) == same
 
     @given(boxes(), boxes(), st.sampled_from([-2, -1, 1, 2]))
@@ -139,6 +141,38 @@ class TestJiouGradient:
     def test_gradient_finite(self, a, b):
         g = jiou_gradient(a, b, 64)
         assert all(math.isfinite(v) for v in (g.d_phi, g.d_r1, g.d_r2))
+
+    @pytest.mark.parametrize("k", [1e103, 1e-120])
+    def test_pair_off_the_extent_range_rejected(self, k):
+        """Past the supported extents the gradient overflows to NaN (1e103)
+        or underflows to a silent 0.0 (1e-120) while the ratio is still
+        finite, so either box out of range raises instead."""
+        off_a = OrientedBox(0, 0, 2 * k, k, 0.3)
+        off_b = OrientedBox(0, 0, 1.5 * k, k, -0.2)
+        inside = OrientedBox(0, 0, 2, 1, 0.3)
+        for pred, target in ((off_a, off_b), (off_a, inside), (inside, off_b)):
+            with pytest.raises(InvalidBoxError, match="half-extents must lie in"):
+                jiou_bar(pred, target, 720)
+            with pytest.raises(InvalidBoxError, match="half-extents must lie in"):
+                jiou_gradient(pred, target, 720)
+
+    def test_power_of_two_scaling_is_exact(self):
+        """Scaling both boxes by 2^+-330 keeps the ratio and d_phi bit for bit
+        and scales d_r1, d_r2 by exactly 2^-+330.  Extents in [0.25, 0.45]
+        keep both scalings inside the supported range."""
+        rng = np.random.default_rng(3)
+        for i in range(300):
+            a = random_box(rng, min_r=0.25, max_r=0.45)
+            b = random_box(rng, min_r=0.25, max_r=0.45)
+            n = (16, 64, 720)[i % 3]
+            value, g = jiou_bar(a, b, n), jiou_gradient(a, b, n)
+            for e in (330, -330):
+                sa, sb = (OrientedBox(x.cx, x.cy, math.ldexp(x.r1, e), math.ldexp(x.r2, e), x.phi)
+                          for x in (a, b))
+                scaled, gs = jiou_bar(sa, sb, n), jiou_gradient(sa, sb, n)
+                assert (scaled.ratio, gs.d_phi) == (value.ratio, g.d_phi), (a, b, n, e)
+                assert (gs.d_r1, gs.d_r2) == (math.ldexp(g.d_r1, -e),
+                                              math.ldexp(g.d_r2, -e)), (a, b, n, e)
 
 
 def test_matches_frozen_reference():

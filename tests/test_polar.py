@@ -1,4 +1,10 @@
-"""Polar evaluation of inscribed ellipses and their discrete radial profiles."""
+"""Polar evaluation of inscribed ellipses.
+
+A box's discrete radial profile is radius_at(box, grid_angles(n)); the
+profile properties (constant circle, axis samples, grid-slot rotation,
+pi-symmetry on even grids, bounds) are asserted on that form, next to the
+pointwise ones.  Half-extents outside [MIN_EXTENT, MAX_EXTENT] are rejected.
+"""
 
 import math
 
@@ -8,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import boxes, finite_floats
-from polarjiou import OrientedBox, discretize, grid_angles, radius_at
-from polarjiou.errors import DiscretizationError
-from polarjiou.polar import RadialProfile, _profile_terms
+from polarjiou import OrientedBox, grid_angles, radius_at
+from polarjiou.errors import DiscretizationError, InvalidBoxError
+from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, _profile_terms
 
 
 class TestRadiusAt:
@@ -18,6 +24,7 @@ class TestRadiusAt:
         box = OrientedBox(0, 0, 3, 3, 0.7)
         for theta in (0.0, 1.0, -2.5, 6.0):
             assert radius_at(box, theta) == pytest.approx(3.0, abs=1e-12)
+        assert np.allclose(radius_at(box, grid_angles(8)), 3.0, atol=1e-12)
 
     def test_circle_profile_needs_no_trig(self, monkeypatch):
         """A circle's profile is r1 exactly, with no cos or sin evaluated;
@@ -40,9 +47,12 @@ class TestRadiusAt:
         assert np.array_equal(want[2], np.sin(thetas - 0.7))
 
     def test_axis_endpoints(self):
+        """The axes give r1 and r2; n=4 on the axis-aligned grid samples
+        [2, 1, 2, 1]."""
         box = OrientedBox(0, 0, 2, 1, 0)
         assert radius_at(box, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert radius_at(box, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(radius_at(box, grid_angles(4)), [2, 1, 2, 1], atol=1e-12)
 
     def test_diagonal_satisfies_implicit_equation(self):
         """rho(pi/4) = sqrt(1.6); the emitted point lies on x^2/4 + y^2 = 1."""
@@ -67,19 +77,38 @@ class TestRadiusAt:
         assert radius_at(box, theta) == pytest.approx(
             radius_at(zero, theta - box.phi), rel=1e-12)
 
-    @given(boxes(), finite_floats(-10.0, 10.0))
-    def test_pi_periodicity(self, box, theta):
+    @given(boxes(), finite_floats(-10.0, 10.0), st.sampled_from([4, 8, 60, 720]))
+    def test_pi_periodicity(self, box, theta, n):
+        """rho(theta) = rho(theta + pi); on an even grid, rho_i = rho_{(i + n/2) mod n}."""
         assert radius_at(box, theta) == pytest.approx(
             radius_at(box, theta + math.pi), rel=1e-12)
+        rho = radius_at(box, grid_angles(n))
+        assert np.allclose(rho, np.roll(rho, n // 2), rtol=1e-12, atol=0)
 
-    @given(boxes(), finite_floats(-10.0, 10.0))
+    @given(boxes(), finite_floats(-10.0, 10.0), st.sampled_from([4, 16, 720]))
     @settings(max_examples=200)
-    def test_bounds(self, box, theta):
+    def test_bounds(self, box, theta, n):
         """The radius stays between the two semi-axes, whichever order they
-        were given in."""
+        were given in, at any angle and at every grid angle."""
         rho = radius_at(box, theta)
         lo, hi = min(box.r1, box.r2), max(box.r1, box.r2)
         assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+        profile = radius_at(box, grid_angles(n))
+        assert np.all(profile >= lo * (1 - 1e-12))
+        assert np.all(profile <= hi * (1 + 1e-12))
+
+    @pytest.mark.parametrize("r1, r2", [
+        (2 * MAX_EXTENT, 1.0), (1.0, MIN_EXTENT / 2), (1e101, 1e101), (1e-120, 1e-120)])
+    def test_extents_out_of_range_rejected(self, r1, r2):
+        box = OrientedBox(0, 0, r1, r2, 0.3)
+        for theta in (0.5, grid_angles(64)):
+            with pytest.raises(InvalidBoxError, match="half-extents must lie in"):
+                radius_at(box, theta)
+
+    def test_extent_range_edges_accepted(self):
+        box = OrientedBox(0, 0, MAX_EXTENT, MIN_EXTENT, 0.3)
+        assert np.all(np.isfinite(radius_at(box, grid_angles(64))))
+        assert radius_at(OrientedBox(0, 0, MIN_EXTENT, MIN_EXTENT, 0.3), 0.5) == MIN_EXTENT
 
     def test_bounds_tight_only_on_axes(self):
         box = OrientedBox(0, 0, 2, 1, 0.5)
@@ -121,53 +150,16 @@ class TestGridAngles:
         assert angles.shape == (720,)
         assert angles[-1] < 2 * math.pi
 
+    def test_grid_shift_oracle(self):
+        """phi = pi/6 is exactly 60 slots of the n=720 grid, so the rotated
+        profile is the unrotated profile rolled by 60."""
+        thetas = grid_angles(720)
+        flat = radius_at(OrientedBox(0, 0, 2, 1, 0), thetas)
+        tilted = radius_at(OrientedBox(0, 0, 2, 1, math.pi / 6), thetas)
+        assert np.allclose(tilted, np.roll(flat, 60), atol=1e-12)
+
     @given(st.integers(min_value=-3, max_value=3))
     def test_too_few_angles_rejected(self, n):
         with pytest.raises(DiscretizationError):
             grid_angles(n)
 
-
-class TestDiscretize:
-    def test_circle_profile_constant(self):
-        prof = discretize(OrientedBox(0, 0, 3, 3, 0), 8)
-        assert np.allclose(prof.rho, 3.0, atol=1e-12)
-
-    def test_axis_grid_profile(self):
-        """n=4 on an axis-aligned 2x1 box samples [2, 1, 2, 1]."""
-        prof = discretize(OrientedBox(0, 0, 2, 1, 0), 4)
-        assert np.allclose(prof.rho, [2, 1, 2, 1], atol=1e-12)
-
-    def test_grid_shift_oracle(self):
-        """phi = pi/6 is exactly 60 slots of the n=720 grid, so the rotated
-        profile is the unrotated profile rolled by 60."""
-        flat = discretize(OrientedBox(0, 0, 2, 1, 0), 720)
-        tilted = discretize(OrientedBox(0, 0, 2, 1, math.pi / 6), 720)
-        assert np.allclose(tilted.rho, np.roll(flat.rho, 60), atol=1e-12)
-
-    @given(boxes(), st.sampled_from([4, 6, 16, 64, 720]))
-    def test_profile_matches_pointwise_radius(self, box, n):
-        prof = discretize(box, n)
-        assert prof.n == n
-        assert np.array_equal(prof.rho, radius_at(box, grid_angles(n)))
-
-    @given(boxes(), st.sampled_from([4, 8, 60, 720]))
-    def test_even_profile_pi_symmetric(self, box, n):
-        """rho_i = rho_{(i + n/2) mod n} for even n."""
-        rho = discretize(box, n).rho
-        assert np.allclose(rho, np.roll(rho, n // 2), rtol=1e-12, atol=0)
-
-    @given(boxes(), st.sampled_from([4, 16, 720]))
-    def test_profile_within_extents(self, box, n):
-        rho = discretize(box, n).rho
-        assert np.all(rho >= min(box.r1, box.r2) - 1e-9)
-        assert np.all(rho <= max(box.r1, box.r2) + 1e-9)
-
-    def test_theta_property(self):
-        prof = discretize(OrientedBox(0, 0, 2, 1, 0), 16)
-        assert np.array_equal(prof.theta, grid_angles(16))
-
-    def test_profile_shape_validated(self):
-        with pytest.raises(DiscretizationError):
-            RadialProfile(8, np.ones(7))
-        with pytest.raises(DiscretizationError):
-            RadialProfile(3, np.ones(3))
