@@ -1,9 +1,7 @@
-"""Polar evaluation of inscribed ellipses.
+"""Polar evaluation of inscribed ellipses and their discrete radial profiles.
 
-A box's discrete radial profile is radius_at(box, grid_angles(n)); the
-profile properties (constant circle, axis samples, grid-slot rotation,
-pi-symmetry on even grids, bounds) are asserted on that form, next to the
-pointwise ones.  Half-extents outside [MIN_EXTENT, MAX_EXTENT] are rejected.
+A box's discrete radial profile is radius_at(box, grid_angles(n)).
+Half-extents outside [MIN_EXTENT, MAX_EXTENT] are rejected.
 """
 
 import math
@@ -24,7 +22,6 @@ class TestRadiusAt:
         box = OrientedBox(0, 0, 3, 3, 0.7)
         for theta in (0.0, 1.0, -2.5, 6.0):
             assert radius_at(box, theta) == pytest.approx(3.0, abs=1e-12)
-        assert np.allclose(radius_at(box, grid_angles(8)), 3.0, atol=1e-12)
 
     def test_circle_profile_needs_no_trig(self, monkeypatch):
         """A circle's profile is r1 exactly, with no cos or sin evaluated;
@@ -47,12 +44,9 @@ class TestRadiusAt:
         assert np.array_equal(want[2], np.sin(thetas - 0.7))
 
     def test_axis_endpoints(self):
-        """The axes give r1 and r2; n=4 on the axis-aligned grid samples
-        [2, 1, 2, 1]."""
         box = OrientedBox(0, 0, 2, 1, 0)
         assert radius_at(box, 0.0) == pytest.approx(2.0, abs=1e-12)
         assert radius_at(box, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(radius_at(box, grid_angles(4)), [2, 1, 2, 1], atol=1e-12)
 
     def test_diagonal_satisfies_implicit_equation(self):
         """rho(pi/4) = sqrt(1.6); the emitted point lies on x^2/4 + y^2 = 1."""
@@ -77,25 +71,19 @@ class TestRadiusAt:
         assert radius_at(box, theta) == pytest.approx(
             radius_at(zero, theta - box.phi), rel=1e-12)
 
-    @given(boxes(), finite_floats(-10.0, 10.0), st.sampled_from([4, 8, 60, 720]))
-    def test_pi_periodicity(self, box, theta, n):
-        """rho(theta) = rho(theta + pi); on an even grid, rho_i = rho_{(i + n/2) mod n}."""
+    @given(boxes(), finite_floats(-10.0, 10.0))
+    def test_pi_periodicity(self, box, theta):
         assert radius_at(box, theta) == pytest.approx(
             radius_at(box, theta + math.pi), rel=1e-12)
-        rho = radius_at(box, grid_angles(n))
-        assert np.allclose(rho, np.roll(rho, n // 2), rtol=1e-12, atol=0)
 
-    @given(boxes(), finite_floats(-10.0, 10.0), st.sampled_from([4, 16, 720]))
+    @given(boxes(), finite_floats(-10.0, 10.0))
     @settings(max_examples=200)
-    def test_bounds(self, box, theta, n):
+    def test_bounds(self, box, theta):
         """The radius stays between the two semi-axes, whichever order they
-        were given in, at any angle and at every grid angle."""
+        were given in."""
         rho = radius_at(box, theta)
         lo, hi = min(box.r1, box.r2), max(box.r1, box.r2)
         assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
-        profile = radius_at(box, grid_angles(n))
-        assert np.all(profile >= lo * (1 - 1e-12))
-        assert np.all(profile <= hi * (1 + 1e-12))
 
     @pytest.mark.parametrize("r1, r2", [
         (2 * MAX_EXTENT, 1.0), (1.0, MIN_EXTENT / 2), (1e101, 1e101), (1e-120, 1e-120)])
@@ -150,6 +138,24 @@ class TestGridAngles:
         assert angles.shape == (720,)
         assert angles[-1] < 2 * math.pi
 
+    @given(st.integers(min_value=-3, max_value=3))
+    def test_too_few_angles_rejected(self, n):
+        with pytest.raises(DiscretizationError):
+            grid_angles(n)
+
+
+class TestDiscretize:
+    """The discrete radial profile radius_at(box, grid_angles(n))."""
+
+    def test_circle_profile_constant(self):
+        rho = radius_at(OrientedBox(0, 0, 3, 3, 0), grid_angles(8))
+        assert np.allclose(rho, 3.0, atol=1e-12)
+
+    def test_axis_grid_profile(self):
+        """n=4 on an axis-aligned 2x1 box samples [2, 1, 2, 1]."""
+        rho = radius_at(OrientedBox(0, 0, 2, 1, 0), grid_angles(4))
+        assert np.allclose(rho, [2, 1, 2, 1], atol=1e-12)
+
     def test_grid_shift_oracle(self):
         """phi = pi/6 is exactly 60 slots of the n=720 grid, so the rotated
         profile is the unrotated profile rolled by 60."""
@@ -158,8 +164,15 @@ class TestGridAngles:
         tilted = radius_at(OrientedBox(0, 0, 2, 1, math.pi / 6), thetas)
         assert np.allclose(tilted, np.roll(flat, 60), atol=1e-12)
 
-    @given(st.integers(min_value=-3, max_value=3))
-    def test_too_few_angles_rejected(self, n):
-        with pytest.raises(DiscretizationError):
-            grid_angles(n)
+    @given(boxes(), st.sampled_from([4, 8, 60, 720]))
+    def test_even_profile_pi_symmetric(self, box, n):
+        """rho_i = rho_{(i + n/2) mod n} for even n."""
+        rho = radius_at(box, grid_angles(n))
+        assert np.allclose(rho, np.roll(rho, n // 2), rtol=1e-12, atol=0)
+
+    @given(boxes(), st.sampled_from([4, 16, 720]))
+    def test_profile_within_extents(self, box, n):
+        rho = radius_at(box, grid_angles(n))
+        assert np.all(rho >= min(box.r1, box.r2) - 1e-9)
+        assert np.all(rho <= max(box.r1, box.r2) + 1e-9)
 
