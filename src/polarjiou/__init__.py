@@ -61,7 +61,6 @@ from .loss import (
     batch_jiou,
     jiou_bar,
     jiou_gradient,
-    jiou_loss,
 )
 from .oracle import (
     Detection,
@@ -113,7 +112,6 @@ __all__ = [
     "group_softmax",
     "jiou_bar",
     "jiou_gradient",
-    "jiou_loss",
     "load_dota_annotations",
     "mc_ellipse_iou",
     "mc_rect_iou",

@@ -208,7 +208,6 @@ class CenterOffset:
     dy: float
     cell_x: int
     cell_y: int
-    stride: int
 
 
 def encode_offset(cx: float, cy: float, stride: int) -> CenterOffset:
@@ -221,7 +220,7 @@ def encode_offset(cx: float, cy: float, stride: int) -> CenterOffset:
         raise OutOfImageError(f"center ({cx}, {cy}) has negative coordinates")
     gx, gy = cx / stride, cy / stride
     cell_x, cell_y = math.floor(gx), math.floor(gy)
-    return CenterOffset(gx - cell_x, gy - cell_y, cell_x, cell_y, stride)
+    return CenterOffset(gx - cell_x, gy - cell_y, cell_x, cell_y)
 
 
 DOTA_META_PREFIXES = ("imagesource", "gsd")

@@ -6,9 +6,9 @@ the seeded suite), nms (suppress a detection CSV), heatmap-demo (render a
 seeded synthetic scene).
 
 Exit codes: 0 success, 1 bad annotation records in roundtrip (malformed,
-non-finite, zero-area or with a negative fitted center), 2 malformed
-inputs or a roundtrip or heatmap-demo target grid (classes x height x
-width) too large to allocate, 3 unwritable output path.
+non-finite, zero-area or with a negative fitted center), 2 malformed inputs,
+half-extents out of range, or an angle grid (jiou, fit) or target grid
+(roundtrip, heatmap-demo) too large to allocate, 3 unwritable output path.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .codec import (
 from .errors import (
     AnnotationError,
     DegenerateQuadError,
+    DiscretizationError,
     GridAllocationError,
     InvalidBoxError,
     OutOfImageError,
@@ -364,7 +365,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, AnnotationError, InvalidBoxError, OutOfImageError) as exc:
+    except (SpecError, AnnotationError, DiscretizationError, InvalidBoxError,
+            OutOfImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2

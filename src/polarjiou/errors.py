@@ -26,7 +26,7 @@ class AnnotationError(ValueError):
 
 
 class DiscretizationError(ValueError):
-    """Angular discretization is too coarse."""
+    """Angular discretization is too coarse, or too fine to allocate."""
 
 
 class ShapeError(ValueError):

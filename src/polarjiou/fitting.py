@@ -89,20 +89,16 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
 
     state = canonicalize(OrientedBox(target.cx, target.cy, init.r1, init.r2, init.phi))
     loss, grad = evaluate(state)
-    iou = exact_rect_iou(state, target)
-    steps = [FitStep(0, state.phi, state.r1, state.r2, loss, iou)]
+    steps = []
     projected = []
-    converged = iou >= CONVERGED_IOU
-
-    it = 0
-    while not converged and it < max_iters:
-        it += 1
+    for it in range(max_iters + 1):
+        iou = exact_rect_iou(state, target)
+        steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
+        if iou >= CONVERGED_IOU or it == max_iters:
+            break
         params = np.array([state.phi, state.r1, state.r2])
-        step_lr = lr
-        accepted = None
-        for _ in range(MAX_HALVINGS + 1):
-            cand = params - step_lr * grad
-            clamped = cand[1] < MIN_HALF_EXTENT or cand[2] < MIN_HALF_EXTENT
+        for halvings in range(MAX_HALVINGS + 1):
+            cand = params - math.ldexp(lr, -halvings) * grad
             cand_box = canonicalize(OrientedBox(
                 target.cx, target.cy,
                 max(cand[1], MIN_HALF_EXTENT), max(cand[2], MIN_HALF_EXTENT),
@@ -110,19 +106,14 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
             ))
             cand_loss, cand_grad = evaluate(cand_box)
             if cand_loss <= loss:
-                accepted = (cand_box, cand_loss, cand_grad, clamped)
                 break
-            step_lr *= 0.5
-        if accepted is None:
+        else:
             break  # no learning rate in the halving budget descends from here
-        state, loss, grad, clamped = accepted
-        if clamped:
-            projected.append(it)
-        iou = exact_rect_iou(state, target)
-        steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
-        converged = iou >= CONVERGED_IOU
+        state, loss, grad = cand_box, cand_loss, cand_grad
+        if cand[1] < MIN_HALF_EXTENT or cand[2] < MIN_HALF_EXTENT:
+            projected.append(it + 1)
 
-    return FitTrace(tuple(steps), iou, converged, tuple(projected), loss_kind)
+    return FitTrace(tuple(steps), iou, iou >= CONVERGED_IOU, tuple(projected), loss_kind)
 
 
 def default_fit_suite(num_cases: int = 50, seed: int = DEFAULT_SEED):
@@ -145,11 +136,9 @@ def default_fit_suite(num_cases: int = 50, seed: int = DEFAULT_SEED):
     return cases
 
 
-def run_fit_suite(loss_kind: str, cases=None, n: int = DEFAULT_N,
+def run_fit_suite(loss_kind: str, cases, n: int = DEFAULT_N,
                   lr: float = DEFAULT_LR, max_iters: int = DEFAULT_MAX_ITERS):
-    """fit_box over a case list (the default suite when none is given)."""
-    if cases is None:
-        cases = default_fit_suite()
+    """fit_box over a list of (init, target) cases."""
     return [fit_box(init, target, loss_kind, n=n, lr=lr, max_iters=max_iters)
             for init, target in cases]
 

@@ -35,7 +35,6 @@ class JiouValue:
 
     ratio: float
     loss: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,7 @@ def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> Jiou
         ratio = math.nextafter(1.0, 0.0)
     # +0.0 normalizes -log(1.0) == -0.0 to plain 0.0.
     loss = -math.log(max(ratio, RATIO_FLOOR)) + 0.0
-    return JiouValue(ratio=ratio, loss=loss, n=n)
-
-
-def jiou_loss(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouValue:
-    """Alias of jiou_bar; the loss field holds -log(ratio)."""
-    return jiou_bar(pred, target, n)
+    return JiouValue(ratio=ratio, loss=loss)
 
 
 def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouGradient:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .boxes import OrientedBox, corner_offsets, corner_points, signed_area
 from .errors import InsufficientSamplesError, InvalidBoxError
+from .polar import check_extents
 
 # An intersection counts as empty below this fraction of the two boxes'
 # summed areas, plus CLIP_ROUNDING times the coordinate extent times the
@@ -76,7 +77,7 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     the largest center coordinate plus reach, and the term covers the
     eps * extent rounding that the centers themselves carry.  The ratio is
     clamped at 1.  Raises InvalidBoxError when a corner overflows, pruned
-    or not.
+    or not, or when a pair it clips has a half-extent outside [MIN_EXTENT, MAX_EXTENT].
     """
     dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
@@ -88,6 +89,7 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     clip = corner_offsets(b)
     if disjoint:
         return 0.0
+    check_extents("exact clipping", a, b)
     clip = [(x + dx, y + dy) for x, y in clip]
     for i in range(4):
         if not poly:

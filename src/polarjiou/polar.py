@@ -13,13 +13,24 @@ from .boxes import OrientedBox
 from .errors import DiscretizationError, InvalidBoxError
 
 MIN_GRID_ANGLES = 4
+# Past intp's byte range numpy gives ValueError or an empty array, not MemoryError.
+_MAX_GRID_ANGLES = np.iinfo(np.intp).max // 8
 
-# Half-extents a profile accepts.  Inside this range the loss gradient's
-# products of three extents (about r**3) stay normal floats; past it
-# jiou_gradient overflows to NaN or underflows to a silent 0.0 while the
-# ratio is still finite.
+# Half-extents a profile, and a pair that exact_rect_iou clips, accept.
+# Inside the range the gradient's products of three extents and clipping's
+# products of two stay normal floats; past it jiou_gradient turns NaN or a
+# silent 0.0, and clipping drifts, reads 0 or 1, or divides by zero.
 MIN_EXTENT = 1e-100
 MAX_EXTENT = 1e100
+
+
+def check_extents(use: str, *boxes: OrientedBox) -> None:
+    """InvalidBoxError naming use when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT]."""
+    for box in boxes:
+        if not (MIN_EXTENT <= box.r1 <= MAX_EXTENT and MIN_EXTENT <= box.r2 <= MAX_EXTENT):
+            raise InvalidBoxError(
+                f"half-extents must lie in [{MIN_EXTENT:g}, {MAX_EXTENT:g}] for {use}, "
+                f"got r1={box.r1}, r2={box.r2}")
 
 
 def _profile_terms(box: OrientedBox, theta, trig: bool = True):
@@ -28,10 +39,7 @@ def _profile_terms(box: OrientedBox, theta, trig: bool = True):
 
     With trig=False a circle skips the trig and gets None for all three.
     """
-    if not (MIN_EXTENT <= box.r1 <= MAX_EXTENT and MIN_EXTENT <= box.r2 <= MAX_EXTENT):
-        raise InvalidBoxError(
-            f"half-extents must lie in [{MIN_EXTENT:g}, {MAX_EXTENT:g}] for a radial "
-            f"profile, got r1={box.r1}, r2={box.r2}")
+    check_extents("a radial profile", box)
     t = np.asarray(theta, dtype=np.float64) - box.phi
     # A circle's radius is the same at every angle; the trig form would add
     # phi-dependent rounding, so equal circles would get profiles that differ
@@ -60,7 +68,13 @@ def radius_at(box: OrientedBox, theta):
 
 
 def grid_angles(n: int) -> np.ndarray:
-    """The shared discretization grid theta_i = 2*pi*i/n for i in [0, n)."""
+    """The shared discretization grid theta_i = 2*pi*i/n for i in [0, n);
+    DiscretizationError below MIN_GRID_ANGLES or when it cannot be allocated."""
     if n < MIN_GRID_ANGLES:
         raise DiscretizationError(f"need at least {MIN_GRID_ANGLES} grid angles, got n={n}")
-    return np.arange(n) * (2.0 * math.pi / n)
+    if n <= _MAX_GRID_ANGLES:
+        try:
+            return np.arange(n) * (2.0 * math.pi / n)
+        except MemoryError:
+            pass
+    raise DiscretizationError(f"cannot allocate a grid of n={n} angles")

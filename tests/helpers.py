@@ -16,8 +16,18 @@ from polarjiou import (
     jiou_bar,
     jiou_gradient,
     radius_at,
+    smooth_l1,
 )
-from polarjiou.loss import RATIO_FLOOR
+from polarjiou.fitting import (
+    CONVERGED_IOU,
+    DEFAULT_LR,
+    DEFAULT_MAX_ITERS,
+    MAX_HALVINGS,
+    MIN_HALF_EXTENT,
+    FitStep,
+    FitTrace,
+)
+from polarjiou.loss import DEFAULT_N, RATIO_FLOOR
 from polarjiou.oracle import (
     CLIP_ROUNDING,
     MIN_OVERLAP_FRACTION,
@@ -301,6 +311,63 @@ def reference_nms(detections, iou_threshold):
             if exact_rect_iou(dets[i].box, dets[j].box) > iou_threshold:
                 suppressed[j] = True
     return [dets[i] for i in keep]
+
+
+def reference_fit_box(init, target, loss_kind, n=DEFAULT_N, lr=DEFAULT_LR,
+                      max_iters=DEFAULT_MAX_ITERS):
+    """fit_box's descent as a while loop that records the initial state and
+    each accepted step in two separate places, carrying the accepted
+    candidate in a tuple."""
+    target = canonicalize(target)
+
+    def pinned(box):
+        return (box.phi, box.r1, box.r2, 0.0, 0.0)
+
+    def evaluate(box):
+        if loss_kind == "jiou":
+            value = jiou_bar(box, target, n)
+            g = jiou_gradient(box, target, n)
+            return value.loss, np.array([g.d_phi, g.d_r1, g.d_r2])
+        loss = smooth_l1(pinned(box), pinned(target))
+        diff = np.array([box.phi - target.phi, box.r1 - target.r1, box.r2 - target.r2])
+        return loss, np.clip(diff, -1.0, 1.0)
+
+    state = canonicalize(OrientedBox(target.cx, target.cy, init.r1, init.r2, init.phi))
+    loss, grad = evaluate(state)
+    iou = exact_rect_iou(state, target)
+    steps = [FitStep(0, state.phi, state.r1, state.r2, loss, iou)]
+    projected = []
+    converged = iou >= CONVERGED_IOU
+
+    it = 0
+    while not converged and it < max_iters:
+        it += 1
+        params = np.array([state.phi, state.r1, state.r2])
+        step_lr = lr
+        accepted = None
+        for _ in range(MAX_HALVINGS + 1):
+            cand = params - step_lr * grad
+            clamped = cand[1] < MIN_HALF_EXTENT or cand[2] < MIN_HALF_EXTENT
+            cand_box = canonicalize(OrientedBox(
+                target.cx, target.cy,
+                max(cand[1], MIN_HALF_EXTENT), max(cand[2], MIN_HALF_EXTENT),
+                cand[0],
+            ))
+            cand_loss, cand_grad = evaluate(cand_box)
+            if cand_loss <= loss:
+                accepted = (cand_box, cand_loss, cand_grad, clamped)
+                break
+            step_lr *= 0.5
+        if accepted is None:
+            break
+        state, loss, grad, clamped = accepted
+        if clamped:
+            projected.append(it)
+        iou = exact_rect_iou(state, target)
+        steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
+        converged = iou >= CONVERGED_IOU
+
+    return FitTrace(tuple(steps), iou, converged, tuple(projected), loss_kind)
 
 
 def reference_heatmap(objects, num_classes, height, width, stride):

@@ -24,7 +24,7 @@ from polarjiou import (
     OrientedBox,
     exact_rect_iou,
     fit_box,
-    jiou_loss,
+    jiou_bar,
     mc_rect_iou,
 )
 from polarjiou.attention import group_softmax
@@ -100,16 +100,16 @@ def test_criterion_4_angle_periodicity_and_axis_swap(capsys):
     for _ in range(100):
         target = random_box(rng, max_center=0.0, min_r=1.0, max_r=20.0)
         pred = random_box(rng, max_center=0.0, min_r=1.0, max_r=20.0)
-        base = jiou_loss(pred, target, 720).loss
+        base = jiou_bar(pred, target, 720).loss
         for k in (-2, -1, 1, 2):
             shifted = OrientedBox(pred.cx, pred.cy, pred.r1, pred.r2,
                                   pred.phi + k * math.pi)
             worst_period = max(worst_period,
-                               abs(jiou_loss(shifted, target, 720).loss - base))
+                               abs(jiou_bar(shifted, target, 720).loss - base))
         swapped = OrientedBox(pred.cx, pred.cy, pred.r2, pred.r1,
                               pred.phi + math.pi / 2)
         worst_swap = max(worst_swap,
-                         abs(jiou_loss(swapped, target, 720).loss - base))
+                         abs(jiou_bar(swapped, target, 720).loss - base))
     ok = worst_period <= 1e-12 and worst_swap <= 1e-12
     line = verdict(capsys, 4, ok,
                    f"period drift {worst_period:.1e}, swap drift {worst_swap:.1e}")

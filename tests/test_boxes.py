@@ -284,11 +284,11 @@ class TestPhiDistance:
 class TestEncodeOffset:
     def test_fractional_center(self):
         off = encode_offset(101, 53, 4)
-        assert off == CenterOffset(0.25, 0.25, 25, 13, 4)
+        assert off == CenterOffset(0.25, 0.25, 25, 13)
 
     def test_exact_grid_point(self):
         off = encode_offset(8, 8, 4)
-        assert off == CenterOffset(0.0, 0.0, 2, 2, 4)
+        assert off == CenterOffset(0.0, 0.0, 2, 2)
 
     def test_near_cell_edge(self):
         off = encode_offset(607.9, 0.1, 4)

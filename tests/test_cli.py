@@ -431,6 +431,20 @@ class TestNmsCommand:
         code, _, err = run_cli(["nms", str(src)])
         assert code == 2 and "non-finite corner" in err
 
+    @pytest.mark.parametrize("rows", [
+        # true IoU 1/3, which clipping at this scale read as 0.0
+        ["0,0,1e160,1e160,0,0.9,0", "1e160,0,1e160,1e160,0,0.8,0"],
+        # identical boxes, which clipping at this scale divided by zero on
+        ["0,0,1e-165,1e-165,0,0.9,0", "0,0,1e-165,1e-165,0,0.8,0"],
+    ])
+    def test_extents_past_the_clipping_range_exit_two(self, tmp_path, rows):
+        src = tmp_path / "dets.csv"
+        src.write_text("\n".join([DETECTIONS_CSV_HEADER, *rows]) + "\n")
+        code, out, err = run_cli(["nms", str(src), "--nms-iou", "0.5"])
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error: half-extents must lie in [1e-100, 1e+100] for exact clipping, got ")
+
     def test_parse_detections_line_numbers(self, tmp_path):
         src = tmp_path / "dets.csv"
         src.write_text(DETECTIONS_CSV_HEADER + "\n0,0,1,1,0,0.9,0\n0,0,1,1,0,zz,0\n")
@@ -524,6 +538,18 @@ class TestArgumentErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["jiou", *PAIR],
+        ["fit", "--init", "0,0,3,1,0", "--target", "0,0,3,1,0.5"],
+        ["fit", "--suite"],
+    ])
+    def test_unallocatable_grid_exits_two(self, argv):
+        """An angle grid of 1e15 float64s (7.1 PiB) fails to allocate at
+        once, without touching memory."""
+        code, out, err = run_cli([*argv, "--n", "1000000000000000"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot allocate a grid of n=1000000000000000 angles\n")
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--n", "64"],

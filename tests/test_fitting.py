@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dyadic
-from polarjiou import OrientedBox, fit_box, jiou_loss, smooth_l1
+import helpers
+import polarjiou.fitting
+from helpers import dyadic, reference_fit_box
+from polarjiou import OrientedBox, fit_box, jiou_bar, smooth_l1
 from polarjiou.errors import EmptyBatchError
 from polarjiou.fitting import (
     SWEEP_CSV_HEADER,
@@ -87,7 +89,7 @@ class TestFitBox:
         level, not in the traces.)"""
         target = OrientedBox(0, 0, 6, 2, 0.25)
         shifted = OrientedBox(0, 0, 6, 2, 0.25 + math.pi)
-        assert jiou_loss(shifted, target).loss <= 1e-12
+        assert jiou_bar(shifted, target).loss <= 1e-12
         raw_cost = smooth_l1([shifted.phi, 6, 2, 0, 0], [target.phi, 6, 2, 0, 0])
         assert raw_cost > 1.0
         assert fit_box(shifted, target, "smooth_l1").steps[0].loss == 0.0
@@ -110,6 +112,64 @@ class TestFitBox:
             fit_box(box, box, "jiou", lr=0.0)
         with pytest.raises(ValueError):
             fit_box(box, box, "jiou", max_iters=0)
+
+
+class TestFitLoopMatchesReference:
+    """fit_box traces equal, field for field, those of the frozen loop in
+    helpers.reference_fit_box."""
+
+    @pytest.mark.parametrize("kind", ["jiou", "smooth_l1"])
+    def test_default_suite(self, kind):
+        for init, target in default_fit_suite():
+            assert fit_box(init, target, kind) == reference_fit_box(init, target, kind)
+
+    def test_projected_steps(self):
+        init, target = OrientedBox(0, 0, 0.5, 0.5, 0), OrientedBox(0, 0, 0.12, 0.12, 0)
+        trace = fit_box(init, target, "jiou")
+        assert trace.projected_steps
+        assert trace == reference_fit_box(init, target, "jiou")
+
+    @pytest.mark.parametrize("kind", ["jiou", "smooth_l1"])
+    def test_one_iteration(self, kind):
+        traces = []
+        for init, target in default_fit_suite(num_cases=10):
+            trace = fit_box(init, target, kind, max_iters=1)
+            assert trace == reference_fit_box(init, target, kind, max_iters=1)
+            traces.append(trace)
+        assert any(len(t.steps) == 2 and not t.converged for t in traces)
+
+    def test_stop_without_descent(self):
+        """At lr=20 the run reaches a state from which no halved rate
+        lowers the loss, and stops there before the iteration budget."""
+        init, target = OrientedBox(0, 0, 70, 8, 0), OrientedBox(0, 0, 60, 12, -0.3)
+        trace = fit_box(init, target, "jiou", lr=20.0)
+        assert not trace.converged and 1 < len(trace.steps) < 501
+        assert trace == reference_fit_box(init, target, "jiou", lr=20.0)
+
+    @staticmethod
+    def log_calls(monkeypatch, module):
+        """Patch module's loss and exact-IoU functions to log their names."""
+        log = []
+        for name in ("jiou_bar", "smooth_l1", "exact_rect_iou"):
+            def logged(*args, _name=name, _f=getattr(module, name), **kwargs):
+                log.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, logged)
+        return log
+
+    @pytest.mark.parametrize("kind", ["jiou", "smooth_l1"])
+    def test_call_order(self, monkeypatch, kind):
+        """Loss evaluations and exact IoUs interleave as in the reference,
+        up to a stop at the iteration budget."""
+        init, target = OrientedBox(0, 0, 12, 3, 0.9), OrientedBox(0, 0, 10, 4, 0.2)
+        got = self.log_calls(monkeypatch, polarjiou.fitting)
+        want = self.log_calls(monkeypatch, helpers)
+        trace = fit_box(init, target, kind, lr=5.0, max_iters=3)
+        assert trace == reference_fit_box(init, target, kind, lr=5.0, max_iters=3)
+        assert len(trace.steps) == 4 and not trace.converged
+        assert got == want
+        # Some step needed a halving, so evaluations outnumber exact IoUs.
+        assert len(got) > 2 * got.count("exact_rect_iou")
 
 
 class TestFitSuite:
@@ -208,5 +268,5 @@ class TestCsvOutput:
         """Sweep cells recompute jiou_bar faithfully."""
         records = deviation_sweep(aspect_ratios=[2.5], angle_diffs=[0.6],
                                   n_values=[64], mc_samples=10_000, seed=0)
-        expect = jiou_loss(OrientedBox(0, 0, 2.5, 1, 0), OrientedBox(0, 0, 2.5, 1, 0.6), 64)
+        expect = jiou_bar(OrientedBox(0, 0, 2.5, 1, 0), OrientedBox(0, 0, 2.5, 1, 0.6), 64)
         assert records[0].jiou_bar == expect.ratio

@@ -32,6 +32,7 @@ from polarjiou import (
 from polarjiou.boxes import corner_offsets, corner_points
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
 from polarjiou.oracle import CLIP_ROUNDING, MC_CHUNK, PRUNE_EXTENT_LIMIT, PRUNE_REACH_SLACK
+from polarjiou.polar import MAX_EXTENT, MIN_EXTENT
 
 
 def unit_square(cx=0.0, cy=0.0, phi=0.0):
@@ -263,6 +264,62 @@ class TestTinyBoxes:
         a = OrientedBox(0.0, 0.0, 2e-7, 5e-8, 0.0)
         assert exact_rect_iou(a, OrientedBox(4e-7, 0.0, 2e-7, 5e-8, 0.0)) == 0.0
         assert exact_rect_iou(a, OrientedBox(4e-7, 1e-7, 2e-7, 5e-8, 0.0)) == 0.0
+
+
+def scaled(box, j):
+    return OrientedBox(math.ldexp(box.cx, j), math.ldexp(box.cy, j),
+                       math.ldexp(box.r1, j), math.ldexp(box.r2, j), box.phi)
+
+
+def near_pairs(count=200, seed=41):
+    """Pairs with half-extents in [0.5, 3] and centers within +-2, most of
+    which overlap."""
+    rng = np.random.default_rng(seed)
+    return [(random_box(rng, max_center=2.0, min_r=0.5, max_r=3.0),
+             random_box(rng, max_center=2.0, min_r=0.5, max_r=3.0)) for _ in range(count)]
+
+
+class TestExtentRange:
+    """Clipping is exact under power-of-two scaling while every half-extent
+    lies in [MIN_EXTENT, MAX_EXTENT]; a pair that reaches clipping outside
+    it raises."""
+
+    def test_power_of_two_scaling_changes_no_bit(self):
+        pairs = near_pairs()
+        radii = [r for pair in pairs for box in pair for r in (box.r1, box.r2)]
+        lo = math.ceil(math.log2(MIN_EXTENT / min(radii)))
+        hi = math.floor(math.log2(MAX_EXTENT / max(radii)))
+        assert lo < -320 and hi > 320
+        values = [exact_rect_iou(a, b) for a, b in pairs]
+        assert sum(v > 0.0 for v in values) > 150
+        for j in sorted({lo, hi, *range(lo, hi + 1, 3)}):
+            assert [exact_rect_iou(scaled(a, j), scaled(b, j)) for a, b in pairs] == values, j
+
+    @pytest.mark.parametrize("j", [-539, -509, -400, 400, 511])
+    def test_overlapping_pairs_out_of_range_raise(self, j):
+        for a, b in near_pairs(20):
+            if exact_rect_iou(a, b) > 0.0:
+                with pytest.raises(InvalidBoxError, match="for exact clipping"):
+                    exact_rect_iou(scaled(a, j), scaled(b, j))
+
+    @pytest.mark.parametrize("inside, outside", [
+        ((MAX_EXTENT, 0.5 * MAX_EXTENT), (math.nextafter(MAX_EXTENT, math.inf), 0.5 * MAX_EXTENT)),
+        ((2.0 * MIN_EXTENT, MIN_EXTENT), (2.0 * MIN_EXTENT, math.nextafter(MIN_EXTENT, 0.0))),
+    ])
+    def test_range_edges(self, inside, outside):
+        inside = OrientedBox(0.0, 0.0, *inside, 0.3)
+        assert exact_rect_iou(inside, inside) == 1.0
+        outside = OrientedBox(0.0, 0.0, *outside, 0.3)
+        for a, b in ((outside, inside), (inside, outside)):
+            with pytest.raises(InvalidBoxError, match="for exact clipping"):
+                exact_rect_iou(a, b)
+
+    def test_disjoint_pairs_out_of_range_read_zero(self):
+        """Pruning needs no clipping, so it stays valid at any scale."""
+        a = OrientedBox(0.0, 0.0, 1e-150, 1e-150, 0.0)
+        assert exact_rect_iou(a, OrientedBox(1e-140, 0.0, 1e-150, 1e-150, 0.0)) == 0.0
+        b = OrientedBox(0.0, 0.0, 1e150, 1e150, 0.0)
+        assert exact_rect_iou(b, OrientedBox(1e160, 0.0, 1e150, 1e150, 0.0)) == 0.0
 
 
 class TestRoundingFloor:

@@ -143,6 +143,14 @@ class TestGridAngles:
         with pytest.raises(DiscretizationError):
             grid_angles(n)
 
+    @pytest.mark.parametrize("n", [10**15, 2**60, 2**63, 10**20])
+    def test_unallocatable_grid_rejected(self, n):
+        """numpy fails these at once, without touching memory: MemoryError at
+        1e15 (7.1 PiB), ValueError past intp's byte range, and an empty
+        array from 2**63 on."""
+        with pytest.raises(DiscretizationError, match=f"n={n} "):
+            grid_angles(n)
+
 
 class TestDiscretize:
     """The discrete radial profile radius_at(box, grid_angles(n))."""
