@@ -51,8 +51,6 @@ from .fitting import (
     deviation_sweep,
     fit_box,
     run_fit_suite,
-    write_sweep_csv,
-    write_trace_csv,
 )
 from .loss import (
     DEFAULT_N,
@@ -124,6 +122,4 @@ __all__ = [
     "signed_area",
     "smooth_l1",
     "total_loss",
-    "write_sweep_csv",
-    "write_trace_csv",
 ]

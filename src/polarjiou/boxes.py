@@ -48,7 +48,7 @@ class OrientedBox:
     def __post_init__(self):
         vals = (self.cx, self.cy, self.r1, self.r2, self.phi)
         if not all(math.isfinite(v) for v in vals):
-            raise InvalidBoxError(f"non-finite box parameters {vals}")
+            raise InvalidBoxError(f"non-finite box parameters ({', '.join(map(str, vals))})")
         if self.r1 <= 0 or self.r2 <= 0:
             raise InvalidBoxError(
                 f"half-extents must be positive, got r1={self.r1}, r2={self.r2}"

@@ -14,9 +14,9 @@ half-extents out of range, or an angle grid (jiou, fit) or target grid
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -53,15 +53,10 @@ from .fitting import (
     DEFAULT_LR,
     DEFAULT_MAX_ITERS,
     DEFAULT_SEED,
-    SWEEP_CSV_HEADER,
     default_fit_suite,
     deviation_sweep,
     fit_box,
-    fmt9,
     run_fit_suite,
-    write_csv,
-    write_sweep_csv,
-    write_trace_csv,
 )
 from .loss import DEFAULT_N, jiou_bar, jiou_gradient
 from .oracle import Detection, rotated_nms
@@ -69,6 +64,9 @@ from .polar import MIN_GRID_ANGLES
 
 DETECTIONS_CSV_HEADER = "cx,cy,r1,r2,phi,score,category"
 HEATMAP_CSV_HEADER = "class,cell_y,cell_x,value"
+SWEEP_CSV_HEADER = "aspect_ratio,angle_diff,n,jiou_bar,rect_iou,ellipse_mc,dev_rect,dev_ellipse"
+SUITE_CSV_HEADER = "case,converged,steps,final_exact_iou"
+TRACE_CSV_HEADER = "step,phi,r1,r2,loss,exact_iou"
 
 # The library has no default output stride or NMS threshold; these are the CLI's.
 DEFAULT_STRIDE = 4
@@ -77,6 +75,31 @@ DEFAULT_NMS_IOU = 0.1
 
 class SpecError(ValueError):
     """A command-line value that failed to parse."""
+
+
+def fmt9(x) -> str:
+    """Fixed 9-significant-digit decimal formatting for reports and CSVs."""
+    return f"{float(x):.9g}"
+
+
+def format_row(values) -> str:
+    """One CSV line: floats (numpy float64 included) through fmt9, any
+    other value (ints, numpy ints) through str."""
+    return ",".join([fmt9(v) if isinstance(v, float) else str(v) for v in values])
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one format_row line per row of values.
+
+    The only writer of CSV output: to the file at path (UTF-8, LF line
+    endings), or to stdout when path is None.  Rows may be a generator; the
+    header is written before the first row is drawn.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(format_row(row) + "\n")
 
 
 def parse_box_spec(spec: str, degrees: bool = False) -> OrientedBox:
@@ -108,6 +131,7 @@ def _checked(kind, ok, rule):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_exponent = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 
 # The library-facing flags, each declared once with its default and valid
 # range; every subcommand opts into the ones it reads.
@@ -117,9 +141,9 @@ FLAGS = {
     "seed": dict(type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)"),
     "stride": dict(type=_positive_int, default=DEFAULT_STRIDE,
                    help="output stride (default %(default)s)"),
-    "alpha": dict(type=float, default=DEFAULT_ALPHA,
+    "alpha": dict(type=_exponent, default=DEFAULT_ALPHA,
                   help="focal-loss negative-weight exponent (default %(default)s)"),
-    "gamma": dict(type=float, default=DEFAULT_GAMMA,
+    "gamma": dict(type=_exponent, default=DEFAULT_GAMMA,
                   help="focal-loss focusing exponent (default %(default)s)"),
     "nms-iou": dict(type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
                     default=DEFAULT_NMS_IOU,
@@ -145,7 +169,9 @@ def cmd_jiou(args) -> int:
 def cmd_sweep(args) -> int:
     write_csv(args.out, SWEEP_CSV_HEADER, ())  # fail fast before the sweep runs
     records = deviation_sweep(seed=args.seed)
-    write_sweep_csv(records, args.out)
+    write_csv(args.out, SWEEP_CSV_HEADER, (
+        (r.aspect_ratio, r.angle_diff, r.n, r.jiou_bar, r.rect_iou, r.ellipse_mc,
+         r.dev_rect, r.dev_ellipse) for r in records))
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -197,8 +223,8 @@ def cmd_fit(args) -> int:
         print(f"converged {converged}")
         print(f"mean_final_iou {fmt9(mean_iou)}")
         if args.out:
-            write_csv(args.out, "case,converged,steps,final_exact_iou", (
-                (str(i), str(int(t.converged)), str(len(t.steps) - 1), fmt9(t.final_exact_iou))
+            write_csv(args.out, SUITE_CSV_HEADER, (
+                (i, int(t.converged), len(t.steps) - 1, t.final_exact_iou)
                 for i, t in enumerate(traces)))
         return 0
     if not args.init or not args.target:
@@ -211,10 +237,9 @@ def cmd_fit(args) -> int:
     print(f"final_exact_iou {fmt9(trace.final_exact_iou)}")
     print(f"steps {len(trace.steps) - 1}")
     if args.out:
-        if args.degrees:
-            trace = replace(trace, steps=tuple(replace(s, phi=math.degrees(s.phi))
-                                               for s in trace.steps))
-        write_trace_csv(trace, args.out)
+        write_csv(args.out, TRACE_CSV_HEADER, (
+            (s.step, math.degrees(s.phi) if args.degrees else s.phi, s.r1, s.r2, s.loss,
+             s.exact_iou) for s in trace.steps))
     return 0
 
 
@@ -247,17 +272,11 @@ def parse_detections_csv(path, degrees: bool = False):
 def cmd_nms(args) -> int:
     detections = parse_detections_csv(args.detections, args.degrees)
     kept = rotated_nms(detections, args.nms_iou)
-    rows = [(fmt9(d.box.cx), fmt9(d.box.cy), fmt9(d.box.r1), fmt9(d.box.r2),
-             fmt9(math.degrees(d.box.phi) if args.degrees else d.box.phi),
-             fmt9(d.score), str(d.category))
-            for d in kept]
     print(f"kept {len(kept)} of {len(detections)}")
-    if args.out:
-        write_csv(args.out, DETECTIONS_CSV_HEADER, rows)
-    else:
-        print(DETECTIONS_CSV_HEADER)
-        for row in rows:
-            print(",".join(row))
+    write_csv(args.out, DETECTIONS_CSV_HEADER, (
+        (d.box.cx, d.box.cy, d.box.r1, d.box.r2,
+         math.degrees(d.box.phi) if args.degrees else d.box.phi, d.score, d.category)
+        for d in kept))
     return 0
 
 
@@ -305,7 +324,7 @@ def cmd_heatmap_demo(args) -> int:
         heat = enc.heatmap.values
         cells = zip(*np.nonzero(heat >= 1e-9))
         write_csv(args.out, HEATMAP_CSV_HEADER,
-                  ((str(c), str(y), str(x), fmt9(heat[c, y, x])) for c, y, x in cells))
+                  ((c, y, x, heat[c, y, x]) for c, y, x in cells))
     return 0
 
 
@@ -339,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="initial box cx,cy,r1,r2,phi")
     p.add_argument("--target", help="target box cx,cy,r1,r2,phi")
     p.add_argument("--loss", choices=("jiou", "smooth_l1"), default="jiou")
-    p.add_argument("--lr", type=_checked(float, lambda v: v > 0, "> 0"), default=DEFAULT_LR)
+    p.add_argument("--lr", type=_checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+                   default=DEFAULT_LR)
     p.add_argument("--iters", type=_positive_int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--suite", action="store_true",
                    help="run the seeded 50-case suite instead of one pair")

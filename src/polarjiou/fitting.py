@@ -199,39 +199,3 @@ def deviation_sweep(aspect_ratios=None, angle_diffs=None, n_values=None,
                 ))
     return records
 
-
-def fmt9(x) -> str:
-    """Fixed 9-significant-digit decimal formatting for reports and CSVs."""
-    return f"{float(x):.9g}"
-
-
-SWEEP_CSV_HEADER = "aspect_ratio,angle_diff,n,jiou_bar,rect_iou,ellipse_mc,dev_rect,dev_ellipse"
-TRACE_CSV_HEADER = "step,phi,r1,r2,loss,exact_iou"
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header line and one comma-joined line per row of string fields.
-
-    The only writer of output files: UTF-8 with LF line endings.  Rows may be
-    a generator; the header is written before the first row is drawn.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def write_sweep_csv(records, path) -> None:
-    """Write sweep records with the fixed header and 9-significant-digit reals."""
-    write_csv(path, SWEEP_CSV_HEADER, (
-        (fmt9(r.aspect_ratio), fmt9(r.angle_diff), str(r.n),
-         fmt9(r.jiou_bar), fmt9(r.rect_iou), fmt9(r.ellipse_mc),
-         fmt9(r.dev_rect), fmt9(r.dev_ellipse))
-        for r in records))
-
-
-def write_trace_csv(trace: FitTrace, path) -> None:
-    """Write a fit trace with the fixed header and 9-significant-digit reals."""
-    write_csv(path, TRACE_CSV_HEADER, (
-        (str(s.step), fmt9(s.phi), fmt9(s.r1), fmt9(s.r2), fmt9(s.loss), fmt9(s.exact_iou))
-        for s in trace.steps))

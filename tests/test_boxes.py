@@ -49,6 +49,12 @@ class TestOrientedBox:
         with pytest.raises(InvalidBoxError):
             OrientedBox(0, 0, 1, 1, math.inf)
 
+    def test_non_finite_message_prints_plain_numbers(self):
+        """numpy scalars print as 1e+308 and inf, not as np.float64 reprs."""
+        with pytest.raises(InvalidBoxError) as exc:
+            OrientedBox(0.0, np.float64(0.5), np.float64(1e308), np.float64(np.inf), 0.9)
+        assert str(exc.value) == "non-finite box parameters (0.0, 0.5, 1e+308, inf, 0.9)"
+
     def test_coerces_to_float(self):
         box = OrientedBox(1, 2, 3, 1, 0)
         assert isinstance(box.cx, float) and isinstance(box.phi, float)

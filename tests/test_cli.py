@@ -23,8 +23,12 @@ from polarjiou.cli import (
     DEFAULT_STRIDE,
     DETECTIONS_CSV_HEADER,
     HEATMAP_CSV_HEADER,
+    SWEEP_CSV_HEADER,
+    TRACE_CSV_HEADER,
     SpecError,
     build_parser,
+    fmt9,
+    format_row,
     main,
     parse_box_spec,
     parse_detections_csv,
@@ -35,10 +39,7 @@ from polarjiou.fitting import (
     DEFAULT_LR,
     DEFAULT_MAX_ITERS,
     DEFAULT_SEED,
-    SWEEP_CSV_HEADER,
-    TRACE_CSV_HEADER,
     fit_box,
-    fmt9,
 )
 from polarjiou.loss import DEFAULT_N
 
@@ -73,6 +74,21 @@ def lattice_boxes(rng, count, spacing_cells=3, stride=4, base_cell=2):
         r1 = r2 * rng.uniform(1.0, 2.5)
         boxes.append(canonicalize(OrientedBox(cx, cy, r1, r2, rng.uniform(-1.5, 1.5))))
     return boxes
+
+
+class TestOutputFormat:
+    def test_fmt9(self):
+        assert fmt9(1.0) == "1"
+        assert fmt9(0.0) == "0"
+        assert fmt9(1 / 3) == "0.333333333"
+        assert fmt9(math.log(4)) == "1.38629436"
+
+    def test_format_row(self):
+        """Ints print as integers, floats with 9 significant digits, numpy
+        scalars like their Python counterparts."""
+        row = (1234567890, np.int64(-3), 2.0, 1 / 3, np.float64(1 / 3), np.float64(1e308))
+        assert format_row(row) == "1234567890,-3,2,0.333333333,0.333333333,1e+308"
+        assert format_row(()) == ""
 
 
 class TestParseBoxSpec:
@@ -538,6 +554,23 @@ class TestArgumentErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["heatmap-demo", "--alpha", "nan"], "--alpha: must be finite and >= 0, got nan"),
+        (["heatmap-demo", "--alpha", "-1000"], "--alpha: must be finite and >= 0, got -1000"),
+        (["heatmap-demo", "--gamma", "-1000"], "--gamma: must be finite and >= 0, got -1000"),
+        (["heatmap-demo", "--gamma", "inf"], "--gamma: must be finite and >= 0, got inf"),
+        (["fit", "--suite", "--lr", "inf"], "--lr: must be finite and > 0, got inf"),
+    ])
+    def test_non_finite_or_negative_value_exits_two(self, argv, message, capsys):
+        """Focal-loss exponents and the learning rate are checked when parsed,
+        not left to fail (or print -0) inside the run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        assert err.endswith(f"error: argument {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["jiou", *PAIR],

@@ -11,15 +11,10 @@ from helpers import dyadic, reference_fit_box
 from polarjiou import OrientedBox, fit_box, jiou_bar, smooth_l1
 from polarjiou.errors import EmptyBatchError
 from polarjiou.fitting import (
-    SWEEP_CSV_HEADER,
-    TRACE_CSV_HEADER,
     default_angle_diffs,
     default_fit_suite,
     deviation_sweep,
-    fmt9,
     run_fit_suite,
-    write_sweep_csv,
-    write_trace_csv,
 )
 
 
@@ -236,34 +231,6 @@ class TestDeviationSweep:
 
 
 class TestCsvOutput:
-    def test_fmt9(self):
-        assert fmt9(1.0) == "1"
-        assert fmt9(0.0) == "0"
-        assert fmt9(1 / 3) == "0.333333333"
-        assert fmt9(math.log(4)) == "1.38629436"
-
-    def test_sweep_csv(self, tmp_path):
-        records = deviation_sweep(aspect_ratios=[2.0], angle_diffs=[0.0, 0.4],
-                                  n_values=[16], mc_samples=10_000, seed=0)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(records, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == SWEEP_CSV_HEADER
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "2" and first[2] == "16"
-
-    def test_trace_csv(self, tmp_path):
-        trace = fit_box(OrientedBox(0, 0, 6, 2, 0.8), OrientedBox(0, 0, 6, 2, 0.1), "jiou")
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == TRACE_CSV_HEADER
-        assert len(lines) == len(trace.steps) + 1
-        last = lines[-1].split(",")
-        assert int(last[0]) == trace.steps[-1].step
-        assert last[5] == fmt9(trace.steps[-1].exact_iou)
-
     def test_sweep_matches_loss_library(self):
         """Sweep cells recompute jiou_bar faithfully."""
         records = deviation_sweep(aspect_ratios=[2.5], angle_diffs=[0.6],

@@ -2,13 +2,16 @@
 
 The files under tests/golden/ were captured once from the CLI and are never
 edited: a change that alters any of them alters behaviour.  Each case names
-its argv, its exit code, and whether it writes an --out CSV.  When the
-installed polarjiou console script is on PATH, every case is also replayed
-through it in a subprocess.
+its argv, its exit code, and whether it writes an --out CSV.  Every case is
+also replayed in a subprocess: through the installed polarjiou console script
+when it is on PATH, else through `python -m polarjiou.cli` with this
+checkout's src directory on PYTHONPATH.
 """
 
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,9 +44,14 @@ CASES = {
 }
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 CONSOLE_SCRIPT = shutil.which("polarjiou")
-needs_console_script = pytest.mark.skipif(
-    CONSOLE_SCRIPT is None, reason="polarjiou console script not on PATH")
+if CONSOLE_SCRIPT:
+    COMMAND, ENV = [CONSOLE_SCRIPT], None
+else:
+    COMMAND = [sys.executable, "-m", "polarjiou.cli"]
+    ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def replay(name, tmp_path, run):
@@ -69,20 +77,18 @@ def test_replay(name, tmp_path):
     replay(name, tmp_path, in_process)
 
 
-@needs_console_script
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_console_script_replay(name, tmp_path):
     def console_script(argv):
-        proc = subprocess.run([CONSOLE_SCRIPT, *argv], capture_output=True)
+        proc = subprocess.run([*COMMAND, *argv], capture_output=True, env=ENV)
         return proc.returncode, proc.stdout
 
     replay(name, tmp_path, console_script)
 
 
-@needs_console_script
 def test_console_script_missing_input_exits_two(tmp_path):
-    proc = subprocess.run([CONSOLE_SCRIPT, "nms", "no-such-file.csv"],
-                          capture_output=True, cwd=tmp_path)
+    proc = subprocess.run([*COMMAND, "nms", "no-such-file.csv"],
+                          capture_output=True, cwd=tmp_path, env=ENV)
     assert proc.returncode == 2
 
 
