@@ -31,7 +31,6 @@ from .boxes import (
 from .codec import (
     EncodedTargets,
     HeatmapTarget,
-    LossReport,
     Peak,
     decode_detections,
     encode_decode_roundtrip,
@@ -83,7 +82,6 @@ __all__ = [
     "HeatmapTarget",
     "JiouGradient",
     "JiouValue",
-    "LossReport",
     "OrientedBox",
     "Peak",
     "SweepRecord",

@@ -311,15 +311,14 @@ def cmd_heatmap_demo(args) -> int:
     peaks = extract_peaks(enc.heatmap.values, k=len(objects))
     errors, _ = encode_decode_roundtrip(objects, args.classes, args.height,
                                         args.width, args.stride)
-    cla = focal_loss(enc.heatmap.values, enc.heatmap, args.alpha, args.gamma)
-    report = total_loss(cla, 0.0, 0.0)
+    cla = focal_loss(enc.heatmap.values, enc.heatmap.values, args.alpha, args.gamma)
     print(f"objects {len(objects)}")
     print(f"peaks {len(peaks)}")
     for p in peaks:
         print(f"peak class={p.category} cell=({p.cell_x},{p.cell_y}) score={fmt9(p.score)}")
-    print(f"max_field_error {fmt9(float(np.nanmax(errors)) if errors.size else 0.0)}")
-    print(f"focal_self {fmt9(report.classification)}")
-    print(f"total {fmt9(report.total)}")
+    print(f"max_field_error {fmt9(np.nanmax(errors))}")
+    print(f"focal_self {fmt9(cla)}")
+    print(f"total {fmt9(total_loss(cla, 0.0, 0.0))}")
     if args.out:
         heat = enc.heatmap.values
         cells = zip(*np.nonzero(heat >= 1e-9))

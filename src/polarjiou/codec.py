@@ -148,17 +148,21 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     return EncodedTargets(heatmap, offset_map, param_map)
 
 
-def focal_loss(pred, target: HeatmapTarget, alpha: float = DEFAULT_ALPHA,
+def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
                gamma: float = DEFAULT_GAMMA) -> float:
-    """Center-heatmap focal loss.
+    """Center-heatmap focal loss of a predicted (C, H, W) heatmap against
+    the target heatmap of the same shape, such as `HeatmapTarget.values`.
 
     Positive cells (target exactly 1) contribute (1 - pt)^gamma * log(pt);
     every other cell contributes (1 - y)^alpha * pt^gamma * log(1 - pt),
     down-weighted near peaks by the soft target y.  The sum is negated and
-    divided by the positive count, floored at one.
+    divided by the positive count, floored at one; a loss whose terms all
+    underflow is +0.0.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    y = target.values
+    y = np.asarray(target, dtype=np.float64)
+    if y.ndim != 3:
+        raise ShapeError(f"target must be a (C, H, W) heatmap, got shape {y.shape}")
     if pred.shape != y.shape:
         raise ShapeError(f"pred shape {pred.shape} vs target shape {y.shape}")
     pt = np.clip(pred, PT_CLAMP, 1.0 - PT_CLAMP)
@@ -167,7 +171,7 @@ def focal_loss(pred, target: HeatmapTarget, alpha: float = DEFAULT_ALPHA,
     pos_term = np.sum((1.0 - pt[pos]) ** gamma * np.log(pt[pos]))
     neg = ~pos
     neg_term = np.sum((1.0 - y[neg]) ** alpha * pt[neg] ** gamma * np.log1p(-pt[neg]))
-    return float(-(pos_term + neg_term) / n_pos)
+    return float(-(pos_term + neg_term) / n_pos) + 0.0
 
 
 def smooth_l1(pred_tuple, target_tuple) -> float:
@@ -185,24 +189,15 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
     return float(np.mean(per_row))
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """Weighted combination of the three loss terms, components kept separate."""
+def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> float:
+    """The training loss cla + mu * jiou + reg, as a float that is never -0.0.
 
-    classification: float
-    jiou: float
-    regression: float
-    mu: float
-    total: float
-
-
-def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> LossReport:
-    """total = cla + mu * jiou + reg."""
+    Raises InvalidLossError when any input is not finite.
+    """
     parts = (cla, jiou, reg, mu)
     if not all(math.isfinite(v) for v in parts):
         raise InvalidLossError(f"non-finite loss components {parts}")
-    return LossReport(float(cla), float(jiou), float(reg), float(mu),
-                      float(cla + mu * jiou + reg))
+    return float(cla + mu * jiou + reg) + 0.0
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,10 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
         if loss_kind == "jiou":
             value = jiou_bar(box, target, n)
             g = jiou_gradient(box, target, n)
-            return value.loss, np.array([g.d_phi, g.d_r1, g.d_r2])
+            return value.loss, (g.d_phi, g.d_r1, g.d_r2)
         loss = smooth_l1(_pinned_tuple(box), _pinned_tuple(target))
-        diff = np.array([box.phi - target.phi, box.r1 - target.r1, box.r2 - target.r2])
-        return loss, np.clip(diff, -1.0, 1.0)
+        diff = (box.phi - target.phi, box.r1 - target.r1, box.r2 - target.r2)
+        return loss, tuple(min(max(d, -1.0), 1.0) for d in diff)
 
     state = canonicalize(OrientedBox(target.cx, target.cy, init.r1, init.r2, init.phi))
     loss, grad = evaluate(state)
@@ -96,13 +96,13 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
         steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
         if iou >= CONVERGED_IOU or it == max_iters:
             break
-        params = np.array([state.phi, state.r1, state.r2])
         for halvings in range(MAX_HALVINGS + 1):
-            cand = params - math.ldexp(lr, -halvings) * grad
+            # Plain floats overflow to inf without a warning; OrientedBox rejects inf.
+            step = math.ldexp(lr, -halvings)
+            phi, r1, r2 = (v - step * g for v, g in zip((state.phi, state.r1, state.r2), grad))
             cand_box = canonicalize(OrientedBox(
                 target.cx, target.cy,
-                max(cand[1], MIN_HALF_EXTENT), max(cand[2], MIN_HALF_EXTENT),
-                cand[0],
+                max(r1, MIN_HALF_EXTENT), max(r2, MIN_HALF_EXTENT), phi,
             ))
             cand_loss, cand_grad = evaluate(cand_box)
             if cand_loss <= loss:
@@ -110,7 +110,7 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
         else:
             break  # no learning rate in the halving budget descends from here
         state, loss, grad = cand_box, cand_loss, cand_grad
-        if cand[1] < MIN_HALF_EXTENT or cand[2] < MIN_HALF_EXTENT:
+        if r1 < MIN_HALF_EXTENT or r2 < MIN_HALF_EXTENT:
             projected.append(it + 1)
 
     return FitTrace(tuple(steps), iou, iou >= CONVERGED_IOU, tuple(projected), loss_kind)

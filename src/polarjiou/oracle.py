@@ -75,8 +75,11 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     MIN_OVERLAP_FRACTION times the summed box areas plus CLIP_ROUNDING *
     extent * reach reads as empty: reach is the summed circumradii, extent
     the largest center coordinate plus reach, and the term covers the
-    eps * extent rounding that the centers themselves carry.  The ratio is
-    clamped at 1.  Raises InvalidBoxError when a corner overflows, pruned
+    eps * extent rounding that the centers themselves carry.  That floor
+    grows with the square of the long side, so a thin enough box reads 0.0
+    against itself: OrientedBox(0, 0, 1, 1/ar, 0.3) reads 0.998 at ar = 1e14
+    and 0.0 from ar = 5e14, and OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.
+    The ratio is clamped at 1.  Raises InvalidBoxError when a corner overflows, pruned
     or not, or when a pair it clips has a half-extent outside [MIN_EXTENT, MAX_EXTENT].
     """
     dx, dy = b.cx - a.cx, b.cy - a.cy

@@ -28,7 +28,7 @@ from polarjiou import (
     mc_rect_iou,
 )
 from polarjiou.attention import group_softmax
-from polarjiou.codec import HeatmapTarget, encode_decode_roundtrip, focal_loss, total_loss
+from polarjiou.codec import encode_decode_roundtrip, focal_loss, total_loss
 from polarjiou.fitting import default_fit_suite, run_fit_suite
 from polarjiou.loss import jiou_gradient
 
@@ -189,12 +189,11 @@ def test_criterion_8_loss_formula_spot_values(capsys):
     always sum to 1."""
     values = np.zeros((1, 5, 5))
     values[0, 2, 2] = 1.0
-    target = HeatmapTarget(values, ((0, 2, 2),))
     pred = np.zeros((1, 5, 5))
     pred[0, 2, 2] = 0.5
-    focal = focal_loss(pred, target)
+    focal = focal_loss(pred, values)
     focal_ok = abs(focal - 0.25 * math.log(2)) <= 1e-9
-    total = total_loss(0.2, 0.1, 0.3, 5).total
+    total = total_loss(0.2, 0.1, 0.3, 5)
     total_ok = total == 1.0
     rng = np.random.default_rng(88)
     worst_sum = 0.0

@@ -381,6 +381,17 @@ class TestFitCommand:
         code, _, err = run_cli(["fit", "--init", "0,0,3,1,0"])
         assert code == 2 and "error:" in err
 
+    def test_overflowing_step_exits_two_without_warning(self):
+        """A learning rate that overflows the first step reports the
+        rejected box and nothing else."""
+        code, out, err = run_cli(["fit", "--init", "0,0,1,0.5,0.9",
+                                  "--target", "0,0,60,2,0.1", "--lr", "1e308"])
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: non-finite box parameters (0.0, 0.0, 1e+308, inf, 7.894919286223336e+291)",
+            "usage: polarjiou [-h] {jiou,sweep,roundtrip,fit,nms,heatmap-demo} ...",
+        ]
+
 
 class TestNmsCommand:
     def detections_file(self, path):
@@ -490,6 +501,13 @@ class TestHeatmapDemo:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == HEATMAP_CSV_HEADER
         assert len(lines) > 4
+
+    def test_underflowing_focal_loss_prints_zero(self):
+        """At gamma 5000 every focal term underflows; the report reads 0,
+        not -0."""
+        code, out, _ = run_cli(["heatmap-demo", "--gamma", "5000"])
+        assert code == 0
+        assert out.splitlines()[-2:] == ["focal_self 0", "total 0"]
 
     def test_too_many_objects_exit_two(self):
         """A 1x1 grid has no lattice slot on either axis, not (-1)*(-1) = 1."""

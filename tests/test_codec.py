@@ -304,7 +304,7 @@ class TestHeatmapTargetStorage:
 
 class TestFocalLoss:
     def single_cell_target(self):
-        return HeatmapTarget(values=np.ones((1, 1, 1)), positives=((0, 0, 0),))
+        return np.ones((1, 1, 1))
 
     def test_perfect_prediction_near_zero(self):
         """Predicting 1 at positives and 0 elsewhere (clamped inward) leaves
@@ -313,7 +313,7 @@ class TestFocalLoss:
         objs = lattice_objects(rng, 4, 2, 32, 32, 4)
         target = render_heatmap(objs, 2, 32, 32, 4)
         pred = np.where(target.values == 1.0, 1.0, 0.0)
-        assert 0.0 <= focal_loss(pred, target) <= 1e-5
+        assert 0.0 <= focal_loss(pred, target.values) <= 1e-5
 
     def test_half_confidence_positive(self):
         """One positive cell predicted at 0.5 costs (1-0.5)^2 * ln 2."""
@@ -324,7 +324,6 @@ class TestFocalLoss:
         """A 2x2 map with one positive matches the formula transcribed
         literally cell by cell."""
         y = np.array([[[1.0, 0.6], [0.2, 0.0]]])
-        target = HeatmapTarget(values=y, positives=((0, 0, 0),))
         pred = np.array([[[0.7, 0.4], [0.3, 0.1]]])
         alpha, gamma = 4.0, 2.0
         acc = 0.0
@@ -336,7 +335,7 @@ class TestFocalLoss:
                 else:
                     acc += (1 - y[0, cy, cx]) ** alpha * pt ** gamma * math.log(1 - pt)
         expected = -acc / 1
-        assert focal_loss(pred, target, alpha, gamma) == pytest.approx(expected, abs=1e-12)
+        assert focal_loss(pred, y, alpha, gamma) == pytest.approx(expected, abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30)
@@ -344,9 +343,8 @@ class TestFocalLoss:
         rng = np.random.default_rng(seed)
         y = rng.uniform(0, 1, size=(1, 3, 3))
         y[0, 1, 1] = 1.0
-        target = HeatmapTarget(values=y, positives=((0, 1, 1),))
         pred = rng.uniform(0, 1, size=(1, 3, 3))
-        assert focal_loss(pred, target) >= 0.0
+        assert focal_loss(pred, y) >= 0.0
 
     def test_monotone_in_positive_confidence(self):
         target = self.single_cell_target()
@@ -355,13 +353,24 @@ class TestFocalLoss:
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_no_positives_floors_count(self):
-        target = HeatmapTarget(values=np.zeros((1, 2, 2)), positives=())
-        loss = focal_loss(np.full((1, 2, 2), 0.4), target)
+        loss = focal_loss(np.full((1, 2, 2), 0.4), np.zeros((1, 2, 2)))
         assert math.isfinite(loss) and loss > 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             focal_loss(np.zeros((1, 2, 3)), self.single_cell_target())
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 1, 2, 2)])
+    def test_target_not_three_dimensional(self, shape):
+        """A target of matching shape but not (C, H, W) is rejected too."""
+        with pytest.raises(ShapeError):
+            focal_loss(np.zeros(shape), np.zeros(shape))
+
+    def test_all_terms_underflow_to_positive_zero(self):
+        """At gamma 5000 every term underflows to a signed zero, and the
+        loss is +0.0, not its negation."""
+        loss = focal_loss(np.full((1, 1, 1), 0.5), self.single_cell_target(), gamma=5000.0)
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
 
 class TestSmoothL1:
@@ -395,23 +404,24 @@ class TestSmoothL1:
 
 class TestTotalLoss:
     def test_all_zero(self):
-        assert total_loss(0, 0, 0, 5).total == 0.0
+        assert total_loss(0, 0, 0, 5) == 0.0
 
     def test_weighted_sum(self):
-        report = total_loss(0.2, 0.1, 0.3, 5)
-        assert report.total == 1.0
-        assert (report.classification, report.jiou, report.regression) == (0.2, 0.1, 0.3)
+        assert total_loss(0.2, 0.1, 0.3, 5) == 1.0
 
     def test_default_weight(self):
         assert DEFAULT_MU == 5.0
-        assert total_loss(0.0, 1.0, 0.0).total == 5.0
+        assert total_loss(0.0, 1.0, 0.0) == 5.0
 
     @given(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False))
     def test_linear_in_each_component(self, u, v):
-        base = total_loss(u, v, u, 2.0).total
-        assert total_loss(u + 1, v, u, 2.0).total == pytest.approx(base + 1, abs=1e-9)
-        assert total_loss(u, v + 1, u, 2.0).total == pytest.approx(base + 2, abs=1e-9)
-        assert total_loss(u, v, u + 1, 2.0).total == pytest.approx(base + 1, abs=1e-9)
+        base = total_loss(u, v, u, 2.0)
+        assert total_loss(u + 1, v, u, 2.0) == pytest.approx(base + 1, abs=1e-9)
+        assert total_loss(u, v + 1, u, 2.0) == pytest.approx(base + 2, abs=1e-9)
+        assert total_loss(u, v, u + 1, 2.0) == pytest.approx(base + 1, abs=1e-9)
+
+    def test_negative_zero_components_sum_to_positive_zero(self):
+        assert math.copysign(1.0, total_loss(-0.0, -0.0, -0.0)) == 1.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidLossError):

@@ -9,7 +9,7 @@ import helpers
 import polarjiou.fitting
 from helpers import dyadic, reference_fit_box
 from polarjiou import OrientedBox, fit_box, jiou_bar, smooth_l1
-from polarjiou.errors import EmptyBatchError
+from polarjiou.errors import EmptyBatchError, InvalidBoxError
 from polarjiou.fitting import (
     default_angle_diffs,
     default_fit_suite,
@@ -107,6 +107,13 @@ class TestFitBox:
             fit_box(box, box, "jiou", lr=0.0)
         with pytest.raises(ValueError):
             fit_box(box, box, "jiou", max_iters=0)
+
+    def test_overflowing_step_rejected_as_invalid_box(self):
+        """A step that overflows to inf is rejected by OrientedBox, with no
+        floating-point warning on the way."""
+        with pytest.raises(InvalidBoxError, match="non-finite box parameters"):
+            fit_box(OrientedBox(0, 0, 1, 0.5, 0.9), OrientedBox(0, 0, 60, 2, 0.1),
+                    "jiou", lr=1e308)
 
 
 class TestFitLoopMatchesReference:
