@@ -8,8 +8,6 @@ weighting for multi-scale features, and desk-scale fitting/sweep harnesses.
 """
 
 from .attention import (
-    FeatureStack,
-    GroupWeights,
     apply_weights,
     global_pool_embed,
     group_softmax,
@@ -30,7 +28,6 @@ from .boxes import (
 )
 from .codec import (
     EncodedTargets,
-    HeatmapTarget,
     Peak,
     decode_detections,
     encode_decode_roundtrip,
@@ -75,11 +72,8 @@ __all__ = [
     "DEFAULT_N",
     "Detection",
     "EncodedTargets",
-    "FeatureStack",
     "FitStep",
     "FitTrace",
-    "GroupWeights",
-    "HeatmapTarget",
     "JiouGradient",
     "JiouValue",
     "OrientedBox",

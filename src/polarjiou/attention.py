@@ -1,107 +1,57 @@
-"""Grouped channel weighting for multi-scale feature stacks.
+"""Grouped channel weighting for a multi-scale feature map.
 
-Reference array math only: pool the stacked features globally, map the pooled
-vector to per-group logits, softmax within each group, and rescale each
-group's channels by its weights.
+Reference array math only.  The features are one (c, H, W) map whose
+channels are m scale groups of c/m channels each, concatenated in order.
+Pool the map globally, embed and rectify the pooled vector, map it to
+per-group logits, softmax within each group, and rescale each channel by
+its weight.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GroupingError, ShapeError
 
 
-@dataclass(frozen=True)
-class FeatureStack:
-    """m scale groups of (c/m, H, W) features sharing one spatial grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ShapeError(f"feature stack must be (m, c/m, H, W), got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ShapeError("non-finite feature values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_concat(cls, concat, m: int) -> "FeatureStack":
-        """Split a concatenated (c, H, W) feature map into m equal groups."""
-        arr = np.asarray(concat, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"expected (c, H, W) features, got shape {arr.shape}")
-        if m < 1:
-            raise GroupingError(f"need at least one group, got m={m}")
-        c = arr.shape[0]
-        if c % m != 0:
-            raise GroupingError(f"{c} channels do not divide into {m} groups")
-        return cls(arr.reshape(m, c // m, arr.shape[1], arr.shape[2]))
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def group_channels(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.m * self.group_channels
-
-    def concat(self) -> np.ndarray:
-        """The stack as one (c, H, W) map, groups in order."""
-        m, g, h, w = self.values.shape
-        return self.values.reshape(m * g, h, w)
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError(f"non-finite {what} values")
+    return arr
 
 
-def global_pool_embed(stack: FeatureStack, embed, activation: str = "relu") -> np.ndarray:
-    """Spatial-mean pool the concatenated stack, then embed and rectify.
+def _features(features) -> np.ndarray:
+    arr = np.asarray(features, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeError(f"expected (c, H, W) features, got shape {arr.shape}")
+    return _finite(arr, "feature")
 
-    embed must be a (c, c) matrix; activation is "relu" or "identity".
-    Returns the length-c descriptor vector.
+
+def global_pool_embed(features, embed) -> np.ndarray:
+    """Spatial-mean pool the (c, H, W) features, then embed and rectify.
+
+    embed must be a finite (c, c) matrix.  Returns the length-c descriptor
+    relu(embed @ pooled).
     """
-    pooled = stack.concat().mean(axis=(1, 2))
+    pooled = _features(features).mean(axis=(1, 2))
     embed = np.asarray(embed, dtype=np.float64)
-    c = stack.channels
+    c = pooled.shape[0]
     if embed.shape != (c, c):
         raise ShapeError(f"embed matrix must be ({c}, {c}), got shape {embed.shape}")
-    w = embed @ pooled
-    if activation == "relu":
-        return np.maximum(w, 0.0)
-    if activation == "identity":
-        return w
-    raise ValueError(f"unknown activation {activation!r}")
+    return np.maximum(_finite(embed, "embed") @ pooled, 0.0)
 
 
-@dataclass(frozen=True)
-class GroupWeights:
-    """Per-group channel weights; each of the m rows sums to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.weights, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"weights must be (m, c/m), got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
-
-
-def group_softmax(w, per_group_maps) -> GroupWeights:
+def group_softmax(w, per_group_maps) -> np.ndarray:
     """Map the descriptor to one softmax distribution per group.
 
-    Each of the m maps is a (c/m, c) matrix producing that group's logits
-    from the length-c descriptor; the softmax is taken within the group.
+    Each of the m maps is a finite (c/m, c) matrix producing that group's
+    logits from the finite length-c descriptor; the softmax is taken within
+    the group.  Returns the (m, c/m) weights, each row summing to 1.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ShapeError(f"descriptor must be a vector, got shape {w.shape}")
+    _finite(w, "descriptor")
     maps = [np.asarray(mp, dtype=np.float64) for mp in per_group_maps]
     m = len(maps)
     if m < 1:
@@ -114,20 +64,22 @@ def group_softmax(w, per_group_maps) -> GroupWeights:
     for mp in maps:
         if mp.shape != (g, c):
             raise ShapeError(f"group map must be ({g}, {c}), got shape {mp.shape}")
-        logits = mp @ w
+        logits = _finite(mp, "group map") @ w
         logits = logits - logits.max()  # overflow-safe softmax
         e = np.exp(logits)
         rows.append(e / e.sum())
-    return GroupWeights(np.stack(rows))
+    return np.stack(rows)
 
 
-def apply_weights(stack: FeatureStack, weights: GroupWeights) -> np.ndarray:
-    """Scale channel j of group i by weights[i, j]; returns the (c, H, W) concat."""
-    wv = weights.weights
-    if wv.shape != (stack.m, stack.group_channels):
-        raise ShapeError(
-            f"weights shape {wv.shape} does not match stack ({stack.m}, {stack.group_channels})"
-        )
-    scaled = stack.values * wv[:, :, None, None]
-    m, g, h, w = scaled.shape
-    return scaled.reshape(m * g, h, w)
+def apply_weights(features, weights) -> np.ndarray:
+    """Scale channel i * (c/m) + j of the (c, H, W) features by weights[i, j].
+
+    weights is the (m, c/m) output of group_softmax; any 2-D array of c
+    entries is read in row-major order.
+    """
+    features = _features(features)
+    weights = np.asarray(weights, dtype=np.float64)
+    c = features.shape[0]
+    if weights.ndim != 2 or weights.size != c:
+        raise ShapeError(f"weights must be 2-D with {c} entries, got shape {weights.shape}")
+    return features * weights.reshape(c)[:, None, None]

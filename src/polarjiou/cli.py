@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -179,17 +180,25 @@ def cmd_sweep(args) -> int:
 def cmd_roundtrip(args) -> int:
     records = []
     parse_errors = 0
-    for lineno, line in iter_dota_object_lines(args.annotations):
-        try:
-            quad, cat, _ = parse_dota_record(line, lineno)
-            box = corners_to_box(quad)
-            cell = encode_offset(box.cx, box.cy, args.stride)
-            records.append((box, quad, cat, cell))
-        except (AnnotationError, DegenerateQuadError, InvalidBoxError, OutOfImageError) as exc:
-            parse_errors += 1
-            if not isinstance(exc, AnnotationError):
-                exc = AnnotationError(str(exc), lineno)
-            print(str(exc), file=sys.stderr)
+    # Python shows a warning once per code location; recording them reports
+    # every skewed record, each with its own line number.
+    with warnings.catch_warnings(record=True) as skews:
+        warnings.simplefilter("always", UserWarning)
+        for lineno, line in iter_dota_object_lines(args.annotations):
+            skews.clear()
+            try:
+                quad, cat, _ = parse_dota_record(line, lineno)
+                box = corners_to_box(quad)
+                for skew in skews:
+                    print(f"line {lineno}: {skew.message}", file=sys.stderr)
+                cell = encode_offset(box.cx, box.cy, args.stride)
+                records.append((box, quad, cat, cell))
+            except (AnnotationError, DegenerateQuadError, InvalidBoxError,
+                    OutOfImageError) as exc:
+                parse_errors += 1
+                if not isinstance(exc, AnnotationError):
+                    exc = AnnotationError(str(exc), lineno)
+                print(str(exc), file=sys.stderr)
     print(f"records {len(records) + parse_errors}")
     print(f"parse_errors {parse_errors}")
     if records:
@@ -308,10 +317,10 @@ def cmd_heatmap_demo(args) -> int:
     objects = _demo_scene(args.seed, args.stride, args.num_objects, args.classes,
                           args.height, args.width)
     enc = encode_targets(objects, args.classes, args.height, args.width, args.stride)
-    peaks = extract_peaks(enc.heatmap.values, k=len(objects))
+    peaks = extract_peaks(enc.heatmap, k=len(objects))
     errors, _ = encode_decode_roundtrip(objects, args.classes, args.height,
                                         args.width, args.stride)
-    cla = focal_loss(enc.heatmap.values, enc.heatmap.values, args.alpha, args.gamma)
+    cla = focal_loss(enc.heatmap, enc.heatmap, args.alpha, args.gamma)
     print(f"objects {len(objects)}")
     print(f"peaks {len(peaks)}")
     for p in peaks:
@@ -320,7 +329,7 @@ def cmd_heatmap_demo(args) -> int:
     print(f"focal_self {fmt9(cla)}")
     print(f"total {fmt9(total_loss(cla, 0.0, 0.0))}")
     if args.out:
-        heat = enc.heatmap.values
+        heat = enc.heatmap
         cells = zip(*np.nonzero(heat >= 1e-9))
         write_csv(args.out, HEATMAP_CSV_HEADER,
                   ((c, y, x, heat[c, y, x]) for c, y, x in cells))

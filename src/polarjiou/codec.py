@@ -1,6 +1,7 @@
 """Training-target construction for anchor-free detection (center heatmaps,
-sub-cell offsets, box parameters), the loss terms defined on those targets,
-and the inverse decode from heatmap peaks back to detections."""
+sub-cell offsets, box parameters, each a read-only float64 array), the loss
+terms defined on those targets, and the inverse decode from heatmap peaks
+back to detections."""
 
 from __future__ import annotations
 
@@ -28,32 +29,6 @@ PT_CLAMP = 1e-7
 EXP_UNDERFLOW_ARG = 750.0
 
 
-@dataclass(frozen=True)
-class HeatmapTarget:
-    """Per-class center heatmap at output stride.
-
-    values[c, y, x] in [0, 1] is the pointwise max over per-object Gaussians;
-    every positive (an object's center cell, listed in input order in
-    `positives` as (class, cell_x, cell_y)) holds exactly 1.  `values` is
-    stored read-only: a read-only float64 array that owns its data is kept
-    as given, and anything else is copied, so no writeable alias remains.
-    """
-
-    values: np.ndarray
-    positives: tuple
-
-    def __post_init__(self):
-        arr = self.values
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.base is None and not arr.flags.writeable):
-            arr = np.array(arr, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"heatmap must be (C, H, W), got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "positives", tuple(self.positives))
-
-
 def target_grid(shape) -> np.ndarray:
     """A zero float64 grid; GridAllocationError when it cannot be allocated."""
     # Past intp's byte range numpy raises ValueError, not MemoryError.
@@ -71,12 +46,14 @@ def gaussian_sigma(box: OrientedBox, stride: int) -> float:
     return max(1.0, min(2.0 * box.r1, 2.0 * box.r2) / (6.0 * stride))
 
 
-def render_heatmap(objects, num_classes: int, height: int, width: int, stride: int) -> HeatmapTarget:
+def render_heatmap(objects, num_classes: int, height: int, width: int, stride: int) -> np.ndarray:
     """Render per-class center heatmaps for (box, class) pairs.
 
-    Each object stamps a Gaussian centered on its output-grid cell with the
-    object-adaptive sigma; overlaps combine by pointwise max, so the result
-    does not depend on object order, and center cells are set to exactly 1.
+    Returns the read-only (C, H, W) grid the function allocated, with no
+    copy; every value lies in [0, 1].  Each object stamps a Gaussian centered
+    on its output-grid cell with the object-adaptive sigma; overlaps combine
+    by pointwise max, so the result does not depend on object order, and
+    center cells are set to exactly 1.
     Only the window where the Gaussian does not underflow to 0.0 is written.
     Objects are visited grouped by sigma: each group computes one stamp over
     the integer offsets its clipped windows span and writes a slice of it
@@ -117,22 +94,26 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
         del stamp
     for cls, cx, cy in positives:
         values[cls, cy, cx] = 1.0
-    values.setflags(write=False)  # so HeatmapTarget keeps it without a copy
-    return HeatmapTarget(values=values, positives=tuple(positives))
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
 class EncodedTargets:
     """Everything the decoder needs: heatmap plus dense offset/parameter maps.
 
-    offset_map is (2, H, W) holding (dx, dy) and param_map is (3, H, W)
-    holding (phi, r1, r2), both written only at the cells listed in
-    `heatmap.positives`; these two maps are the regression targets.
+    heatmap is the (C, H, W) grid from render_heatmap.  positives lists each
+    object's center cell as (class, cell_x, cell_y), in input order; the
+    heatmap holds exactly 1 there.  offset_map is (2, H, W) holding (dx, dy)
+    and param_map is (3, H, W) holding (phi, r1, r2), both written only at
+    the positive cells; these two maps are the regression targets.  All
+    three arrays are read-only.
     """
 
-    heatmap: HeatmapTarget
+    heatmap: np.ndarray
     offset_map: np.ndarray
     param_map: np.ndarray
+    positives: tuple
 
 
 def encode_targets(objects, num_classes: int, height: int, width: int, stride: int) -> EncodedTargets:
@@ -141,17 +122,21 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     heatmap = render_heatmap(objects, num_classes, height, width, stride)
     offset_map = target_grid((2, height, width))
     param_map = target_grid((3, height, width))
-    for box, _ in objects:
+    positives = []
+    for box, cls in objects:
         off = encode_offset(box.cx, box.cy, stride)
         offset_map[:, off.cell_y, off.cell_x] = (off.dx, off.dy)
         param_map[:, off.cell_y, off.cell_x] = (box.phi, box.r1, box.r2)
-    return EncodedTargets(heatmap, offset_map, param_map)
+        positives.append((int(cls), off.cell_x, off.cell_y))
+    offset_map.setflags(write=False)
+    param_map.setflags(write=False)
+    return EncodedTargets(heatmap, offset_map, param_map, tuple(positives))
 
 
 def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
                gamma: float = DEFAULT_GAMMA) -> float:
     """Center-heatmap focal loss of a predicted (C, H, W) heatmap against
-    the target heatmap of the same shape, such as `HeatmapTarget.values`.
+    the target heatmap of the same shape, such as `EncodedTargets.heatmap`.
 
     Positive cells (target exactly 1) contribute (1 - pt)^gamma * log(pt);
     every other cell contributes (1 - y)^alpha * pt^gamma * log(1 - pt),
@@ -291,13 +276,13 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     """
     objects = [(canonicalize(box), cls) for box, cls in objects]
     enc = encode_targets(objects, num_classes, height, width, stride)
-    peaks = extract_peaks(enc.heatmap.values, k=max(len(objects), 1),
+    peaks = extract_peaks(enc.heatmap, k=max(len(objects), 1),
                           threshold=DEFAULT_PEAK_THRESHOLD)
     detections = decode_detections(peaks, enc.offset_map, enc.param_map, stride)
     by_cell = {}
     for det, peak in zip(detections, peaks):
         by_cell[(peak.category, peak.cell_x, peak.cell_y)] = det
-    matches = [by_cell.get(cell) for cell in enc.heatmap.positives]
+    matches = [by_cell.get(cell) for cell in enc.positives]
     errors = np.full((len(objects), 5), np.nan)
     for i, ((box, _), det) in enumerate(zip(objects, matches)):
         if det is None:

@@ -72,8 +72,8 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     target = canonicalize(target)

@@ -203,7 +203,7 @@ def test_criterion_8_loss_formula_spot_values(capsys):
         c = m * per
         w = rng.normal(0.0, 3.0, size=c)
         maps = rng.normal(0.0, 2.0, size=(m, per, c))
-        weights = group_softmax(w, maps).weights
+        weights = group_softmax(w, maps)
         worst_sum = max(worst_sum, float(np.abs(weights.sum(axis=1) - 1.0).max()))
     softmax_ok = worst_sum <= 1e-9
     ok = focal_ok and total_ok and softmax_ok

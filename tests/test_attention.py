@@ -5,97 +5,115 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarjiou import FeatureStack, GroupWeights, apply_weights, global_pool_embed, group_softmax
+from polarjiou import apply_weights, global_pool_embed, group_softmax
 from polarjiou.errors import GroupingError, ShapeError
 
 
 def stack_from(rng, m=2, g=3, h=4, w=4):
-    return FeatureStack(rng.normal(size=(m, g, h, w)))
+    """A (c, H, W) feature map of m groups of g channels."""
+    return rng.normal(size=(m * g, h, w))
 
 
 class TestFeatureStack:
+    """The multi-scale stack is one (c, H, W) map, groups in channel order."""
+
     def test_concat_roundtrip(self):
+        """Weights of 1 in every group return the map unchanged."""
         rng = np.random.default_rng(0)
         concat = rng.normal(size=(8, 3, 5))
-        stack = FeatureStack.from_concat(concat, 4)
-        assert stack.m == 4 and stack.group_channels == 2 and stack.channels == 8
-        assert np.array_equal(stack.concat(), concat)
+        assert np.array_equal(apply_weights(concat, np.ones((4, 2))), concat)
 
     def test_indivisible_channels_rejected(self):
+        descriptor = global_pool_embed(np.zeros((7, 2, 2)), np.eye(7))
         with pytest.raises(GroupingError):
-            FeatureStack.from_concat(np.zeros((7, 2, 2)), 4)
+            group_softmax(descriptor, [np.zeros((2, 7))] * 4)
 
     def test_non_finite_rejected(self):
+        features = np.full((2, 2, 2), np.nan)
         with pytest.raises(ShapeError):
-            FeatureStack(np.full((1, 1, 2, 2), np.nan))
+            global_pool_embed(features, np.eye(2))
+        with pytest.raises(ShapeError):
+            apply_weights(features, np.ones((1, 2)))
 
 
 class TestGlobalPoolEmbed:
+    """Non-negative features with an identity embed read the pooled mean
+    through the ReLU unchanged."""
+
     def test_constant_features_identity_embed(self):
-        """Constant value v, identity embed, identity activation: all v."""
-        stack = FeatureStack(np.full((2, 2, 3, 3), 1.75))
-        out = global_pool_embed(stack, np.eye(4), activation="identity")
+        """Constant value v >= 0 and identity embed: all v."""
+        out = global_pool_embed(np.full((4, 3, 3), 1.75), np.eye(4))
         assert np.allclose(out, 1.75, atol=1e-15)
 
     def test_single_pixel_pooling_is_identity(self):
         rng = np.random.default_rng(1)
-        vals = rng.normal(size=(2, 3, 1, 1))
-        stack = FeatureStack(vals)
-        out = global_pool_embed(stack, np.eye(6), activation="identity")
+        vals = np.abs(rng.normal(size=(6, 1, 1)))
+        out = global_pool_embed(vals, np.eye(6))
         assert np.array_equal(out, vals.reshape(6))
 
     def test_brute_force_mean_oracle(self):
         """Pooled channels equal direct per-channel summation."""
         rng = np.random.default_rng(2)
-        vals = rng.normal(size=(1, 2, 2, 2))
-        stack = FeatureStack(vals)
-        out = global_pool_embed(stack, np.eye(2), activation="identity")
+        vals = np.abs(rng.normal(size=(2, 2, 2)))
+        out = global_pool_embed(vals, np.eye(2))
         for ch in range(2):
-            acc = sum(vals[0, ch, y, x] for y in range(2) for x in range(2))
+            acc = sum(vals[ch, y, x] for y in range(2) for x in range(2))
             assert out[ch] == pytest.approx(acc / 4, abs=1e-15)
 
     def test_relu_rectifies(self):
-        stack = FeatureStack(np.full((1, 2, 2, 2), -3.0))
-        out = global_pool_embed(stack, np.eye(2), activation="relu")
+        out = global_pool_embed(np.full((2, 2, 2), -3.0), np.eye(2))
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_embed_applied(self):
-        stack = FeatureStack(np.ones((1, 2, 1, 1)))
         embed = np.array([[2.0, 0.0], [1.0, 1.0]])
-        out = global_pool_embed(stack, embed, activation="identity")
+        out = global_pool_embed(np.ones((2, 1, 1)), embed)
         assert np.allclose(out, [2.0, 2.0])
 
     def test_bad_embed_shape(self):
-        stack = FeatureStack(np.ones((1, 2, 2, 2)))
         with pytest.raises(ShapeError):
-            global_pool_embed(stack, np.eye(3))
+            global_pool_embed(np.ones((2, 2, 2)), np.eye(3))
 
     def test_unknown_activation(self):
-        stack = FeatureStack(np.ones((1, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            global_pool_embed(stack, np.eye(2), activation="tanh")
+        """The rectifier is always ReLU, the paper's form; no other can be
+        asked for."""
+        with pytest.raises(TypeError):
+            global_pool_embed(np.ones((2, 2, 2)), np.eye(2), activation="tanh")
+
+    @pytest.mark.parametrize("features", [np.ones((2, 2)), np.ones((1, 2, 2, 2))])
+    def test_features_not_three_dimensional(self, features):
+        with pytest.raises(ShapeError):
+            global_pool_embed(features, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_embed_rejected(self, bad):
+        """An infinite embed entry would turn the softmax weights into NaN."""
+        embed = np.eye(2)
+        embed[0, 1] = bad
+        with pytest.raises(ShapeError, match="non-finite embed"):
+            global_pool_embed(np.ones((2, 2, 2)), embed)
 
 
 class TestGroupSoftmax:
     def test_equal_logits_uniform(self):
         w = np.zeros(6)
         maps = [np.zeros((3, 6)) for _ in range(2)]
-        gw = group_softmax(w, maps)
-        assert np.allclose(gw.weights, 1.0 / 3.0, atol=1e-15)
+        weights = group_softmax(w, maps)
+        assert weights.shape == (2, 3)
+        assert np.allclose(weights, 1.0 / 3.0, atol=1e-15)
 
     def test_saturated_logit(self):
         """A logit 20 above its group takes essentially all the mass."""
         mp = np.array([[20.0], [0.0], [0.0]])
-        gw = group_softmax(np.ones(3), [np.hstack([mp, np.zeros((3, 2))])])
-        assert gw.weights[0, 0] >= 1 - 1e-8
+        weights = group_softmax(np.ones(3), [np.hstack([mp, np.zeros((3, 2))])])
+        assert weights[0, 0] >= 1 - 1e-8
 
     def test_hand_softmax(self):
         """Group logits (1, 2) weigh as (1/(1+e), e/(1+e))."""
         w = np.array([1.0, 2.0])
-        gw = group_softmax(w, [np.eye(2)])
+        weights = group_softmax(w, [np.eye(2)])
         e = np.e
-        assert gw.weights[0, 0] == pytest.approx(1 / (1 + e), abs=1e-12)
-        assert gw.weights[0, 1] == pytest.approx(e / (1 + e), abs=1e-12)
+        assert weights[0, 0] == pytest.approx(1 / (1 + e), abs=1e-12)
+        assert weights[0, 1] == pytest.approx(e / (1 + e), abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(1, 4), (2, 3), (4, 2)]))
     @settings(max_examples=50)
@@ -109,9 +127,9 @@ class TestGroupSoftmax:
         rng = np.random.default_rng(seed)
         w = rng.normal(scale=5.0, size=m * g)
         maps = [rng.normal(size=(g, m * g)) for _ in range(m)]
-        gw = group_softmax(w, maps)
-        assert np.allclose(gw.weights.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(gw.weights >= 0.0) and np.all(gw.weights <= 1.0)
+        weights = group_softmax(w, maps)
+        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
 
     def test_indivisible_descriptor_rejected(self):
         with pytest.raises(GroupingError):
@@ -121,13 +139,26 @@ class TestGroupSoftmax:
         with pytest.raises(ShapeError):
             group_softmax(np.zeros(4), [np.zeros((3, 4)), np.zeros((2, 4))])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_descriptor_rejected(self, bad):
+        """A NaN descriptor would give all-NaN weights with no warning."""
+        with pytest.raises(ShapeError, match="non-finite descriptor"):
+            group_softmax(np.array([1.0, bad]), [np.eye(2)])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_map_rejected(self, bad):
+        group_map = np.eye(2)
+        group_map[0, 0] = bad
+        with pytest.raises(ShapeError, match="non-finite group map"):
+            group_softmax(np.ones(2), [group_map])
+
 
 class TestApplyWeights:
     def test_uniform_weights_scale(self):
         rng = np.random.default_rng(3)
         stack = stack_from(rng, m=2, g=4)
-        gw = GroupWeights(np.full((2, 4), 0.25))
-        assert np.allclose(apply_weights(stack, gw), stack.concat() * 0.25, atol=1e-15)
+        assert np.allclose(apply_weights(stack, np.full((2, 4), 0.25)), stack * 0.25,
+                           atol=1e-15)
 
     def test_one_hot_keeps_single_channel(self):
         rng = np.random.default_rng(4)
@@ -135,9 +166,9 @@ class TestApplyWeights:
         hot = np.zeros((2, 3))
         hot[0, 1] = 1.0
         hot[1, 2] = 1.0
-        out = apply_weights(stack, GroupWeights(hot))
-        assert np.array_equal(out[1], stack.values[0, 1])
-        assert np.array_equal(out[5], stack.values[1, 2])
+        out = apply_weights(stack, hot)
+        assert np.array_equal(out[1], stack[1])
+        assert np.array_equal(out[5], stack[5])
         for dead in (0, 2, 3, 4):
             assert np.all(out[dead] == 0.0)
 
@@ -145,21 +176,19 @@ class TestApplyWeights:
         rng = np.random.default_rng(5)
         stack = stack_from(rng, m=2, g=2, h=3, w=3)
         wts = rng.uniform(0.1, 0.9, size=(2, 2))
-        out = apply_weights(stack, GroupWeights(wts))
+        out = apply_weights(stack, wts)
         for i in range(2):
             for j in range(2):
-                assert np.allclose(out[i * 2 + j], stack.values[i, j] * wts[i, j],
-                                   atol=1e-15)
+                assert np.allclose(out[i * 2 + j], stack[i * 2 + j] * wts[i, j], atol=1e-15)
 
     def test_linear_in_features(self):
         rng = np.random.default_rng(6)
         a = stack_from(rng)
         b = stack_from(rng)
-        gw = GroupWeights(rng.uniform(0.1, 0.9, size=(2, 3)))
-        combined = FeatureStack(2.0 * a.values + b.values)
+        wts = rng.uniform(0.1, 0.9, size=(2, 3))
         assert np.allclose(
-            apply_weights(combined, gw),
-            2.0 * apply_weights(a, gw) + apply_weights(b, gw),
+            apply_weights(2.0 * a + b, wts),
+            2.0 * apply_weights(a, wts) + apply_weights(b, wts),
             atol=1e-12,
         )
 
@@ -167,18 +196,21 @@ class TestApplyWeights:
         """Permuting channels inside a group permutes logits, weights, and
         the weighted output consistently."""
         rng = np.random.default_rng(7)
-        vals = rng.normal(size=(1, 3, 2, 2))
+        vals = rng.normal(size=(3, 2, 2))
         perm = [2, 0, 1]
         base_map = rng.normal(size=(3, 3))
         w = rng.normal(size=3)
-        gw = group_softmax(w, [base_map])
-        out = apply_weights(FeatureStack(vals), gw)
-        gw_p = group_softmax(w, [base_map[perm]])
-        out_p = apply_weights(FeatureStack(vals[:, perm]), gw_p)
-        assert np.allclose(gw_p.weights[0], gw.weights[0][perm], atol=1e-12)
+        weights = group_softmax(w, [base_map])
+        out = apply_weights(vals, weights)
+        weights_p = group_softmax(w, [base_map[perm]])
+        out_p = apply_weights(vals[perm], weights_p)
+        assert np.allclose(weights_p[0], weights[0][perm], atol=1e-12)
         assert np.allclose(out_p, out[perm], atol=1e-12)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(8)
+        stack = stack_from(rng, m=2, g=3)
         with pytest.raises(ShapeError):
-            apply_weights(stack_from(rng, m=2, g=3), GroupWeights(np.ones((2, 4))))
+            apply_weights(stack, np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            apply_weights(stack, np.ones(6))

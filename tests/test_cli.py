@@ -255,6 +255,20 @@ class TestRoundtripCommand:
         assert report["failures"] == "0"
         assert float(report["max_corner_error"]) <= 1e-6
 
+    def test_each_skewed_record_warned_with_its_line(self, tmp_path):
+        """Two skewed quads get one stderr line each, numbered like parse
+        errors; stdout and the exit code are unchanged."""
+        path = tmp_path / "ann.txt"
+        path.write_text("imagesource:synthetic\ngsd:0.5\n"
+                        "60 10 70 11 69 16 59 15 car 1\n"
+                        "160 10 170 11 169 16 159 15 car 1\n")
+        code, out, err = run_cli(["roundtrip", str(path)])
+        assert code == 0
+        assert out == ("records 2\nparse_errors 0\nmax_box_field_error 0\n"
+                       "max_corner_error 0.246314298\nfailures 2\n")
+        assert err == ("line 3: quad edges deviate from orthogonal by 0.098 rad\n"
+                       "line 4: quad edges deviate from orthogonal by 0.098 rad\n")
+
     @pytest.mark.parametrize("center, grid", [
         (1e9, "1x250000002x250000002"),        # about 5e17 bytes: MemoryError
         (1e11, "1x25000000002x25000000002"),   # past numpy's intp byte range

@@ -26,7 +26,7 @@ from polarjiou import (
     total_loss,
 )
 from helpers import reference_extract_peaks, reference_heatmap
-from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, HeatmapTarget, Peak, target_grid
+from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, Peak, target_grid
 from polarjiou.errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
 
 
@@ -64,8 +64,8 @@ class TestRenderHeatmap:
     def test_center_cell_is_one(self):
         box = OrientedBox(40, 40, 8, 4, 0)
         target = render_heatmap([(box, 0)], 1, 32, 32, 4)
-        assert target.values[0, 10, 10] == 1.0
-        assert target.positives == ((0, 10, 10),)
+        assert target[0, 10, 10] == 1.0
+        assert encode_targets([(box, 0)], 1, 32, 32, 4).positives == ((0, 10, 10),)
 
     def test_half_maximum_radius(self):
         """A cell at grid distance sigma*sqrt(2 ln 2) reads 0.5; the box is
@@ -76,7 +76,7 @@ class TestRenderHeatmap:
         box = OrientedBox(10 * 4, 10 * 4, 2 * r2, r2, 0.0)
         assert gaussian_sigma(box, 4) == pytest.approx(sigma, abs=1e-12)
         target = render_heatmap([(box, 0)], 1, 32, 32, 4)
-        assert target.values[0, 10, 10 + d] == pytest.approx(0.5, abs=1e-9)
+        assert target[0, 10, 10 + d] == pytest.approx(0.5, abs=1e-9)
 
     def test_overlap_is_pointwise_max(self):
         """Joint render equals the elementwise max of per-object renders."""
@@ -85,7 +85,7 @@ class TestRenderHeatmap:
         joint = render_heatmap([(a, 0), (b, 0)], 1, 32, 32, 4)
         alone_a = render_heatmap([(a, 0)], 1, 32, 32, 4)
         alone_b = render_heatmap([(b, 0)], 1, 32, 32, 4)
-        assert np.array_equal(joint.values, np.maximum(alone_a.values, alone_b.values))
+        assert np.array_equal(joint, np.maximum(alone_a, alone_b))
 
     def test_order_independent(self):
         objs = [
@@ -95,17 +95,18 @@ class TestRenderHeatmap:
         ]
         for perm in itertools.permutations(objs):
             assert np.array_equal(
-                render_heatmap(list(perm), 2, 32, 32, 4).values,
-                render_heatmap(objs, 2, 32, 32, 4).values,
+                render_heatmap(list(perm), 2, 32, 32, 4),
+                render_heatmap(objs, 2, 32, 32, 4),
             )
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(13)
         objs = lattice_objects(rng, 10, 3, 40, 40, 4)
-        target = render_heatmap(objs, 3, 40, 40, 4)
-        assert np.all(target.values >= 0.0) and np.all(target.values <= 1.0)
-        for cls, cx, cy in target.positives:
-            assert target.values[cls, cy, cx] == 1.0
+        enc = encode_targets(objs, 3, 40, 40, 4)
+        target = enc.heatmap
+        assert np.all(target >= 0.0) and np.all(target <= 1.0)
+        for cls, cx, cy in enc.positives:
+            assert target[cls, cy, cx] == 1.0
 
     def test_center_outside_grid_rejected(self):
         box = OrientedBox(400, 40, 8, 4, 0)
@@ -152,7 +153,7 @@ class TestWindowedHeatmap:
         box = OrientedBox(200, 200, 2, 1, 0.3)
         assert gaussian_sigma(box, 4) == 1.0
         objs = [(box, 0)]
-        assert same_bits(render_heatmap(objs, 1, 128, 128, 4).values,
+        assert same_bits(render_heatmap(objs, 1, 128, 128, 4),
                          reference_heatmap(objs, 1, 128, 128, 4))
 
     def test_window_covering_the_whole_grid(self):
@@ -161,7 +162,7 @@ class TestWindowedHeatmap:
         # The last box's sigma overflows to inf, which stamps 1.0 everywhere.
         objs = [(box, 1), (OrientedBox(10, 150, 2, 1, 0), 1),
                 (OrientedBox(100, 20, 1e308, 1e308, 0), 0)]
-        assert same_bits(render_heatmap(objs, 2, 40, 40, 4).values,
+        assert same_bits(render_heatmap(objs, 2, 40, 40, 4),
                          reference_heatmap(objs, 2, 40, 40, 4))
 
     def test_objects_on_grid_corners(self):
@@ -170,7 +171,7 @@ class TestWindowedHeatmap:
         objs = [(OrientedBox(x, y, r, r / 2, 0.0), k % 3)
                 for k, ((x, y), r) in enumerate(zip(
                     [(0.0, 0.0), (far, 0.0), (0.0, far), (far, far)], (2.0, 30.0, 90.0, 400.0)))]
-        assert same_bits(render_heatmap(objs, 3, size, size, stride).values,
+        assert same_bits(render_heatmap(objs, 3, size, size, stride),
                          reference_heatmap(objs, 3, size, size, stride))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -183,7 +184,7 @@ class TestWindowedHeatmap:
             box = OrientedBox(rng.uniform(0, width * stride), rng.uniform(0, height * stride),
                               r2 * rng.uniform(1.0, 4.0), r2, rng.uniform(-1.5, 1.5))
             objs.append((box, int(rng.integers(0, 5))))
-        assert same_bits(render_heatmap(objs, 5, height, width, stride).values,
+        assert same_bits(render_heatmap(objs, 5, height, width, stride),
                          reference_heatmap(objs, 5, height, width, stride))
 
     def test_stamps_shared_across_sigmas(self, monkeypatch):
@@ -211,7 +212,7 @@ class TestWindowedHeatmap:
 
         np_exp = np.exp
         monkeypatch.setattr(np, "exp", counted_exp)
-        values = render_heatmap(objs, 4, height, width, stride).values
+        values = render_heatmap(objs, 4, height, width, stride)
         monkeypatch.undo()
         assert len(exp_calls) == len(set(sigmas))
         assert same_bits(values, reference_heatmap(objs, 4, height, width, stride))
@@ -238,7 +239,7 @@ class TestWindowedHeatmap:
         monkeypatch.setattr(np, "exp", counted_exp)
         tracemalloc.start()
         try:
-            values = render_heatmap(objs, 1, height, width, stride).values
+            values = render_heatmap(objs, 1, height, width, stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,14 +251,14 @@ class TestWindowedHeatmap:
     def test_one_stamp_alive_for_distinct_sigmas(self):
         """Forty objects with forty sigmas, most windows covering the whole
         grid: one stamp is alive at a time, so the traced peak stays below
-        the grid, its copy in HeatmapTarget and three grid-sized arrays."""
+        five grid sizes."""
         size, stride = 100, 4
         objs = [(OrientedBox(4.0 + 9.7 * k, 390.0 - 9.3 * k, 40.0 + 30.0 * k, 30.0 + 25.0 * k,
                              0.1 * k), 0) for k in range(40)]
         assert len({gaussian_sigma(box, stride) for box, _ in objs}) == 40
         tracemalloc.start()
         try:
-            values = render_heatmap(objs, 1, size, size, stride).values
+            values = render_heatmap(objs, 1, size, size, stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,40 +267,26 @@ class TestWindowedHeatmap:
 
 
 class TestHeatmapTargetStorage:
-    """values is read-only with no writeable alias; only an array that is
-    already read-only, float64 and owns its data is kept uncopied."""
+    """Target arrays are read-only with no writeable alias."""
 
     def test_render_keeps_its_grid(self):
         """One small object on a large grid: the grid is allocated once and
-        not copied again into the HeatmapTarget."""
+        returned without a copy."""
         objs = [(OrientedBox(800.0, 800.0, 4.0, 2.0, 0.0), 0)]
         tracemalloc.start()
         try:
-            values = render_heatmap(objs, 1, 400, 400, 4).values
+            values = render_heatmap(objs, 1, 400, 400, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not values.flags.writeable and values.base is None
         assert peak < 1.25 * values.nbytes
 
-    def test_read_only_owned_array_kept(self):
-        arr = np.zeros((1, 2, 2))
-        arr.setflags(write=False)
-        assert HeatmapTarget(values=arr, positives=()).values is arr
-
-    @pytest.mark.parametrize("read_only, dtype", [
-        (False, np.float64), (True, np.float64), (True, np.float32)])
-    def test_other_arrays_copied(self, read_only, dtype):
-        """A writeable view, a read-only view of a writeable base, and a
-        read-only array of another dtype: writes to the base stay out of
-        the target."""
-        base = np.zeros((1, 2, 4), dtype=dtype)
-        arr = base[:, :, :2]
-        arr.setflags(write=not read_only)
-        target = HeatmapTarget(values=arr, positives=())
-        base[...] = 5.0
-        assert target.values.dtype == np.float64 and not target.values.flags.writeable
-        assert not target.values.any()
+    @pytest.mark.parametrize("field", ["offset_map", "param_map"])
+    def test_regression_maps_read_only(self, field):
+        enc = encode_targets([(OrientedBox(41.0, 37.0, 10.0, 4.0, 0.6), 0)], 1, 16, 16, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(enc, field)[:, 9, 10] = 0.0
 
 
 class TestFocalLoss:
@@ -312,8 +299,8 @@ class TestFocalLoss:
         rng = np.random.default_rng(1)
         objs = lattice_objects(rng, 4, 2, 32, 32, 4)
         target = render_heatmap(objs, 2, 32, 32, 4)
-        pred = np.where(target.values == 1.0, 1.0, 0.0)
-        assert 0.0 <= focal_loss(pred, target.values) <= 1e-5
+        pred = np.where(target == 1.0, 1.0, 0.0)
+        assert 0.0 <= focal_loss(pred, target) <= 1e-5
 
     def test_half_confidence_positive(self):
         """One positive cell predicted at 0.5 costs (1-0.5)^2 * ln 2."""
@@ -434,13 +421,13 @@ class TestExtractPeaks:
     def test_single_gaussian_center(self):
         box = OrientedBox(41, 43, 20, 10, 0.2)
         target = render_heatmap([(box, 0)], 1, 32, 32, 4)
-        peaks = extract_peaks(target.values)
+        peaks = extract_peaks(target)
         assert peaks == [Peak(0, 10, 10, 1.0)]
 
     def test_two_separated_gaussians(self):
         objs = [(OrientedBox(40, 40, 20, 10, 0), 0), (OrientedBox(100, 100, 20, 10, 0), 0)]
         target = render_heatmap(objs, 1, 40, 40, 4)
-        peaks = extract_peaks(target.values, k=10)
+        peaks = extract_peaks(target, k=10)
         assert {(p.cell_x, p.cell_y) for p in peaks} == {(10, 10), (25, 25)}
 
     def test_plateau_row_major_first_wins(self):
@@ -496,7 +483,7 @@ class TestSparsePeaks:
         rng = np.random.default_rng(80 + seed)
         height, width, stride = 60, 50, 4
         objs = lattice_objects(rng, 40, 4, height, width, stride, max_r=12.0)
-        heat = render_heatmap(objs, 4, height, width, stride).values
+        heat = render_heatmap(objs, 4, height, width, stride)
         self.agree(heat)
         self.agree(heat * rng.uniform(0.9, 1.0, heat.shape))
         self.agree(heat, k=7)
@@ -606,8 +593,8 @@ class TestRoundtrip:
         enc = encode_targets(objs, 2, 32, 32, 4)
         assert enc.offset_map.shape == (2, 32, 32)
         assert enc.param_map.shape == (3, 32, 32)
-        assert len(enc.heatmap.positives) == 5
-        for (box, cls), (pos_cls, cell_x, cell_y) in zip(objs, enc.heatmap.positives):
+        assert len(enc.positives) == 5
+        for (box, cls), (pos_cls, cell_x, cell_y) in zip(objs, enc.positives):
             off = encode_offset(box.cx, box.cy, 4)
             assert (pos_cls, cell_x, cell_y) == (cls, off.cell_x, off.cell_y)
             assert tuple(enc.param_map[:, cell_y, cell_x]) == (box.phi, box.r1, box.r2)

@@ -107,6 +107,11 @@ class TestFitBox:
             fit_box(box, box, "jiou", lr=0.0)
         with pytest.raises(ValueError):
             fit_box(box, box, "jiou", max_iters=0)
+        # This pair takes a step, so an unchecked lr would reach the box.
+        for lr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lr"):
+                fit_box(OrientedBox(0, 0, 6, 2, 0.9), OrientedBox(0, 0, 6, 2, 0.1), "jiou",
+                        lr=lr)
 
     def test_overflowing_step_rejected_as_invalid_box(self):
         """A step that overflows to inf is rejected by OrientedBox, with no
