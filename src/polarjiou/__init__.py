@@ -14,7 +14,6 @@ from .attention import (
 )
 from .boxes import (
     CenterOffset,
-    CornerQuad,
     OrientedBox,
     canonicalize,
     corner_set_distance,
@@ -68,7 +67,6 @@ from . import errors
 
 __all__ = [
     "CenterOffset",
-    "CornerQuad",
     "DEFAULT_N",
     "Detection",
     "EncodedTargets",

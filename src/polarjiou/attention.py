@@ -46,7 +46,8 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
 
     Each of the m maps is a finite (c/m, c) matrix producing that group's
     logits from the finite length-c descriptor; the softmax is taken within
-    the group.  Returns the (m, c/m) weights, each row summing to 1.
+    the group.  Returns the (m, c/m) weights, each row summing to 1; raises
+    ShapeError when a logit overflows.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
@@ -64,8 +65,12 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
     for mp in maps:
         if mp.shape != (g, c):
             raise ShapeError(f"group map must be ({g}, {c}), got shape {mp.shape}")
-        logits = _finite(mp, "group map") @ w
-        logits = logits - logits.max()  # overflow-safe softmax
+        _finite(mp, "group map")
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = _finite(mp @ w, "group logit")
+            # Shift by the max so exp cannot overflow; a spread past the float
+            # range shifts to -inf, whose exp is the exact 0.
+            logits = logits - logits.max()
         e = np.exp(logits)
         rows.append(e / e.sum())
     return np.stack(rows)
@@ -74,12 +79,12 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
 def apply_weights(features, weights) -> np.ndarray:
     """Scale channel i * (c/m) + j of the (c, H, W) features by weights[i, j].
 
-    weights is the (m, c/m) output of group_softmax; any 2-D array of c
-    entries is read in row-major order.
+    weights is the (m, c/m) output of group_softmax; any finite 2-D array of
+    c entries is read in row-major order.
     """
     features = _features(features)
     weights = np.asarray(weights, dtype=np.float64)
     c = features.shape[0]
     if weights.ndim != 2 or weights.size != c:
         raise ShapeError(f"weights must be 2-D with {c} entries, got shape {weights.shape}")
-    return features * weights.reshape(c)[:, None, None]
+    return features * _finite(weights, "weight").reshape(c)[:, None, None]

@@ -82,27 +82,11 @@ def canonicalize(box: OrientedBox) -> OrientedBox:
     return OrientedBox(box.cx, box.cy, r1, r2, _wrap_phi(phi))
 
 
-@dataclass(frozen=True)
-class CornerQuad:
-    """Four (x, y) corners; quads decoded from a box run clockwise on screen."""
-
-    corners: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.corners, dtype=np.float64)
-        if arr.shape != (4, 2):
-            raise InvalidBoxError(f"corner array must have shape (4, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidBoxError("non-finite corner coordinates")
-        arr.setflags(write=False)
-        object.__setattr__(self, "corners", arr)
-
-
 def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
     """Corners of a box relative to its center, in decode_corners' order.
 
     Raises InvalidBoxError when a corner, offset plus center, overflows to a
-    non-finite value, as CornerQuad does.
+    non-finite value.
     """
     c, s = math.cos(box.phi), math.sin(box.phi)
     r1, r2 = box.r1, box.r2
@@ -114,18 +98,15 @@ def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
     return offsets
 
 
-def corner_points(box: OrientedBox) -> list[tuple[float, float]]:
-    """Corners of a box as (x, y) float tuples: corner_offsets plus the center."""
-    return [(ox + box.cx, oy + box.cy) for ox, oy in corner_offsets(box)]
-
-
-def decode_corners(box: OrientedBox) -> CornerQuad:
+def decode_corners(box: OrientedBox) -> np.ndarray:
     """Corners of a box: rotate the axis-aligned corners by phi, translate to the center.
 
-    The order starts at the corner that sits at (-r1, -r2) in the box frame
-    and runs clockwise on screen.
+    Returns a read-only (4, 2) float64 array.  The order starts at the corner
+    that sits at (-r1, -r2) in the box frame and runs clockwise on screen.
     """
-    return CornerQuad(corner_points(box))
+    quad = np.array([(ox + box.cx, oy + box.cy) for ox, oy in corner_offsets(box)])
+    quad.setflags(write=False)
+    return quad
 
 
 def signed_area(corners) -> float:
@@ -141,16 +122,22 @@ def signed_area(corners) -> float:
     return 0.5 * float(acc)
 
 
-def corners_to_box(quad: CornerQuad) -> OrientedBox:
-    """Fit an oriented box to a (near-)rectangular quad.
+def corners_to_box(quad) -> OrientedBox:
+    """Fit an oriented box to a (near-)rectangular quad: any (4, 2) array-like.
 
     The center is the corner centroid and each axis is the average of one
     pair of opposite edges, which absorbs small annotation jitter.  The
     longer averaged edge becomes the r1 axis; for squares the first edge in
     annotation order wins.  Warns when adjacent edges are far from
-    orthogonal, raises on degenerate (zero-area or segment-like) quads.
+    orthogonal, raises on degenerate (zero-area or segment-like) quads and
+    InvalidBoxError on a wrong shape or a non-finite corner.
     """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.corners.tolist()
+    quad = np.asarray(quad, dtype=np.float64)
+    if quad.shape != (4, 2):
+        raise InvalidBoxError(f"corner array must have shape (4, 2), got {quad.shape}")
+    if not np.all(np.isfinite(quad)):
+        raise InvalidBoxError("non-finite corner coordinates")
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.tolist()
     # Opposite edges point opposite ways, so e0 - e2 and e1 - e3 are the
     # doubled averaged axis vectors.
     ax, ay = ((x1 - x0) - (x3 - x2)) / 2.0, ((y1 - y0) - (y3 - y2)) / 2.0
@@ -229,8 +216,8 @@ DOTA_META_PREFIXES = ("imagesource", "gsd")
 def parse_dota_record(line: str, lineno: int | None = None):
     """Parse one annotation line: 8 corner reals, category name, difficulty flag.
 
-    Returns (CornerQuad, category, difficulty).  Raises AnnotationError
-    naming the line on malformed input.
+    Returns (corners, category, difficulty), corners a read-only (4, 2)
+    float64 array.  Raises AnnotationError naming the line on malformed input.
     """
     fields = line.split()
     if len(fields) != 10:
@@ -246,8 +233,9 @@ def parse_dota_record(line: str, lineno: int | None = None):
         difficulty = int(fields[9])
     except ValueError:
         raise AnnotationError(f"non-integer difficulty {fields[9]!r}", lineno) from None
-    quad = CornerQuad(np.asarray(coords, dtype=np.float64).reshape(4, 2))
-    return quad, category, difficulty
+    corners = np.array(coords).reshape(4, 2)
+    corners.setflags(write=False)
+    return corners, category, difficulty
 
 
 def iter_text_lines(path):
@@ -272,5 +260,6 @@ def iter_dota_object_lines(path):
 
 
 def load_dota_annotations(path):
-    """Read an annotation file into a list of (CornerQuad, category, difficulty)."""
+    """Read an annotation file into a list of (corners, category, difficulty),
+    as parse_dota_record returns them."""
     return [parse_dota_record(line, lineno) for lineno, line in iter_dota_object_lines(path)]

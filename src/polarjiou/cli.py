@@ -210,8 +210,8 @@ def cmd_roundtrip(args) -> int:
         errors, matches = encode_decode_roundtrip(
             objects, len(categories), height, width, args.stride)
         matched = [i for i, det in enumerate(matches) if det is not None]
-        corner_errors = [corner_set_distance(decode_corners(matches[i].box).corners,
-                                             records[i][1].corners) for i in matched]
+        corner_errors = [corner_set_distance(decode_corners(matches[i].box), records[i][1])
+                         for i in matched]
         max_field = float(errors[matched].max()) if matched else math.nan
         max_corner = max(corner_errors, default=math.nan)
         failures = len(records) - sum(err <= 1e-6 for err in corner_errors)

@@ -170,7 +170,8 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
     if p.shape != t.shape or p.ndim not in (1, 2) or p.shape[-1] != 5:
         raise ShapeError(f"expected matching (..., 5) tuples, got {p.shape} vs {t.shape}")
     d = np.abs(p - t)
-    per_row = np.where(d < 1.0, 0.5 * d * d, d - 0.5).sum(axis=-1)
+    q = np.minimum(d, 1.0)  # equals d where the quadratic branch is kept; cannot overflow
+    per_row = np.where(d < 1.0, 0.5 * q * q, d - 0.5).sum(axis=-1)
     return float(np.mean(per_row))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, corner_offsets, corner_points, signed_area
+from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
 from .errors import InsufficientSamplesError, InvalidBoxError
 from .polar import check_extents
 
@@ -134,8 +134,9 @@ def _ellipse_aabb(box: OrientedBox):
 
 
 def _rect_aabb(box: OrientedBox):
-    xs, ys = zip(*corner_points(box))
-    return (min(xs), min(ys)), (max(xs), max(ys))
+    corners = decode_corners(box)
+    # Python floats: numpy scalars would warn where _mc_iou finds the range overflowing.
+    return corners.min(axis=0).tolist(), corners.max(axis=0).tolist()
 
 
 def _mc_iou(a, b, samples, seed, contains, aabb):

@@ -149,8 +149,8 @@ def reference_corner_offsets(box):
 
 
 def reference_corners(box):
-    """reference_corner_offsets plus the center: the values corner_points
-    and decode_corners must reproduce bit for bit."""
+    """reference_corner_offsets plus the center: the values decode_corners
+    must reproduce bit for bit."""
     return reference_corner_offsets(box) + (box.cx, box.cy)
 
 

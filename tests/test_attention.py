@@ -1,5 +1,7 @@
 """Grouped channel weighting: pooling, per-group softmax, reweighting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,21 @@ class TestGroupSoftmax:
         with pytest.raises(ShapeError, match="non-finite group map"):
             group_softmax(np.ones(2), [group_map])
 
+    def test_logit_spread_past_float_range_is_exact(self):
+        """Finite logits 1e308 and -1e308 weigh as (1, 0), with no
+        floating-point warning from shifting by the max."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = group_softmax([1.0, 1.0], [[[1e308, 0.0], [-1e308, 0.0]]])
+        assert np.array_equal(weights, [[1.0, 0.0]])
+
+    def test_overflowing_logit_rejected(self):
+        """Finite inputs whose logit overflows raise instead of returning NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="non-finite group logit"):
+                group_softmax([10.0, 1.0], [[[1e308, 0.0], [0.0, 1.0]]])
+
 
 class TestApplyWeights:
     def test_uniform_weights_scale(self):
@@ -206,6 +223,11 @@ class TestApplyWeights:
         out_p = apply_weights(vals[perm], weights_p)
         assert np.allclose(weights_p[0], weights[0][perm], atol=1e-12)
         assert np.allclose(out_p, out[perm], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ShapeError, match="non-finite weight"):
+            apply_weights(np.ones((2, 1, 1)), [[1.0, bad]])
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(8)

@@ -15,7 +15,6 @@ from helpers import (
 )
 from polarjiou import (
     CenterOffset,
-    CornerQuad,
     OrientedBox,
     canonicalize,
     corner_set_distance,
@@ -78,7 +77,7 @@ class TestCanonicalize:
         raw = OrientedBox(0, 0, 3, 1, 2.0)
         box = canonicalize(raw)
         assert box.phi == pytest.approx(2.0 - math.pi, abs=1e-12)
-        d = corner_set_distance(decode_corners(raw).corners, decode_corners(box).corners)
+        d = corner_set_distance(decode_corners(raw), decode_corners(box))
         assert d <= 1e-9
 
     def test_square_angle_unchanged(self):
@@ -104,20 +103,26 @@ class TestCanonicalize:
     @given(boxes())
     def test_point_set_preserved(self, box):
         c = canonicalize(box)
-        d = corner_set_distance(decode_corners(box).corners, decode_corners(c).corners)
+        d = corner_set_distance(decode_corners(box), decode_corners(c))
         assert d <= 1e-9 * max(1.0, box.r1, box.r2, abs(box.cx), abs(box.cy))
 
 
 class TestDecodeCorners:
+    def test_returns_read_only_float_array(self):
+        quad = decode_corners(OrientedBox(10, 10, 2, 1, 0.3))
+        assert quad.shape == (4, 2) and quad.dtype == np.float64
+        with pytest.raises(ValueError):
+            quad[0, 0] = 1.0
+
     def test_no_rotation(self):
         quad = decode_corners(OrientedBox(10, 10, 2, 1, 0))
         expected = [(8, 9), (12, 9), (12, 11), (8, 11)]
-        assert np.allclose(quad.corners, expected, atol=1e-12)
+        assert np.allclose(quad, expected, atol=1e-12)
 
     def test_quarter_turn(self):
         quad = decode_corners(OrientedBox(0, 0, 2, 1, math.pi / 2))
         expected = [(1, -2), (1, 2), (-1, 2), (-1, -2)]
-        assert np.allclose(quad.corners, expected, atol=1e-12)
+        assert np.allclose(quad, expected, atol=1e-12)
 
     def test_matrix_multiply_oracle(self):
         """Each corner equals the hand-applied 2x2 rotation of the base corner."""
@@ -125,7 +130,7 @@ class TestDecodeCorners:
         quad = decode_corners(OrientedBox(0, 0, 2, 1, phi))
         c, s = math.cos(phi), math.sin(phi)
         base = [(-2, -1), (2, -1), (2, 1), (-2, 1)]
-        for (bx, by), row in zip(base, quad.corners):
+        for (bx, by), row in zip(base, quad):
             assert row[0] == pytest.approx(c * bx - s * by, abs=1e-12)
             assert row[1] == pytest.approx(s * bx + c * by, abs=1e-12)
 
@@ -133,12 +138,12 @@ class TestDecodeCorners:
     @settings(max_examples=200)
     def test_clockwise_on_screen(self, box):
         """Decoded quads run clockwise in image coordinates: signed area < 0."""
-        assert signed_area(decode_corners(box).corners) < 0
+        assert signed_area(decode_corners(box)) < 0
 
     @given(boxes())
     def test_edge_lengths(self, box):
         """Edges measure 2*r1, 2*r2, 2*r1, 2*r2 in order."""
-        pts = decode_corners(box).corners
+        pts = decode_corners(box)
         edges = np.roll(pts, -1, axis=0) - pts
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         expect = [2 * box.r1, 2 * box.r2, 2 * box.r1, 2 * box.r2]
@@ -146,7 +151,7 @@ class TestDecodeCorners:
 
     @given(boxes())
     def test_adjacent_edges_orthogonal(self, box):
-        pts = decode_corners(box).corners
+        pts = decode_corners(box)
         edges = np.roll(pts, -1, axis=0) - pts
         for i in range(4):
             dot = float(np.dot(edges[i], edges[(i + 1) % 4]))
@@ -168,7 +173,7 @@ class TestSignedArea:
 
 class TestCornersToBox:
     def test_axis_aligned_example(self):
-        quad = CornerQuad(np.array([(0, 0), (4, 0), (4, 2), (0, 2)], dtype=float))
+        quad = np.array([(0, 0), (4, 0), (4, 2), (0, 2)], dtype=float)
         box = corners_to_box(quad)
         assert (box.cx, box.cy, box.r1, box.r2, box.phi) == (2.0, 1.0, 2.0, 1.0, 0.0)
 
@@ -190,9 +195,9 @@ class TestCornersToBox:
         rng = np.random.default_rng(3)
         for _ in range(200):
             box = random_box(rng, min_r=2.0, max_r=20.0)
-            pts = decode_corners(box).corners + rng.uniform(-0.01, 0.01, size=(4, 2))
-            fitted = corners_to_box(CornerQuad(pts))
-            assert corner_set_distance(decode_corners(fitted).corners, pts) <= 0.05
+            pts = decode_corners(box) + rng.uniform(-0.01, 0.01, size=(4, 2))
+            fitted = corners_to_box(pts)
+            assert corner_set_distance(decode_corners(fitted), pts) <= 0.05
 
     def test_matches_numpy_reference_bit_for_bit(self):
         """Seeded quads in both windings, jittered or exact, with centers up
@@ -204,7 +209,7 @@ class TestCornersToBox:
             scale = 10.0 ** rng.uniform(0, 9)
             min_r = max(0.5, 1e-6 * scale)
             box = random_box(rng, max_center=scale, min_r=min_r, max_r=60.0 * min_r)
-            pts = decode_corners(box).corners
+            pts = decode_corners(box)
             if i % 2:
                 pts = pts[::-1]
             if i % 4 >= 2:
@@ -212,7 +217,7 @@ class TestCornersToBox:
             pts = np.roll(pts, int(rng.integers(4)), axis=0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fitted = corners_to_box(CornerQuad(pts))
+                fitted = corners_to_box(pts)
             assert fitted == reference_corners_to_box(pts)
 
     @pytest.mark.parametrize("coords", [
@@ -223,7 +228,7 @@ class TestCornersToBox:
     def test_overflow_raises_without_numpy_warning(self, coords):
         """A quad whose fit overflows is rejected as a non-finite box, with
         no floating-point warning printed on the way."""
-        quad = CornerQuad(np.array(coords, dtype=float).reshape(4, 2))
+        quad = np.array(coords, dtype=float).reshape(4, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidBoxError, match="non-finite box parameters"):
@@ -239,27 +244,45 @@ class TestCornersToBox:
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_degenerate_quad_rejected(self):
-        collinear = CornerQuad(np.array([(0, 0), (1, 0), (2, 0), (3, 0)], dtype=float))
+        collinear = np.array([(0, 0), (1, 0), (2, 0), (3, 0)], dtype=float)
         with pytest.raises(DegenerateQuadError):
             corners_to_box(collinear)
 
     def test_skewed_quad_warns(self):
-        skew = CornerQuad(np.array([(0, 0), (4, 0), (5.0, 2), (1.0, 2)], dtype=float))
+        skew = np.array([(0, 0), (4, 0), (5.0, 2), (1.0, 2)], dtype=float)
         with pytest.warns(UserWarning):
             corners_to_box(skew)
+
+    @pytest.mark.parametrize("quad", [
+        np.array([(0, 0), (4, 0), (4, 2), (0, 2)]),
+        [[0, 0], [4, 0], [4, 2], [0, 2]],
+    ], ids=["int-array", "nested-list"])
+    def test_accepts_any_four_by_two_array_like(self, quad):
+        assert corners_to_box(quad) == OrientedBox(2.0, 1.0, 2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("quad", [np.zeros((3, 2)), np.zeros(8)], ids=["3x2", "flat"])
+    def test_wrong_shape_rejected(self, quad):
+        with pytest.raises(InvalidBoxError, match=r"corner array must have shape \(4, 2\)"):
+            corners_to_box(quad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_corner_rejected(self, bad):
+        quad = [[0, 0], [4, 0], [4, bad], [0, 2]]
+        with pytest.raises(InvalidBoxError, match="non-finite corner coordinates"):
+            corners_to_box(quad)
 
 
 class TestCornerSetDistance:
     def test_cyclic_shift_is_zero(self):
-        pts = decode_corners(OrientedBox(1, 2, 3, 1, 0.4)).corners
+        pts = decode_corners(OrientedBox(1, 2, 3, 1, 0.4))
         assert corner_set_distance(pts, np.roll(pts, 2, axis=0)) == 0.0
 
     def test_reversed_winding_is_zero(self):
-        pts = decode_corners(OrientedBox(1, 2, 3, 1, 0.4)).corners
+        pts = decode_corners(OrientedBox(1, 2, 3, 1, 0.4))
         assert corner_set_distance(pts, pts[::-1]) == 0.0
 
     def test_translation_detected(self):
-        pts = decode_corners(OrientedBox(0, 0, 3, 1, 0.4)).corners
+        pts = decode_corners(OrientedBox(0, 0, 3, 1, 0.4))
         assert corner_set_distance(pts, pts + 0.5) == pytest.approx(0.5)
 
     def test_matches_roll_loop(self):
@@ -267,14 +290,14 @@ class TestCornerSetDistance:
         shifted, reversed and jittered quads."""
         rng = np.random.default_rng(5)
         for i in range(400):
-            pa = decode_corners(random_box(rng)).corners
+            pa = decode_corners(random_box(rng))
             pb = np.roll(pa, int(rng.integers(4)), axis=0)
             if i % 2:
                 pb = pb[::-1]
             if i % 4 > 1:
                 pb = pb + rng.normal(0.0, 10.0 ** -rng.uniform(1, 9), size=(4, 2))
             if i % 8 == 7:
-                pb = decode_corners(random_box(rng)).corners
+                pb = decode_corners(random_box(rng))
             assert corner_set_distance(pa, pb) == reference_corner_set_distance(pa, pb)
 
 
@@ -324,15 +347,21 @@ class TestDotaParsing:
     def test_basic_record(self):
         quad, cat, diff = parse_dota_record("0 0 4 0 4 2 0 2 plane 0")
         assert cat == "plane" and diff == 0
-        assert np.array_equal(quad.corners, [[0, 0], [4, 0], [4, 2], [0, 2]])
+        assert np.array_equal(quad, [[0, 0], [4, 0], [4, 2], [0, 2]])
+
+    def test_returns_read_only_float_array(self):
+        quad, _, _ = parse_dota_record("0 0 4 0 4 2 0 2 plane 0")
+        assert quad.shape == (4, 2) and quad.dtype == np.float64
+        with pytest.raises(ValueError):
+            quad[0, 0] = 1.0
 
     def test_coordinates_lossless(self):
         """Decimal coordinates survive parsing bit-exactly."""
         line = "1.5 2.25 100.125 2.25 100.125 50.0625 1.5 50.0625 harbor 1"
         quad, cat, diff = parse_dota_record(line)
-        assert quad.corners[0, 0] == 1.5
-        assert quad.corners[1, 0] == 100.125
-        assert quad.corners[3, 1] == 50.0625
+        assert quad[0, 0] == 1.5
+        assert quad[1, 0] == 100.125
+        assert quad[3, 1] == 50.0625
         assert (cat, diff) == ("harbor", 1)
 
     def test_malformed_line_names_lineno(self):

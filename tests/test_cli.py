@@ -9,7 +9,6 @@ import pytest
 import polarjiou.codec
 from conftest import run_cli
 from polarjiou import (
-    CornerQuad,
     OrientedBox,
     canonicalize,
     corner_set_distance,
@@ -51,7 +50,7 @@ def write_rect_file(path, boxes_and_cats, jitter=None, rng=None):
     lines = ["imagesource:synthetic", "gsd:1.0"]
     quads = []
     for box, cat in boxes_and_cats:
-        pts = decode_corners(box).corners
+        pts = decode_corners(box)
         if jitter is not None:
             pts = pts + rng.uniform(-jitter, jitter, size=(4, 2))
         quads.append(pts)
@@ -327,8 +326,8 @@ class TestRoundtripCommand:
             fh.write((tmp_path / "tail.txt").read_text().split("\n", 2)[2])
         expected = 0
         for pts in quads:
-            fitted = corners_to_box(CornerQuad(pts))
-            if corner_set_distance(decode_corners(fitted).corners, pts) > 1e-6:
+            fitted = corners_to_box(pts)
+            if corner_set_distance(decode_corners(fitted), pts) > 1e-6:
                 expected += 1
         code, out, _ = run_cli(["roundtrip", str(path)])
         assert code == 0

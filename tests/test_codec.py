@@ -4,6 +4,7 @@ and the peak-extraction decode path."""
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,13 @@ class TestSmoothL1:
         pred = np.array([[0.5, 0, 0, 0, 0], [2.0, 0, 0, 0, 0]])
         target = np.zeros((2, 5))
         assert smooth_l1(pred, target) == pytest.approx((0.125 + 1.5) / 2)
+
+    def test_huge_difference_is_linear_without_warning(self):
+        """The quadratic branch is not squared where it is discarded, so a
+        difference of 2e200 costs 2e200 - 0.5 with no overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert smooth_l1((0, 1e200, 0, 0, 0), (0, -1e200, 0, 0, 0)) == 2e200
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
