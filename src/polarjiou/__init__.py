@@ -13,13 +13,11 @@ from .attention import (
     group_softmax,
 )
 from .boxes import (
-    CenterOffset,
     OrientedBox,
     canonicalize,
     corner_set_distance,
     corners_to_box,
     decode_corners,
-    encode_offset,
     load_dota_annotations,
     parse_dota_record,
     phi_distance,
@@ -27,9 +25,9 @@ from .boxes import (
 )
 from .codec import (
     EncodedTargets,
-    Peak,
     decode_detections,
     encode_decode_roundtrip,
+    encode_offset,
     encode_targets,
     extract_peaks,
     focal_loss,
@@ -66,7 +64,6 @@ from .polar import grid_angles, radius_at
 from . import errors
 
 __all__ = [
-    "CenterOffset",
     "DEFAULT_N",
     "Detection",
     "EncodedTargets",
@@ -75,7 +72,6 @@ __all__ = [
     "JiouGradient",
     "JiouValue",
     "OrientedBox",
-    "Peak",
     "SweepRecord",
     "apply_weights",
     "batch_jiou",

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AnnotationError,
-    DegenerateQuadError,
-    InvalidBoxError,
-    OutOfImageError,
-)
+from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError
 
 HALF_PI = math.pi / 2
 
@@ -185,29 +180,6 @@ def corner_set_distance(a, b) -> float:
 def phi_distance(a: float, b: float) -> float:
     """Angle distance modulo pi (box orientations are pi-periodic)."""
     return abs(math.remainder(a - b, math.pi))
-
-
-@dataclass(frozen=True)
-class CenterOffset:
-    """Sub-cell center position at output stride: cx = (cell_x + dx) * stride."""
-
-    dx: float
-    dy: float
-    cell_x: int
-    cell_y: int
-
-
-def encode_offset(cx: float, cy: float, stride: int) -> CenterOffset:
-    """Split a pixel-space center into output-grid cell indices and fractional offsets."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise InvalidBoxError(f"non-finite center ({cx}, {cy})")
-    if cx < 0 or cy < 0:
-        raise OutOfImageError(f"center ({cx}, {cy}) has negative coordinates")
-    gx, gy = cx / stride, cy / stride
-    cell_x, cell_y = math.floor(gx), math.floor(gy)
-    return CenterOffset(gx - cell_x, gy - cell_y, cell_x, cell_y)
 
 
 DOTA_META_PREFIXES = ("imagesource", "gsd")

@@ -28,7 +28,6 @@ from .boxes import (
     corner_set_distance,
     corners_to_box,
     decode_corners,
-    encode_offset,
     iter_dota_object_lines,
     iter_text_lines,
     parse_dota_record,
@@ -37,6 +36,7 @@ from .codec import (
     DEFAULT_ALPHA,
     DEFAULT_GAMMA,
     encode_decode_roundtrip,
+    encode_offset,
     encode_targets,
     extract_peaks,
     focal_loss,
@@ -205,8 +205,8 @@ def cmd_roundtrip(args) -> int:
         categories = sorted({cat for _, _, cat, _ in records})
         class_of = {cat: i for i, cat in enumerate(categories)}
         objects = [(box, class_of[cat]) for box, _, cat, _ in records]
-        height = max(cell.cell_y for *_, cell in records) + 2
-        width = max(cell.cell_x for *_, cell in records) + 2
+        height = max(cell[1] for *_, cell in records) + 2
+        width = max(cell[0] for *_, cell in records) + 2
         errors, matches = encode_decode_roundtrip(
             objects, len(categories), height, width, args.stride)
         matched = [i for i, det in enumerate(matches) if det is not None]
@@ -323,8 +323,8 @@ def cmd_heatmap_demo(args) -> int:
     cla = focal_loss(enc.heatmap, enc.heatmap, args.alpha, args.gamma)
     print(f"objects {len(objects)}")
     print(f"peaks {len(peaks)}")
-    for p in peaks:
-        print(f"peak class={p.category} cell=({p.cell_x},{p.cell_y}) score={fmt9(p.score)}")
+    for category, cell_x, cell_y, score in peaks:
+        print(f"peak class={category} cell=({cell_x},{cell_y}) score={fmt9(score)}")
     print(f"max_field_error {fmt9(np.nanmax(errors))}")
     print(f"focal_self {fmt9(cla)}")
     print(f"total {fmt9(total_loss(cla, 0.0, 0.0))}")

@@ -10,8 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, canonicalize, encode_offset, phi_distance
-from .errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
+from .boxes import OrientedBox, canonicalize, phi_distance
+from .errors import (
+    GridAllocationError,
+    InvalidBoxError,
+    InvalidLossError,
+    OutOfImageError,
+    ShapeError,
+)
 from .oracle import Detection
 
 DEFAULT_MU = 5.0
@@ -64,14 +70,14 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     positives = []
     by_sigma = {}
     for box, cls in objects:
-        if not 0 <= cls < num_classes:
-            raise ShapeError(f"class {cls} outside [0, {num_classes})")
-        off = encode_offset(box.cx, box.cy, stride)
-        if off.cell_x >= width or off.cell_y >= height:
+        if not (0 <= cls < num_classes and cls == int(cls)):
+            raise ShapeError(f"class {cls} outside [0, {num_classes}) or not a whole number")
+        cell_x, cell_y, _, _ = encode_offset(box.cx, box.cy, stride)
+        if cell_x >= width or cell_y >= height:
             raise OutOfImageError(
-                f"center cell ({off.cell_x}, {off.cell_y}) outside {width}x{height} grid"
+                f"center cell ({cell_x}, {cell_y}) outside {width}x{height} grid"
             )
-        positives.append((int(cls), off.cell_x, off.cell_y))
+        positives.append((int(cls), cell_x, cell_y))
         by_sigma.setdefault(gaussian_sigma(box, stride), []).append(positives[-1])
     for sigma, group in by_sigma.items():
         # Capped at the grid size, which also keeps an infinite sigma finite.
@@ -103,11 +109,12 @@ class EncodedTargets:
     """Everything the decoder needs: heatmap plus dense offset/parameter maps.
 
     heatmap is the (C, H, W) grid from render_heatmap.  positives lists each
-    object's center cell as (class, cell_x, cell_y), in input order; the
-    heatmap holds exactly 1 there.  offset_map is (2, H, W) holding (dx, dy)
-    and param_map is (3, H, W) holding (phi, r1, r2), both written only at
-    the positive cells; these two maps are the regression targets.  All
-    three arrays are read-only.
+    object's center cell as (class, cell_x, cell_y), in input order, the
+    layout extract_peaks' tuples start with; the heatmap holds exactly 1
+    there.  offset_map is (2, H, W) holding (dx, dy) and param_map is
+    (3, H, W) holding (phi, r1, r2), both written only at the positive
+    cells; these two maps are the regression targets.  All three arrays are
+    read-only.
     """
 
     heatmap: np.ndarray
@@ -124,10 +131,10 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     param_map = target_grid((3, height, width))
     positives = []
     for box, cls in objects:
-        off = encode_offset(box.cx, box.cy, stride)
-        offset_map[:, off.cell_y, off.cell_x] = (off.dx, off.dy)
-        param_map[:, off.cell_y, off.cell_x] = (box.phi, box.r1, box.r2)
-        positives.append((int(cls), off.cell_x, off.cell_y))
+        cell_x, cell_y, dx, dy = encode_offset(box.cx, box.cy, stride)
+        offset_map[:, cell_y, cell_x] = (dx, dy)
+        param_map[:, cell_y, cell_x] = (box.phi, box.r1, box.r2)
+        positives.append((int(cls), cell_x, cell_y))
     offset_map.setflags(write=False)
     param_map.setflags(write=False)
     return EncodedTargets(heatmap, offset_map, param_map, tuple(positives))
@@ -186,19 +193,11 @@ def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> f
     return float(cla + mu * jiou + reg) + 0.0
 
 
-@dataclass(frozen=True)
-class Peak:
-    """A heatmap cell that dominates its 3x3 neighborhood."""
-
-    category: int
-    cell_x: int
-    cell_y: int
-    score: float
-
-
 def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
                   threshold: float = DEFAULT_PEAK_THRESHOLD):
-    """Cells that dominate their 3x3 neighborhood with score >= threshold, top-k.
+    """Cells that dominate their 3x3 neighborhood with score >= threshold, top-k,
+    as (category, cell_x, cell_y, score) tuples of Python ints and floats:
+    the layout of `EncodedTargets.positives` plus the score.
 
     On plateaus of equal values the row-major-first cell wins: a peak must
     strictly exceed the neighbors that precede it in row-major order and
@@ -233,18 +232,40 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
         keep = score > other if strict else score >= other
         keep |= (ys + dy < 0) | (ys + dy >= h) | (xs + dx < 0) | (xs + dx >= w)
         cells, ys, xs, score = cells[keep], ys[keep], xs[keep], score[keep]
-    peaks = [Peak(ci, xi, yi, si) for ci, yi, xi, si in zip(
-        (cells // (h * w)).tolist(), ys.tolist(), xs.tolist(), score.tolist())]
-    peaks.sort(key=lambda p: (-p.score, p.category, p.cell_y, p.cell_x))
-    return peaks[:k]
+    cats = cells // (h * w)
+    top = np.lexsort((xs, ys, cats, -score))[:k]
+    return list(zip(cats[top].tolist(), xs[top].tolist(), ys[top].tolist(),
+                    score[top].tolist()))
+
+
+def encode_offset(cx: float, cy: float, stride: int):
+    """Split a pixel-space center into its output-grid cell and the fractional
+    offset within it: (cell_x, cell_y, dx, dy), with cx = (cell_x + dx) *
+    stride.  decode_detections inverts it.
+
+    Raises ValueError unless the stride is finite and >= 1.
+    """
+    if not 1 <= stride < math.inf:
+        raise ValueError(f"stride must be finite and >= 1, got {stride}")
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise InvalidBoxError(f"non-finite center ({cx}, {cy})")
+    if cx < 0 or cy < 0:
+        raise OutOfImageError(f"center ({cx}, {cy}) has negative coordinates")
+    gx, gy = cx / stride, cy / stride
+    cell_x, cell_y = math.floor(gx), math.floor(gy)
+    return cell_x, cell_y, gx - cell_x, gy - cell_y
 
 
 def decode_detections(peaks, offset_map, param_map, stride: int):
-    """Detections from peaks plus the dense maps.
+    """Detections from (category, cell_x, cell_y, score) peaks plus the
+    dense maps.
 
     The center is (cell + offset) * stride; (phi, r1, r2) are read at the
-    peak cell and canonicalized.
+    peak cell and canonicalized.  Raises ValueError unless the stride is
+    finite and >= 1.
     """
+    if not 1 <= stride < math.inf:
+        raise ValueError(f"stride must be finite and >= 1, got {stride}")
     off = np.asarray(offset_map, dtype=np.float64)
     par = np.asarray(param_map, dtype=np.float64)
     if off.ndim != 3 or off.shape[0] != 2:
@@ -254,13 +275,13 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
             f"param map must be (3, H, W) aligned with offsets, got shape {par.shape}"
         )
     detections = []
-    for p in peaks:
-        dx, dy = off[:, p.cell_y, p.cell_x]
-        phi, r1, r2 = par[:, p.cell_y, p.cell_x]
+    for category, cell_x, cell_y, score in peaks:
+        dx, dy = off[:, cell_y, cell_x]
+        phi, r1, r2 = par[:, cell_y, cell_x]
         box = canonicalize(OrientedBox(
-            (p.cell_x + dx) * stride, (p.cell_y + dy) * stride, r1, r2, phi,
+            (cell_x + dx) * stride, (cell_y + dy) * stride, r1, r2, phi,
         ))
-        detections.append(Detection(box=box, score=p.score, category=p.category))
+        detections.append(Detection(box=box, score=score, category=category))
     return detections
 
 
@@ -280,9 +301,7 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     peaks = extract_peaks(enc.heatmap, k=max(len(objects), 1),
                           threshold=DEFAULT_PEAK_THRESHOLD)
     detections = decode_detections(peaks, enc.offset_map, enc.param_map, stride)
-    by_cell = {}
-    for det, peak in zip(detections, peaks):
-        by_cell[(peak.category, peak.cell_x, peak.cell_y)] = det
+    by_cell = {peak[:3]: det for peak, det in zip(peaks, detections)}
     matches = [by_cell.get(cell) for cell in enc.positives]
     errors = np.full((len(objects), 5), np.nan)
     for i, ((box, _), det) in enumerate(zip(objects, matches)):

@@ -153,16 +153,19 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
     lo, span = np.array([x0, y0]), np.array([w, h])
     rng = np.random.default_rng(seed)
     n_union = n_inter = 0
-    for start in range(0, samples, MC_CHUNK):
-        # lo + span * u, as Generator.uniform computes it, from the same stream.
-        pts = rng.random((min(MC_CHUNK, samples - start), 2))
-        pts *= span
-        pts += lo
-        x, y = pts.T.copy()
-        in_a = contains(a, x, y)
-        in_b = contains(b, x, y)
-        n_union += int(np.count_nonzero(in_a | in_b))
-        n_inter += int(np.count_nonzero(in_a & in_b))
+    # A sample whose box-frame coordinate overflows to inf lies outside that
+    # box, and the containment comparison already reads it that way.
+    with np.errstate(over="ignore"):
+        for start in range(0, samples, MC_CHUNK):
+            # lo + span * u, as Generator.uniform computes it, from the same stream.
+            pts = rng.random((min(MC_CHUNK, samples - start), 2))
+            pts *= span
+            pts += lo
+            x, y = pts.T.copy()
+            in_a = contains(a, x, y)
+            in_b = contains(b, x, y)
+            n_union += int(np.count_nonzero(in_a | in_b))
+            n_inter += int(np.count_nonzero(in_a & in_b))
     if n_union == 0:
         return 0.0, 0.0
     p = n_inter / n_union

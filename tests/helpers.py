@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from polarjiou import (
     OrientedBox,
-    Peak,
     canonicalize,
     encode_offset,
     exact_rect_iou,
@@ -377,11 +376,11 @@ def reference_heatmap(objects, num_classes, height, width, stride):
     xs = np.arange(width, dtype=np.float64)[None, :]
     centers = []
     for box, cls in objects:
-        off = encode_offset(box.cx, box.cy, stride)
+        cell_x, cell_y, _, _ = encode_offset(box.cx, box.cy, stride)
         sigma = gaussian_sigma(box, stride)
-        g = np.exp(-((xs - off.cell_x) ** 2 + (ys - off.cell_y) ** 2) / (2.0 * sigma * sigma))
+        g = np.exp(-((xs - cell_x) ** 2 + (ys - cell_y) ** 2) / (2.0 * sigma * sigma))
         np.maximum(values[cls], g, out=values[cls])
-        centers.append((cls, off.cell_x, off.cell_y))
+        centers.append((cls, cell_x, cell_y))
     for cls, cx, cy in centers:
         values[cls, cy, cx] = 1.0
     return values
@@ -406,8 +405,8 @@ def reference_extract_peaks(heatmap, k, threshold):
 
     cats, ys, xs = np.nonzero(is_peak)
     peaks = [
-        Peak(int(ci), int(xi), int(yi), float(heat[ci, yi, xi]))
+        (int(ci), int(xi), int(yi), float(heat[ci, yi, xi]))
         for ci, yi, xi in zip(cats, ys, xs)
     ]
-    peaks.sort(key=lambda p: (-p.score, p.category, p.cell_y, p.cell_x))
+    peaks.sort(key=lambda p: (-p[3], p[0], p[2], p[1]))
     return peaks[:k]

@@ -14,25 +14,18 @@ from helpers import (
     reference_corners_to_box,
 )
 from polarjiou import (
-    CenterOffset,
     OrientedBox,
     canonicalize,
     corner_set_distance,
     corners_to_box,
     decode_corners,
-    encode_offset,
     load_dota_annotations,
     parse_dota_record,
     phi_distance,
     signed_area,
 )
 from polarjiou.boxes import iter_dota_object_lines, iter_text_lines
-from polarjiou.errors import (
-    AnnotationError,
-    DegenerateQuadError,
-    InvalidBoxError,
-    OutOfImageError,
-)
+from polarjiou.errors import AnnotationError, DegenerateQuadError, InvalidBoxError
 
 
 class TestOrientedBox:
@@ -308,39 +301,6 @@ class TestPhiDistance:
 
     def test_symmetric(self):
         assert phi_distance(0.2, 1.0) == phi_distance(1.0, 0.2)
-
-
-class TestEncodeOffset:
-    def test_fractional_center(self):
-        off = encode_offset(101, 53, 4)
-        assert off == CenterOffset(0.25, 0.25, 25, 13)
-
-    def test_exact_grid_point(self):
-        off = encode_offset(8, 8, 4)
-        assert off == CenterOffset(0.0, 0.0, 2, 2)
-
-    def test_near_cell_edge(self):
-        off = encode_offset(607.9, 0.1, 4)
-        assert (off.cell_x, off.cell_y) == (151, 0)
-        assert off.dx == pytest.approx(0.975, abs=1e-12)
-        assert off.dy == pytest.approx(0.025, abs=1e-12)
-
-    @given(boxes(canonical=True, max_center=500.0))
-    def test_reconstructs_center(self, box):
-        """(cell + d) * stride reproduces the coordinate within 1e-9."""
-        cx, cy = abs(box.cx), abs(box.cy)
-        off = encode_offset(cx, cy, 4)
-        assert (off.cell_x + off.dx) * 4 == pytest.approx(cx, abs=1e-9)
-        assert (off.cell_y + off.dy) * 4 == pytest.approx(cy, abs=1e-9)
-        assert 0 <= off.dx < 1 and 0 <= off.dy < 1
-
-    def test_rejects_negative_coordinates(self):
-        with pytest.raises(OutOfImageError):
-            encode_offset(-1, 3, 4)
-
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            encode_offset(1, 1, 0)
 
 
 class TestDotaParsing:

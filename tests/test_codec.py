@@ -26,8 +26,8 @@ from polarjiou import (
     smooth_l1,
     total_loss,
 )
-from helpers import reference_extract_peaks, reference_heatmap
-from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, Peak, target_grid
+from helpers import boxes, reference_extract_peaks, reference_heatmap
+from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, target_grid
 from polarjiou.errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
 
 
@@ -118,6 +118,20 @@ class TestRenderHeatmap:
         box = OrientedBox(40, 40, 8, 4, 0)
         with pytest.raises(ShapeError):
             render_heatmap([(box, 5)], 2, 32, 32, 4)
+
+    def test_fractional_class_rejected(self):
+        """A class that is not a whole number is refused, not truncated
+        into the class below it; whole ints, numpy ints and floats pass."""
+        box = OrientedBox(10, 10, 4, 2, 0.3)
+        with pytest.raises(ShapeError):
+            render_heatmap([(box, 1.5)], 3, 8, 8, 4)
+        with pytest.raises(ShapeError):
+            encode_targets([(box, 1.5)], 3, 8, 8, 4)
+        with pytest.raises(ShapeError):
+            render_heatmap([(box, math.nan)], 3, 8, 8, 4)
+        for cls in (1, np.int64(1), 1.0):
+            enc = encode_targets([(box, cls)], 3, 8, 8, 4)
+            assert enc.positives == ((1, 2, 2),) and enc.heatmap[1, 2, 2] == 1.0
 
 
 def same_bits(a, b):
@@ -430,13 +444,20 @@ class TestExtractPeaks:
         box = OrientedBox(41, 43, 20, 10, 0.2)
         target = render_heatmap([(box, 0)], 1, 32, 32, 4)
         peaks = extract_peaks(target)
-        assert peaks == [Peak(0, 10, 10, 1.0)]
+        assert peaks == [(0, 10, 10, 1.0)]
+
+    def test_peaks_are_python_scalars(self):
+        heat = np.zeros((2, 5, 5), dtype=np.float32)
+        heat[1, 3, 2] = 0.5
+        (peak,) = extract_peaks(heat)
+        assert peak == (1, 2, 3, 0.5)
+        assert [type(v) for v in peak] == [int, int, int, float]
 
     def test_two_separated_gaussians(self):
         objs = [(OrientedBox(40, 40, 20, 10, 0), 0), (OrientedBox(100, 100, 20, 10, 0), 0)]
         target = render_heatmap(objs, 1, 40, 40, 4)
         peaks = extract_peaks(target, k=10)
-        assert {(p.cell_x, p.cell_y) for p in peaks} == {(10, 10), (25, 25)}
+        assert {(x, y) for _, x, y, _ in peaks} == {(10, 10), (25, 25)}
 
     def test_plateau_row_major_first_wins(self):
         """On a plateau of equal values only the earliest cell in row-major
@@ -444,12 +465,12 @@ class TestExtractPeaks:
         heat = np.zeros((1, 5, 5))
         heat[0, 2:4, 2:4] = 0.8
         peaks = extract_peaks(heat)
-        assert peaks == [Peak(0, 2, 2, 0.8)]
+        assert peaks == [(0, 2, 2, 0.8)]
 
     def test_threshold_inclusive(self):
         heat = np.zeros((1, 5, 5))
         heat[0, 2, 2] = 0.3
-        assert extract_peaks(heat, threshold=0.3) == [Peak(0, 2, 2, 0.3)]
+        assert extract_peaks(heat, threshold=0.3) == [(0, 2, 2, 0.3)]
         assert extract_peaks(heat, threshold=0.31) == []
 
     def test_top_k_by_score(self):
@@ -457,14 +478,14 @@ class TestExtractPeaks:
         for i, v in enumerate((0.9, 0.5, 0.7, 0.4)):
             heat[0, 1, 3 * i + 1] = v
         peaks = extract_peaks(heat, k=2)
-        assert [p.score for p in peaks] == [0.9, 0.7]
+        assert [score for *_, score in peaks] == [0.9, 0.7]
 
     def test_deterministic_sort_on_ties(self):
         heat = np.zeros((2, 5, 5))
         heat[1, 3, 1] = 0.6
         heat[0, 1, 3] = 0.6
         peaks = extract_peaks(heat)
-        assert [(p.category, p.cell_y, p.cell_x) for p in peaks] == [(0, 1, 3), (1, 3, 1)]
+        assert [(c, y, x) for c, x, y, _ in peaks] == [(0, 1, 3), (1, 3, 1)]
 
     def test_parameters_validated(self):
         heat = np.zeros((1, 3, 3))
@@ -539,6 +560,44 @@ class TestSparsePeaks:
             self.agree(heat, k=k)
 
 
+class TestEncodeOffset:
+    def test_fractional_center(self):
+        assert encode_offset(101, 53, 4) == (25, 13, 0.25, 0.25)
+
+    def test_exact_grid_point(self):
+        assert encode_offset(8, 8, 4) == (2, 2, 0.0, 0.0)
+
+    def test_near_cell_edge(self):
+        cell_x, cell_y, dx, dy = encode_offset(607.9, 0.1, 4)
+        assert (cell_x, cell_y) == (151, 0)
+        assert dx == pytest.approx(0.975, abs=1e-12)
+        assert dy == pytest.approx(0.025, abs=1e-12)
+
+    @given(boxes(canonical=True, max_center=500.0))
+    def test_reconstructs_center(self, box):
+        """(cell + d) * stride reproduces the coordinate within 1e-9."""
+        cx, cy = abs(box.cx), abs(box.cy)
+        cell_x, cell_y, dx, dy = encode_offset(cx, cy, 4)
+        assert (cell_x + dx) * 4 == pytest.approx(cx, abs=1e-9)
+        assert (cell_y + dy) * 4 == pytest.approx(cy, abs=1e-9)
+        assert 0 <= dx < 1 and 0 <= dy < 1
+
+    def test_rejects_negative_coordinates(self):
+        with pytest.raises(OutOfImageError):
+            encode_offset(-1, 3, 4)
+
+    def test_rejects_bad_stride(self):
+        with pytest.raises(ValueError):
+            encode_offset(1, 1, 0)
+
+    @pytest.mark.parametrize("stride", [math.inf, math.nan])
+    def test_rejects_non_finite_stride(self, stride):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="stride"):
+                encode_offset(10, 10, stride)
+
+
 class TestDecodeDetections:
     def test_offset_example(self):
         """Cell (25, 13) with offset (0.25, 0.25) at stride 4 is (101, 53)."""
@@ -546,7 +605,7 @@ class TestDecodeDetections:
         params = np.zeros((3, 20, 30))
         offset[:, 13, 25] = (0.25, 0.25)
         params[:, 13, 25] = (0.1, 8.0, 4.0)
-        dets = decode_detections([Peak(0, 25, 13, 0.9)], offset, params, 4)
+        dets = decode_detections([(0, 25, 13, 0.9)], offset, params, 4)
         assert (dets[0].box.cx, dets[0].box.cy) == (101.0, 53.0)
         assert (dets[0].box.r1, dets[0].box.r2, dets[0].box.phi) == (8.0, 4.0, 0.1)
 
@@ -555,6 +614,16 @@ class TestDecodeDetections:
             decode_detections([], np.zeros((3, 4, 4)), np.zeros((3, 4, 4)), 4)
         with pytest.raises(ShapeError):
             decode_detections([], np.zeros((2, 4, 4)), np.zeros((3, 4, 5)), 4)
+
+    @pytest.mark.parametrize("stride", [0, -4, math.inf, math.nan])
+    def test_bad_stride_rejected(self, stride):
+        """A stride that is not finite and >= 1 is refused instead of
+        placing every box at or below the origin."""
+        offset, params = np.zeros((2, 4, 4)), np.ones((3, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="stride"):
+                decode_detections([(0, 1, 1, 0.9)], offset, params, stride)
 
 
 class TestRoundtrip:
@@ -603,7 +672,7 @@ class TestRoundtrip:
         assert enc.param_map.shape == (3, 32, 32)
         assert len(enc.positives) == 5
         for (box, cls), (pos_cls, cell_x, cell_y) in zip(objs, enc.positives):
-            off = encode_offset(box.cx, box.cy, 4)
-            assert (pos_cls, cell_x, cell_y) == (cls, off.cell_x, off.cell_y)
+            off_x, off_y, dx, dy = encode_offset(box.cx, box.cy, 4)
+            assert (pos_cls, cell_x, cell_y) == (cls, off_x, off_y)
             assert tuple(enc.param_map[:, cell_y, cell_x]) == (box.phi, box.r1, box.r2)
-            assert tuple(enc.offset_map[:, cell_y, cell_x]) == (off.dx, off.dy)
+            assert tuple(enc.offset_map[:, cell_y, cell_x]) == (dx, dy)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -543,6 +544,19 @@ class TestMcChunkedStream:
             reference_mc_iou(a, b, 10_000, 0, ellipse)
         with pytest.raises(OverflowError):
             oracle(a, b, 10_000, seed=0)
+
+    def test_mc_extreme_extents_do_not_warn(self):
+        """Extents at the ends of the accepted range overflow some samples'
+        box-frame coordinates; those samples count as outside without a
+        numpy warning, and the estimate keeps the single draw's bits."""
+        a = OrientedBox(0, 0, 1e100, 1e-100, 0.3)
+        b = OrientedBox(1, 1, 1e-100, 1e100, 1.0)
+        with np.errstate(all="ignore"):
+            want = reference_mc_iou(a, b, 10_000, 0, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc_ellipse_iou(a, b, 10_000, 0)
+        assert got[0] == want[0] and got[1] == want[1]
 
     @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
     def test_mc_peak_memory_bounded(self, oracle, ellipse):
