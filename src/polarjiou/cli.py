@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 import warnings
@@ -336,7 +337,11 @@ def cmd_heatmap_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call; callers must not mutate it.  Help and usage text still read the
+    terminal width when they are formatted."""
     parser = argparse.ArgumentParser(
         prog="polarjiou",
         description="Polar IoU loss analysis tools for oriented boxes.")

@@ -106,24 +106,42 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     return min(1.0, inter / (area_a + area_b - inter))
 
 
-def _to_frame(box: OrientedBox, x: np.ndarray, y: np.ndarray):
-    """Point coordinates in the box frame (origin at center, x along r1)."""
-    dx = x - box.cx
-    dy = y - box.cy
+def _to_frame(box: OrientedBox, x: np.ndarray, y: np.ndarray, frame):
+    """Point coordinates in the box frame (origin at center, x along r1).
+
+    frame = (dx, dy, u, v, spare) holds one chunk's work buffers; the
+    coordinates are written into u and v, which are returned."""
+    dx, dy, u, v, _ = frame
+    np.subtract(x, box.cx, out=dx)
+    np.subtract(y, box.cy, out=dy)
     c, s = math.cos(box.phi), math.sin(box.phi)
-    return c * dx + s * dy, -s * dx + c * dy
+    # u = c·dx + s·dy
+    np.multiply(dx, c, out=u)
+    np.multiply(dy, s, out=v)
+    u += v
+    # v = -s·dx + c·dy
+    np.multiply(dx, -s, out=v)
+    dy *= c
+    v += dy
+    return u, v
 
 
-def _ellipse_contains(box: OrientedBox, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    u, v = _to_frame(box, x, y)
+def _ellipse_contains(box: OrientedBox, x, y, frame, out: np.ndarray) -> np.ndarray:
+    u, v = _to_frame(box, x, y, frame)
     u /= box.r1
     v /= box.r2
-    return u * u + v * v <= 1.0
+    u *= u
+    v *= v
+    u += v
+    return np.less_equal(u, 1.0, out=out)
 
 
-def _rect_contains(box: OrientedBox, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    u, v = _to_frame(box, x, y)
-    return (np.abs(u) <= box.r1) & (np.abs(v) <= box.r2)
+def _rect_contains(box: OrientedBox, x, y, frame, out: np.ndarray) -> np.ndarray:
+    u, v = _to_frame(box, x, y, frame)
+    spare = frame[4]
+    np.less_equal(np.abs(u, out=u), box.r1, out=out)
+    out &= np.less_equal(np.abs(v, out=v), box.r2, out=spare)
+    return out
 
 
 def _ellipse_aabb(box: OrientedBox):
@@ -150,22 +168,33 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
     w, h = max(ax1, bx1) - x0, max(ay1, by1) - y0
     if not (math.isfinite(w) and math.isfinite(h)):
         raise OverflowError("Range exceeds valid bounds")
-    lo, span = np.array([x0, y0]), np.array([w, h])
     rng = np.random.default_rng(seed)
-    n_union = n_inter = 0
+    # Every chunk is drawn and tested in these buffers; a short last chunk
+    # uses their leading rows.
+    n = min(MC_CHUNK, samples)
+    pts = np.empty((n, 2))
+    x, y, dx, dy, u, v = np.empty((6, n))
+    in_a, in_b, spare = np.empty((3, n), dtype=bool)
+    n_a = n_b = n_inter = 0
     # A sample whose box-frame coordinate overflows to inf lies outside that
     # box, and the containment comparison already reads it that way.
     with np.errstate(over="ignore"):
         for start in range(0, samples, MC_CHUNK):
+            k = min(MC_CHUNK, samples - start)
+            rng.random(out=pts[:k])
             # lo + span * u, as Generator.uniform computes it, from the same stream.
-            pts = rng.random((min(MC_CHUNK, samples - start), 2))
-            pts *= span
-            pts += lo
-            x, y = pts.T.copy()
-            in_a = contains(a, x, y)
-            in_b = contains(b, x, y)
-            n_union += int(np.count_nonzero(in_a | in_b))
-            n_inter += int(np.count_nonzero(in_a & in_b))
+            xk = np.multiply(pts[:k, 0], w, out=x[:k])
+            xk += x0
+            yk = np.multiply(pts[:k, 1], h, out=y[:k])
+            yk += y0
+            frame = (dx[:k], dy[:k], u[:k], v[:k], spare[:k])
+            ak = contains(a, xk, yk, frame, in_a[:k])
+            bk = contains(b, xk, yk, frame, in_b[:k])
+            n_a += int(np.count_nonzero(ak))
+            n_b += int(np.count_nonzero(bk))
+            ak &= bk
+            n_inter += int(np.count_nonzero(ak))
+    n_union = n_a + n_b - n_inter
     if n_union == 0:
         return 0.0, 0.0
     p = n_inter / n_union
@@ -177,10 +206,11 @@ def mc_ellipse_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
     """Monte-Carlo IoU of the two boxes' inscribed ellipses.
 
     Uniform points are drawn over the united bounding box of the two
-    ellipses, MC_CHUNK rows at a time from one seeded stream; the result
-    equals that of a single draw of all samples and does not depend on
-    MC_CHUNK.  Raises OverflowError when that box is wider than the
-    largest float.  Returns (estimate, standard_error); the standard error
+    ellipses, MC_CHUNK rows at a time from one seeded stream, and tested
+    in buffers allocated once per call; the result keeps the bits of one
+    Generator.uniform draw of all samples and does not depend on MC_CHUNK.
+    Raises OverflowError when that box is wider than the largest float.
+    Returns (estimate, standard_error); the standard error
     is the binomial deviation of the intersection fraction among union
     hits, so it is 0 exactly when every union hit is an intersection hit.
     """

@@ -32,7 +32,13 @@ from polarjiou import (
 )
 from polarjiou.boxes import corner_offsets
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
-from polarjiou.oracle import CLIP_ROUNDING, MC_CHUNK, PRUNE_EXTENT_LIMIT, PRUNE_REACH_SLACK
+from polarjiou.oracle import (
+    CLIP_ROUNDING,
+    MC_CHUNK,
+    MIN_MC_SAMPLES,
+    PRUNE_EXTENT_LIMIT,
+    PRUNE_REACH_SLACK,
+)
 from polarjiou.polar import MAX_EXTENT, MIN_EXTENT
 
 
@@ -535,6 +541,20 @@ class TestMcChunkedStream:
             assert got[0] == want[0] and got[1] == want[1]
 
     @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    @pytest.mark.parametrize("chunk", (1000, 4099, 10_000))
+    def test_mc_estimate_does_not_depend_on_chunk(self, monkeypatch, oracle, ellipse, chunk):
+        """Other chunk sizes reuse the buffers for short last chunks of other
+        lengths; the estimate keeps the single draw's bits.  Below
+        MIN_MC_SAMPLES, 3 * chunk + 7 becomes MIN_MC_SAMPLES + 7."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", chunk)
+        for case in sorted(MC_STREAM_CASES):
+            a, b = MC_STREAM_CASES[case]
+            for samples in (10_000, max(3 * chunk, MIN_MC_SAMPLES) + 7):
+                got = oracle(a, b, samples, seed=samples)
+                want = reference_mc_iou(a, b, samples, samples, ellipse)
+                assert got[0] == want[0] and got[1] == want[1], (case, samples)
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
     def test_mc_overflowing_range_rejected(self, oracle, ellipse):
         """A sampling range wider than the largest float raises, as
         Generator.uniform does for the single draw."""
@@ -556,6 +576,21 @@ class TestMcChunkedStream:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = mc_ellipse_iou(a, b, 10_000, 0)
+        assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("a, b", [
+        (OrientedBox(0, 0, 1e100, 1e-100, 0.3), OrientedBox(1, 1, 1e-100, 1e100, 1.0)),
+        (OrientedBox(1e300, -1e300, 1e100, 3, 0.3), OrientedBox(1e300, -1e300, 2, 1e99, 1.0)),
+        (OrientedBox(0, 0, 1e150, 1e150, 0.7), OrientedBox(1e150, 0, 1e150, 1, 0.1)),
+    ])
+    def test_mc_rect_extreme_extents_do_not_warn(self, a, b):
+        """mc_rect_iou's twin of the test above: the in-place absolute
+        values and comparisons raise no numpy warning either."""
+        with np.errstate(all="ignore"):
+            want = reference_mc_iou(a, b, 10_000, 0, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc_rect_iou(a, b, 10_000, 0)
         assert got[0] == want[0] and got[1] == want[1]
 
     @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
