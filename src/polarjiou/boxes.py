@@ -41,40 +41,39 @@ class OrientedBox:
     phi: float
 
     def __post_init__(self):
-        vals = (self.cx, self.cy, self.r1, self.r2, self.phi)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidBoxError(f"non-finite box parameters ({', '.join(map(str, vals))})")
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise InvalidBoxError(
-                f"half-extents must be positive, got r1={self.r1}, r2={self.r2}"
-            )
-        for name, v in zip(("cx", "cy", "r1", "r2", "phi"), vals):
-            object.__setattr__(self, name, float(v))
-
-
-def _wrap_phi(phi: float) -> float:
-    # Identity when already in range keeps canonicalize exactly idempotent;
-    # IEEE remainder makes pi-shift reduction exact for representable sums.
-    if -HALF_PI < phi <= HALF_PI:
-        return phi
-    r = math.remainder(phi, math.pi)
-    if r <= -HALF_PI:
-        r += math.pi
-    return r
+        cx, cy, r1, r2, phi = self.cx, self.cy, self.r1, self.r2, self.phi
+        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(r1)
+                and math.isfinite(r2) and math.isfinite(phi)):
+            vals = ", ".join(map(str, (cx, cy, r1, r2, phi)))
+            raise InvalidBoxError(f"non-finite box parameters ({vals})")
+        if r1 <= 0 or r2 <= 0:
+            raise InvalidBoxError(f"half-extents must be positive, got r1={r1}, r2={r2}")
+        object.__setattr__(self, "cx", float(cx))
+        object.__setattr__(self, "cy", float(cy))
+        object.__setattr__(self, "r1", float(r1))
+        object.__setattr__(self, "r2", float(r2))
+        object.__setattr__(self, "phi", float(phi))
 
 
 def canonicalize(box: OrientedBox) -> OrientedBox:
     """Unique canonical form: r1 >= r2, phi in (-pi/2, pi/2], same point set.
 
     Swapping the axes rotates the angle by pi/2; square boxes keep their
-    angle (only wrapped into range).  Idempotent: canonical boxes pass
-    through bit-identical.
+    angle (only wrapped into range).  A canonical box is returned unchanged,
+    the same object, so canonicalize is exactly idempotent.
     """
     r1, r2, phi = box.r1, box.r2, box.phi
+    if r1 >= r2 and -HALF_PI < phi <= HALF_PI:
+        return box
     if r1 < r2:
         r1, r2 = r2, r1
         phi = phi + HALF_PI
-    return OrientedBox(box.cx, box.cy, r1, r2, _wrap_phi(phi))
+    # IEEE remainder is exact: it keeps an angle already in range and reduces
+    # by pi-shifts without rounding.
+    phi = math.remainder(phi, math.pi)
+    if phi <= -HALF_PI:
+        phi += math.pi
+    return OrientedBox(box.cx, box.cy, r1, r2, phi)
 
 
 def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
@@ -84,11 +83,14 @@ def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
     non-finite value.
     """
     c, s = math.cos(box.phi), math.sin(box.phi)
-    r1, r2 = box.r1, box.r2
+    r1, r2, cx, cy = box.r1, box.r2, box.cx, box.cy
     offsets = [(c * bx - s * by, s * bx + c * by)
                for bx, by in ((-r1, -r2), (r1, -r2), (r1, r2), (-r1, r2))]
-    if not all(math.isfinite(ox + box.cx) and math.isfinite(oy + box.cy)
-               for ox, oy in offsets):
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = offsets
+    # Corner by corner: a sum of the coordinates can overflow while every corner is finite.
+    fin = math.isfinite
+    if not (fin(x0 + cx) and fin(y0 + cy) and fin(x1 + cx) and fin(y1 + cy)
+            and fin(x2 + cx) and fin(y2 + cy) and fin(x3 + cx) and fin(y3 + cy)):
         raise InvalidBoxError("non-finite corner coordinates")
     return offsets
 

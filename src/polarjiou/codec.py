@@ -179,7 +179,7 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
     d = np.abs(p - t)
     q = np.minimum(d, 1.0)  # equals d where the quadratic branch is kept; cannot overflow
     per_row = np.where(d < 1.0, 0.5 * q * q, d - 0.5).sum(axis=-1)
-    return float(np.mean(per_row))
+    return float(per_row.sum() / per_row.size)  # np.mean's sum and division
 
 
 def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> float:

@@ -50,7 +50,7 @@ def _sums(rho_p, rho_t):
     """sum(min^2) and sum(max^2) of two profiles: the ratio's numerator and denominator."""
     lo = np.minimum(rho_p, rho_t)
     hi = np.maximum(rho_p, rho_t)
-    return float(np.sum(lo * lo)), float(np.sum(hi * hi))
+    return float((lo * lo).sum()), float((hi * hi).sum())
 
 
 def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouValue:
@@ -98,8 +98,8 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
 
     def d_loss(drho):
         contrib = weight * drho
-        ds_min = float(np.sum(contrib[in_min]))
-        ds_max = float(np.sum(contrib[in_max]))
+        ds_min = float(contrib[in_min].sum())
+        ds_max = float(contrib[in_max].sum())
         return ds_max / s_max - ds_min / s_min
 
     return JiouGradient(

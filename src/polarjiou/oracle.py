@@ -34,33 +34,31 @@ MIN_MC_SAMPLES = 10_000
 MC_CHUNK = 1 << 15
 
 
-def _cross(a, b, p):
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-
-
-def _intersect(p, q, dp, dq):
-    t = dp / (dp - dq)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-
 def _clip_halfplane(poly, a, b):
     """Keep the part of a convex polygon on the interior side of edge a->b.
 
     Decoded corners wind so that the interior has non-negative cross product
-    against every directed edge.
+    against every directed edge.  Each vertex's side is computed as the end
+    of one edge and carried to the next as its start.
     """
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
     out = []
-    m = len(poly)
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        dp = _cross(a, b, p)
-        dq = _cross(a, b, q)
+    p = poly[0]
+    px, py = p
+    dp = ex * (py - ay) - ey * (px - ax)
+    for q in poly[1:] + poly[:1]:
+        qx, qy = q
+        dq = ex * (qy - ay) - ey * (qx - ax)
         if dp >= 0.0:
             out.append(p)
-            if dq < 0.0:
-                out.append(_intersect(p, q, dp, dq))
-        elif dq >= 0.0:
-            out.append(_intersect(p, q, dp, dq))
+            cut = dq < 0.0
+        else:
+            cut = dq >= 0.0
+        if cut:
+            t = dp / (dp - dq)
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+        p, px, py, dp = q, qx, qy, dq
     return out
 
 

@@ -30,7 +30,6 @@ from polarjiou.loss import DEFAULT_N, RATIO_FLOOR
 from polarjiou.oracle import (
     CLIP_ROUNDING,
     MIN_OVERLAP_FRACTION,
-    _clip_halfplane,
     _ellipse_aabb,
     _rect_aabb,
 )
@@ -167,17 +166,61 @@ def reference_shoelace_abs(poly):
     return abs(acc) / 2.0
 
 
+def reference_canonicalize(box):
+    """canonicalize with no early return for canonical boxes and an explicit
+    branch that keeps an in-range angle: the values canonicalize must
+    reproduce bit for bit, always in a new box."""
+    r1, r2, phi = box.r1, box.r2, box.phi
+    if r1 < r2:
+        r1, r2 = r2, r1
+        phi = phi + math.pi / 2
+    if not -math.pi / 2 < phi <= math.pi / 2:
+        phi = math.remainder(phi, math.pi)
+        if phi <= -math.pi / 2:
+            phi += math.pi
+    return OrientedBox(box.cx, box.cy, r1, r2, phi)
+
+
+def _cross(a, b, p):
+    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+
+def _intersect(p, q, dp, dq):
+    t = dp / (dp - dq)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def reference_clip_halfplane(poly, a, b):
+    """A frozen copy of the half-plane clipper that computed each vertex's
+    side twice, once as p and once as q: the vertices, values and order
+    oracle._clip_halfplane must reproduce bit for bit."""
+    out = []
+    m = len(poly)
+    for i in range(m):
+        p, q = poly[i], poly[(i + 1) % m]
+        dp = _cross(a, b, p)
+        dq = _cross(a, b, q)
+        if dp >= 0.0:
+            out.append(p)
+            if dq < 0.0:
+                out.append(_intersect(p, q, dp, dq))
+        elif dq >= 0.0:
+            out.append(_intersect(p, q, dp, dq))
+    return out
+
+
 def reference_rect_iou(a, b):
     """exact_rect_iou without the circumcircle early return: a's
-    reference_corner_offsets clipped against b's shifted by the center
-    difference, with a frozen copy of the empty-overlap floor."""
+    reference_corner_offsets clipped by reference_clip_halfplane against
+    b's shifted by the center difference, with a frozen copy of the
+    empty-overlap floor."""
     dx, dy = b.cx - a.cx, b.cy - a.cy
     poly = [tuple(p) for p in reference_corner_offsets(a)]
     clip = [(x + dx, y + dy) for x, y in reference_corner_offsets(b)]
     for i in range(4):
         if not poly:
             break
-        poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
+        poly = reference_clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
     inter = reference_shoelace_abs(poly)
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2

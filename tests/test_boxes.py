@@ -2,14 +2,16 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     boxes,
     random_box,
+    reference_canonicalize,
     reference_corner_set_distance,
     reference_corners_to_box,
 )
@@ -36,10 +38,15 @@ class TestOrientedBox:
             OrientedBox(0, 0, 1, -2, 0)
 
     def test_rejects_non_finite_values(self):
-        with pytest.raises(InvalidBoxError):
-            OrientedBox(math.nan, 0, 1, 1, 0)
-        with pytest.raises(InvalidBoxError):
-            OrientedBox(0, 0, 1, 1, math.inf)
+        """NaN, inf and -inf in each of the five fields raise, naming every value."""
+        for k in range(5):
+            for bad in (math.nan, math.inf, -math.inf):
+                vals = [1.0, 2.0, 3.0, 1.5, 0.5]
+                vals[k] = bad
+                with pytest.raises(InvalidBoxError) as exc:
+                    OrientedBox(*vals)
+                assert str(exc.value) == \
+                    f"non-finite box parameters ({', '.join(map(str, vals))})"
 
     def test_non_finite_message_prints_plain_numbers(self):
         """numpy scalars print as 1e+308 and inf, not as np.float64 reprs."""
@@ -48,8 +55,20 @@ class TestOrientedBox:
         assert str(exc.value) == "non-finite box parameters (0.0, 0.5, 1e+308, inf, 0.9)"
 
     def test_coerces_to_float(self):
-        box = OrientedBox(1, 2, 3, 1, 0)
-        assert isinstance(box.cx, float) and isinstance(box.phi, float)
+        """int, np.float32 and np.float64 in each field are stored as Python
+        floats of the same value; a str raises TypeError."""
+        names = ("cx", "cy", "r1", "r2", "phi")
+        for k, name in enumerate(names):
+            for v in (3, np.float32(2.5), np.float64(1.25)):
+                vals = [1.0, 2.0, 3.0, 1.5, 0.5]
+                vals[k] = v
+                box = OrientedBox(*vals)
+                assert [type(getattr(box, n)) for n in names] == [float] * 5
+                assert getattr(box, name) == float(v)
+            vals = [1.0, 2.0, 3.0, 1.5, 0.5]
+            vals[k] = "1.0"
+            with pytest.raises(TypeError):
+                OrientedBox(*vals)
 
 
 class TestCanonicalize:
@@ -84,6 +103,24 @@ class TestCanonicalize:
         once = canonicalize(box)
         twice = canonicalize(once)
         assert once == twice
+
+    @given(boxes())
+    @settings(max_examples=300)
+    @example(OrientedBox(1, 2, 3, 1, math.pi / 2))
+    @example(OrientedBox(1, 2, 3, 1, -math.pi / 2))
+    @example(OrientedBox(1, 2, 3, 3, -math.pi / 2))
+    @example(OrientedBox(1, 2, 1, 3, 0.0))
+    def test_canonical_box_returned_unchanged(self, box):
+        """A canonical box comes back as the same object; any other box as a
+        new box with the bits of reference_canonicalize."""
+        c = canonicalize(box)
+        ref = reference_canonicalize(box)
+        assert [v.hex() for v in astuple(c)] == [v.hex() for v in astuple(ref)]
+        if box.r1 >= box.r2 and -math.pi / 2 < box.phi <= math.pi / 2:
+            assert c is box
+        else:
+            assert c is not box
+        assert canonicalize(c) is c
 
     @given(boxes())
     @settings(max_examples=200)

@@ -14,6 +14,7 @@ from helpers import (
     finite_floats,
     mc_agreement_pairs,
     random_box,
+    reference_clip_halfplane,
     reference_corner_offsets,
     reference_corners,
     reference_mc_iou,
@@ -38,6 +39,7 @@ from polarjiou.oracle import (
     MIN_MC_SAMPLES,
     PRUNE_EXTENT_LIMIT,
     PRUNE_REACH_SLACK,
+    _clip_halfplane,
 )
 from polarjiou.polar import MAX_EXTENT, MIN_EXTENT
 
@@ -199,10 +201,33 @@ class TestPruningEquivalence:
         OrientedBox(0.0, 0.0, 1.0, 1.0, 0.0),     # clipped
     ])
     def test_overflowing_corner_rejected(self, other):
+        """A corner overflowing toward +x, -x, +y or -y raises, each checked
+        on its own: the pair is mirrored about the y axis and turned onto
+        the y axis."""
         huge = OrientedBox(1e308, 0.0, 1e308, 1.0, 0.0)
-        for a, b in ((huge, other), (other, huge)):
+        turns = (
+            lambda b: b,                                            # +x
+            lambda b: OrientedBox(-b.cx, b.cy, b.r1, b.r2, b.phi),  # -x
+            lambda b: OrientedBox(b.cy, b.cx, b.r2, b.r1, b.phi),   # +y
+            lambda b: OrientedBox(b.cy, -b.cx, b.r2, b.r1, b.phi),  # -y
+        )
+        for turn in turns:
+            h, o = turn(huge), turn(other)
+            for a, b in ((h, o), (o, h)):
+                with pytest.raises(InvalidBoxError, match="non-finite corner"):
+                    exact_rect_iou(a, b)
             with pytest.raises(InvalidBoxError, match="non-finite corner"):
-                exact_rect_iou(a, b)
+                corner_offsets(h)
+            corner_offsets(o)
+
+    def test_finite_corners_whose_sum_overflows_accepted(self):
+        """Every corner is finite although the sum of the coordinates is not:
+        the check must look at each corner coordinate on its own."""
+        box = OrientedBox(1.6e308, 1.6e308, 1e307, 1e307, 0.0)
+        offsets = corner_offsets(box)
+        assert all(math.isfinite(x + box.cx) and math.isfinite(y + box.cy) for x, y in offsets)
+        assert not math.isfinite(sum(x + box.cx + y + box.cy for x, y in offsets))
+        assert np.isfinite(decode_corners(box)).all()
 
     def test_far_pairs_skip_corner_building(self, monkeypatch):
         def fail(*args):
@@ -454,6 +479,76 @@ class TestDegenerateGeometry:
             assert se > 0.0
             assert abs(estimate - exact) <= 3 * se, (a, b, exact, estimate, se)
             checked += 1
+
+
+def clip_stages(a, b):
+    """The four half-plane stages of exact_rect_iou's clip of a against b,
+    each as (input polygon, edge start, edge end), with the library's
+    clipper feeding each stage's output to the next."""
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    poly = corner_offsets(a)
+    clip = [(x + dx, y + dy) for x, y in corner_offsets(b)]
+    for i in range(4):
+        if not poly:
+            return
+        yield poly, clip[i], clip[(i + 1) % 4]
+        poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
+
+
+def vertex_bits(poly):
+    return [(float(x).hex(), float(y).hex()) for x, y in poly]
+
+
+def assert_clipper_matches_reference(a, b):
+    stages = 0
+    for poly, p, q in clip_stages(a, b):
+        assert vertex_bits(_clip_halfplane(poly, p, q)) == \
+            vertex_bits(reference_clip_halfplane(poly, p, q)), (a, b, poly, p, q)
+        stages += 1
+    return stages
+
+
+class TestClipHalfplane:
+    """The clipper keeps the frozen reference's vertices, bits and order at
+    every stage; a cyclic rotation of its output would change the bits of
+    the shoelace sum."""
+
+    def test_pruning_pairs(self):
+        pairs = pruning_pairs(2000, seed=34)
+        assert sum(assert_clipper_matches_reference(a, b) for a, b in pairs) > 4000
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, anchors)
+    def test_anchor_pairs(self, a, b):
+        assert_clipper_matches_reference(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, st.integers(0, 3), unit_fractions, ratios, ratios,
+           st.sampled_from([0.0, 1e-12, -1e-12, 0.3]))
+    @example(a=OrientedBox(129.0, 0.0, 1.0, 0.001, 1.0), side=1, slide=0.0, k1=1.0,
+             k2=0.25, dphi=0.0)
+    def test_touching_and_nested_pairs(self, a, side, slide, k1, k2, dphi):
+        """b shares part of an edge of a from outside, or sits inside a, or
+        is a itself: the sides that land on 0.0 exactly."""
+        r1, r2 = k1 * a.r1, k2 * a.r2
+        u, v = (a.r1 + r1, slide * (a.r2 + r2)) if side % 2 == 0 else \
+            (slide * (a.r1 + r1), a.r2 + r2)
+        if side >= 2:
+            u, v = -u, -v
+        inner = placed(a, 0.5 * slide * a.r1, 0.25 * slide * a.r2, 0.4 * a.r1, 0.4 * a.r2, dphi)
+        for b in (placed(a, u, v, r1, r2, dphi), inner, a):
+            assert_clipper_matches_reference(a, b)
+            assert_clipper_matches_reference(b, a)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_nan_side_is_not_inside(self, k):
+        """A vertex whose side is NaN clips as the reference clips it, with
+        the other vertices inside."""
+        poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+        poly[k] = (math.nan, 0.5)
+        a, b = (0.0, 2.0), (0.0, -2.0)
+        assert vertex_bits(_clip_halfplane(poly, a, b)) == \
+            vertex_bits(reference_clip_halfplane(poly, a, b))
 
 
 class TestMonteCarloEllipse:
