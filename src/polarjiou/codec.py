@@ -5,6 +5,7 @@ back to detections."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -171,15 +172,29 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
 
     Each component difference d costs 0.5*d^2 below 1 and |d| - 0.5 above;
     components are summed and, for (N, 5) inputs, rows are averaged.
+    Raises InvalidLossError when the result is not finite.
     """
     p = np.asarray(pred_tuple, dtype=np.float64)
     t = np.asarray(target_tuple, dtype=np.float64)
     if p.shape != t.shape or p.ndim not in (1, 2) or p.shape[-1] != 5:
         raise ShapeError(f"expected matching (..., 5) tuples, got {p.shape} vs {t.shape}")
-    d = np.abs(p - t)
-    q = np.minimum(d, 1.0)  # equals d where the quadratic branch is kept; cannot overflow
-    per_row = np.where(d < 1.0, 0.5 * q * q, d - 0.5).sum(axis=-1)
-    return float(per_row.sum() / per_row.size)  # np.mean's sum and division
+    row_sums = []
+    # Python floats: no numpy call per term, and no warning where p - t
+    # overflows.  Left to right is numpy's order for a sum of five terms.
+    for p_row, t_row in zip(p.reshape(-1, 5).tolist(), t.reshape(-1, 5).tolist()):
+        total = 0.0
+        for a, b in zip(p_row, t_row):
+            d = abs(a - b)
+            total += 0.5 * d * d if d < 1.0 else d - 0.5
+        row_sums.append(total)
+    rows = np.array(row_sums)
+    # Rows that sum past the largest float give the non-finite mean rejected
+    # below; one row takes no addition, so it skips the errstate's cost.
+    with np.errstate(over="ignore") if rows.size > 1 else contextlib.nullcontext():
+        mean = float(rows.sum() / rows.size)  # np.mean's sum and division
+    if not math.isfinite(mean):
+        raise InvalidLossError(f"non-finite SmoothL1 loss {mean}")
+    return mean
 
 
 def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> float:

@@ -12,8 +12,9 @@ import numpy as np
 from .boxes import HALF_PI, OrientedBox, canonicalize
 from .codec import smooth_l1
 from .errors import EmptyBatchError
-from .loss import DEFAULT_N, jiou_bar, jiou_gradient
+from .loss import DEFAULT_N, _gradient, jiou_bar
 from .oracle import exact_rect_iou, mc_ellipse_iou
+from .polar import grid_angles, radius_at
 
 CONVERGED_IOU = 0.95
 MIN_HALF_EXTENT = 0.1
@@ -69,6 +70,8 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     are clamped back to 0.1 and the step is recorded as projected.
     Convergence means exact rectangle IoU >= 0.95, checked at every
     recorded step including the initial state.  Fully deterministic.
+    What the loss reuses of the fixed target (the JIoU grid and target
+    profile, or the SmoothL1 target tuple) is built once per run.
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")
@@ -77,13 +80,16 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     target = canonicalize(target)
+    if loss_kind == "jiou":
+        thetas = grid_angles(n)
+        rho_t = radius_at(target, thetas)
+    else:
+        pinned_target = _pinned_tuple(target)
 
     def evaluate(box):
         if loss_kind == "jiou":
-            value = jiou_bar(box, target, n)
-            g = jiou_gradient(box, target, n)
-            return value.loss, (g.d_phi, g.d_r1, g.d_r2)
-        loss = smooth_l1(_pinned_tuple(box), _pinned_tuple(target))
+            return jiou_bar(box, target, n).loss, _gradient(box, thetas, rho_t)
+        loss = smooth_l1(_pinned_tuple(box), pinned_target)
         diff = (box.phi - target.phi, box.r1 - target.r1, box.r2 - target.r2)
         return loss, tuple(min(max(d, -1.0), 1.0) for d in diff)
 

@@ -82,31 +82,29 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
     stationary point (zero gradient at the loss minimum).
     """
     thetas = grid_angles(n)
-    rho_p, c, s, denom = _profile_terms(pred, thetas)
-    rho_t = radius_at(target, thetas)
+    return JiouGradient(*_gradient(pred, thetas, radius_at(target, thetas)))
+
+
+def _gradient(pred: OrientedBox, thetas, rho_t):
+    """jiou_gradient's (d_phi, d_r1, d_r2) as floats, given the grid and the
+    target's profile on it, which a fit builds once per run."""
+    rho_p, c, s, rc2, rs2, denom = _profile_terms(pred, thetas)
     s_min, s_max = _sums(rho_p, rho_t)
 
-    # Closed-form derivatives of rho_p at each angle.
+    # Rows: the closed-form derivatives of rho_p by phi, r1 and r2 at each
+    # angle, times the 2 rho_p that turns them into derivatives of rho_p^2.
     r1, r2 = pred.r1, pred.r2
-    drho_dr1 = rho_p * (r2 * c) ** 2 / (r1 * denom)
-    drho_dr2 = rho_p * (r1 * s) ** 2 / (r2 * denom)
-    drho_dphi = rho_p * c * s * (r1 * r1 - r2 * r2) / denom
+    d = np.empty((3, rho_p.size))
+    np.divide(rho_p * c * s * (r1 * r1 - r2 * r2), denom, out=d[0])
+    np.divide(rho_p * rc2, r1 * denom, out=d[1])
+    np.divide(rho_p * rs2, r2 * denom, out=d[2])
+    d *= 2.0 * rho_p
 
-    in_min = rho_p <= rho_t
-    in_max = rho_p >= rho_t
-    weight = 2.0 * rho_p
-
-    def d_loss(drho):
-        contrib = weight * drho
-        ds_min = float(contrib[in_min].sum())
-        ds_max = float(contrib[in_max].sum())
-        return ds_max / s_max - ds_min / s_min
-
-    return JiouGradient(
-        d_phi=d_loss(drho_dphi),
-        d_r1=d_loss(drho_dr1),
-        d_r2=d_loss(drho_dr2),
-    )
+    # np.compress keeps the rows contiguous; d[:, mask] would not, and its
+    # row sums would round differently.
+    ds_min = np.compress(rho_p <= rho_t, d, axis=1).sum(axis=1)
+    ds_max = np.compress(rho_p >= rho_t, d, axis=1).sum(axis=1)
+    return tuple((ds_max / s_max - ds_min / s_min).tolist())
 
 
 def batch_jiou(preds, targets, n: int = DEFAULT_N):

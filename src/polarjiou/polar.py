@@ -34,10 +34,10 @@ def check_extents(use: str, *boxes: OrientedBox) -> None:
 
 
 def _profile_terms(box: OrientedBox, theta, trig: bool = True):
-    """radius_at's rho, plus the cos(t), sin(t) and (r2 cos t)^2 + (r1 sin t)^2
-    at t = theta - phi that the loss gradient reuses.
+    """radius_at's rho, plus the cos(t), sin(t), (r2 cos t)^2, (r1 sin t)^2
+    and their sum denom at t = theta - phi that the loss gradient reuses.
 
-    With trig=False a circle skips the trig and gets None for all three.
+    With trig=False a circle skips the trig and gets None for all five.
     """
     check_extents("a radial profile", box)
     t = np.asarray(theta, dtype=np.float64) - box.phi
@@ -45,13 +45,15 @@ def _profile_terms(box: OrientedBox, theta, trig: bool = True):
     # phi-dependent rounding, so equal circles would get profiles that differ
     # in the last bit.
     circle = box.r1 == box.r2
-    c = s = denom = None
+    c = s = rc2 = rs2 = denom = None
     if trig or not circle:
         c = np.cos(t)
         s = np.sin(t)
-        denom = (box.r2 * c) ** 2 + (box.r1 * s) ** 2
+        rc2 = (box.r2 * c) ** 2
+        rs2 = (box.r1 * s) ** 2
+        denom = rc2 + rs2
     rho = np.full(t.shape, box.r1) if circle else box.r1 * box.r2 / np.sqrt(denom)
-    return rho, c, s, denom
+    return rho, c, s, rc2, rs2, denom
 
 
 def radius_at(box: OrientedBox, theta):

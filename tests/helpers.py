@@ -355,6 +355,17 @@ def reference_nms(detections, iou_threshold):
     return [dets[i] for i in keep]
 
 
+def reference_smooth_l1(pred_tuple, target_tuple):
+    """smooth_l1 as numpy array arithmetic on all components and rows at once:
+    the bits smooth_l1 must reproduce wherever its result is finite."""
+    p = np.asarray(pred_tuple, dtype=np.float64)
+    t = np.asarray(target_tuple, dtype=np.float64)
+    d = np.abs(p - t)
+    q = np.minimum(d, 1.0)  # equals d where the quadratic branch is kept; cannot overflow
+    per_row = np.where(d < 1.0, 0.5 * q * q, d - 0.5).sum(axis=-1)
+    return float(per_row.sum() / per_row.size)  # np.mean's sum and division
+
+
 def reference_fit_box(init, target, loss_kind, n=DEFAULT_N, lr=DEFAULT_LR,
                       max_iters=DEFAULT_MAX_ITERS):
     """fit_box's descent as a while loop that records the initial state and

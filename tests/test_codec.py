@@ -26,7 +26,7 @@ from polarjiou import (
     smooth_l1,
     total_loss,
 )
-from helpers import boxes, reference_extract_peaks, reference_heatmap
+from helpers import boxes, reference_extract_peaks, reference_heatmap, reference_smooth_l1
 from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, target_grid
 from polarjiou.errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
 
@@ -409,6 +409,53 @@ class TestSmoothL1:
             smooth_l1((1, 2, 3), (1, 2, 3))
         with pytest.raises(ShapeError):
             smooth_l1(np.zeros((2, 5)), np.zeros((3, 5)))
+
+    @staticmethod
+    def assert_same_bits(pred, target):
+        got, want = smooth_l1(pred, target), reference_smooth_l1(pred, target)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (pred, target)
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 7, 8, 9, 33])
+    def test_smooth_l1_bits_match_frozen_reference(self, rows):
+        """The bits of the numpy form, for one tuple and for N rows, with
+        component differences from 1e-6 to 1e6 on both sides of 1."""
+        rng = np.random.default_rng(5 if rows is None else rows)
+        shape = (5,) if rows is None else (rows, 5)
+        for _ in range(200):
+            pred = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
+            target = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
+            self.assert_same_bits(pred, target)
+
+    def test_smooth_l1_bits_on_other_input_types(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            ints = rng.integers(-5, 6, size=(2, 5))
+            self.assert_same_bits(ints[0], ints[1])
+            self.assert_same_bits(ints[0].tolist(), ints[1].tolist())
+            self.assert_same_bits(ints.tolist(), np.zeros((2, 5), dtype=int).tolist())
+            floats = (rng.normal(size=(3, 5)) * 3.0).astype(np.float32)
+            self.assert_same_bits(floats[0], floats[1])
+            self.assert_same_bits(floats, floats[::-1])
+
+    def test_smooth_l1_bits_at_the_branch_point(self):
+        """Differences of exactly 1.0 and one ulp either side of it."""
+        for d in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
+            for k in range(5):
+                pred = [0.25] * 5
+                pred[k] += d
+                self.assert_same_bits(pred, [0.25] * 5)
+                self.assert_same_bits([pred, [d] * 5], [[0.25] * 5, [0.0] * 5])
+
+    @pytest.mark.parametrize("pred, target", [
+        ((0.0, math.nan, 0.0, 0.0, 0.0), (0.0,) * 5),
+        ((0.0, 1e308, 0.0, 0.0, 0.0), (0.0, -1e308, 0.0, 0.0, 0.0)),
+        ([[1e308, 0.0, 0.0, 0.0, 0.0]] * 2, [[0.0] * 5] * 2),
+    ], ids=["nan-component", "difference-overflows", "row-sum-overflows"])
+    def test_non_finite_smooth_l1_rejected_without_warning(self, pred, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLossError, match="non-finite"):
+                smooth_l1(pred, target)
 
 
 class TestTotalLoss:

@@ -196,12 +196,13 @@ def test_matches_frozen_reference():
             b = OrientedBox(a.cx + 1.0, a.cy, a.r1, a.r2, a.phi)
         else:
             b = OrientedBox(a.cx, a.cy, a.r1, a.r2, a.phi + math.pi)
-        n = (16, 64, 720)[i % 3]
-        ratio, loss, grad = reference_jiou(a, b, n)
-        value = jiou_bar(a, b, n)
-        g = jiou_gradient(a, b, n)
-        assert (value.ratio, value.loss) == (ratio, loss), (a, b, n)
-        assert (g.d_phi, g.d_r1, g.d_r2) == grad, (a, b, n)
+        # Each pair also runs at one grid size past the reductions' blocking.
+        for n in ((16, 64, 720)[i % 3], (1001, 8192)[i // 6 % 2]):
+            ratio, loss, grad = reference_jiou(a, b, n)
+            value = jiou_bar(a, b, n)
+            g = jiou_gradient(a, b, n)
+            assert (value.ratio, value.loss) == (ratio, loss), (a, b, n)
+            assert (g.d_phi, g.d_r1, g.d_r2) == grad, (a, b, n)
 
 
 class TestBatchJiou:
