@@ -23,7 +23,7 @@ HALF_PI = math.pi / 2
 ORTHOGONALITY_WARN_RAD = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrientedBox:
     """Rotated rectangle: center, half-extents along its two axes, axis angle.
 
@@ -40,8 +40,8 @@ class OrientedBox:
     r2: float
     phi: float
 
-    def __post_init__(self):
-        cx, cy, r1, r2, phi = self.cx, self.cy, self.r1, self.r2, self.phi
+    def __init__(self, cx: float, cy: float, r1: float, r2: float, phi: float):
+        # The values are checked as given, then each field is set once, as a float.
         if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(r1)
                 and math.isfinite(r2) and math.isfinite(phi)):
             vals = ", ".join(map(str, (cx, cy, r1, r2, phi)))
@@ -76,17 +76,27 @@ def canonicalize(box: OrientedBox) -> OrientedBox:
     return OrientedBox(box.cx, box.cy, r1, r2, phi)
 
 
+def unchecked_corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
+    """corner_offsets without its overflow check, for callers that have
+    bounded the corners themselves."""
+    c, s = math.cos(box.phi), math.sin(box.phi)
+    r1, r2 = box.r1, box.r2
+    # The rotation of (+-r1, +-r2), with each product taken once: negating a
+    # product is exact, so these are the bits of c*bx - s*by and s*bx + c*by.
+    cr1, sr1, cr2, sr2 = c * r1, s * r1, c * r2, s * r2
+    return [(sr2 - cr1, -sr1 - cr2), (cr1 + sr2, sr1 - cr2),
+            (cr1 - sr2, sr1 + cr2), (-cr1 - sr2, cr2 - sr1)]
+
+
 def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
     """Corners of a box relative to its center, in decode_corners' order.
 
     Raises InvalidBoxError when a corner, offset plus center, overflows to a
     non-finite value.
     """
-    c, s = math.cos(box.phi), math.sin(box.phi)
-    r1, r2, cx, cy = box.r1, box.r2, box.cx, box.cy
-    offsets = [(c * bx - s * by, s * bx + c * by)
-               for bx, by in ((-r1, -r2), (r1, -r2), (r1, r2), (-r1, r2))]
+    offsets = unchecked_corner_offsets(box)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = offsets
+    cx, cy = box.cx, box.cy
     # Corner by corner: a sum of the coordinates can overflow while every corner is finite.
     fin = math.isfinite
     if not (fin(x0 + cx) and fin(y0 + cy) and fin(x1 + cx) and fin(y1 + cy)

@@ -5,7 +5,6 @@ back to detections."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -167,6 +166,32 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     return float(-(pos_term + neg_term) / n_pos) + 0.0
 
 
+# The element types of a 5-tuple of Python floats, the common call (one
+# regression tuple against another), which needs no numpy.
+_FIVE_FLOATS = (float,) * 5
+
+
+def _row_sum(p_row, t_row) -> float:
+    # Python floats: no numpy call per term, and no warning where p - t
+    # overflows.  Left to right is numpy's order for a sum of five terms.
+    total = 0.0
+    for a, b in zip(p_row, t_row):
+        d = abs(a - b)
+        total += 0.5 * d * d if d < 1.0 else d - 0.5
+    return total
+
+
+def _mean(row_sums) -> float:
+    """np.mean of the row sums: their numpy sum over their count.  Where that
+    sum overflows, each row is divided by the count before the sum instead."""
+    rows = np.array(row_sums)
+    with np.errstate(over="ignore"):
+        total = rows.sum()
+    if math.isinf(total):
+        return float((rows / rows.size).sum())
+    return float(total / rows.size)
+
+
 def smooth_l1(pred_tuple, target_tuple) -> float:
     """SmoothL1 over 5-component regression tuples (phi, r1, r2, dx, dy).
 
@@ -174,24 +199,18 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
     components are summed and, for (N, 5) inputs, rows are averaged.
     Raises InvalidLossError when the result is not finite.
     """
-    p = np.asarray(pred_tuple, dtype=np.float64)
-    t = np.asarray(target_tuple, dtype=np.float64)
-    if p.shape != t.shape or p.ndim not in (1, 2) or p.shape[-1] != 5:
-        raise ShapeError(f"expected matching (..., 5) tuples, got {p.shape} vs {t.shape}")
-    row_sums = []
-    # Python floats: no numpy call per term, and no warning where p - t
-    # overflows.  Left to right is numpy's order for a sum of five terms.
-    for p_row, t_row in zip(p.reshape(-1, 5).tolist(), t.reshape(-1, 5).tolist()):
-        total = 0.0
-        for a, b in zip(p_row, t_row):
-            d = abs(a - b)
-            total += 0.5 * d * d if d < 1.0 else d - 0.5
-        row_sums.append(total)
-    rows = np.array(row_sums)
-    # Rows that sum past the largest float give the non-finite mean rejected
-    # below; one row takes no addition, so it skips the errstate's cost.
-    with np.errstate(over="ignore") if rows.size > 1 else contextlib.nullcontext():
-        mean = float(rows.sum() / rows.size)  # np.mean's sum and division
+    if (type(pred_tuple) is tuple and type(target_tuple) is tuple
+            and tuple(map(type, pred_tuple)) == _FIVE_FLOATS == tuple(map(type, target_tuple))):
+        mean = _row_sum(pred_tuple, target_tuple)
+    else:
+        p = np.asarray(pred_tuple, dtype=np.float64)
+        t = np.asarray(target_tuple, dtype=np.float64)
+        if p.shape != t.shape or p.ndim not in (1, 2) or p.shape[-1] != 5:
+            raise ShapeError(f"expected matching (..., 5) tuples, got {p.shape} vs {t.shape}")
+        rows = [_row_sum(p_row, t_row)
+                for p_row, t_row in zip(p.reshape(-1, 5).tolist(), t.reshape(-1, 5).tolist())]
+        # A sum of one row over a count of one is that row, exactly.
+        mean = rows[0] if len(rows) == 1 else _mean(rows)
     if not math.isfinite(mean):
         raise InvalidLossError(f"non-finite SmoothL1 loss {mean}")
     return mean

@@ -50,7 +50,9 @@ def _sums(rho_p, rho_t):
     """sum(min^2) and sum(max^2) of two profiles: the ratio's numerator and denominator."""
     lo = np.minimum(rho_p, rho_t)
     hi = np.maximum(rho_p, rho_t)
-    return float((lo * lo).sum()), float((hi * hi).sum())
+    lo *= lo
+    hi *= hi
+    return float(lo.sum()), float(hi.sum())
 
 
 def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouValue:
@@ -93,12 +95,20 @@ def _gradient(pred: OrientedBox, thetas, rho_t):
 
     # Rows: the closed-form derivatives of rho_p by phi, r1 and r2 at each
     # angle, times the 2 rho_p that turns them into derivatives of rho_p^2.
+    # Each is built in place, left to right as the formula reads; c and s
+    # hold the divisors and the factor once d_phi no longer needs them.
     r1, r2 = pred.r1, pred.r2
     d = np.empty((3, rho_p.size))
-    np.divide(rho_p * c * s * (r1 * r1 - r2 * r2), denom, out=d[0])
-    np.divide(rho_p * rc2, r1 * denom, out=d[1])
-    np.divide(rho_p * rs2, r2 * denom, out=d[2])
-    d *= 2.0 * rho_p
+    d_phi, d_r1, d_r2 = d
+    np.multiply(rho_p, c, out=d_phi)
+    d_phi *= s
+    d_phi *= r1 * r1 - r2 * r2
+    d_phi /= denom
+    np.multiply(rho_p, rc2, out=d_r1)
+    d_r1 /= np.multiply(denom, r1, out=c)
+    np.multiply(rho_p, rs2, out=d_r2)
+    d_r2 /= np.multiply(denom, r2, out=s)
+    d *= np.multiply(rho_p, 2.0, out=c)
 
     # np.compress keeps the rows contiguous; d[:, mask] would not, and its
     # row sums would round differently.

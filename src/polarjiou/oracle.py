@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
+from .boxes import (
+    OrientedBox,
+    corner_offsets,
+    decode_corners,
+    signed_area,
+    unchecked_corner_offsets,
+)
 from .errors import InsufficientSamplesError, InvalidBoxError
 from .polar import check_extents
 
@@ -52,10 +58,10 @@ def _clip_halfplane(poly, a, b):
         dq = ex * (qy - ay) - ey * (qx - ax)
         if dp >= 0.0:
             out.append(p)
-            cut = dq < 0.0
-        else:
-            cut = dq >= 0.0
-        if cut:
+            if dq < 0.0:
+                t = dp / (dp - dq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        elif dq >= 0.0:
             t = dp / (dp - dq)
             out.append((px + t * (qx - px), py + t * (qy - py)))
         p, px, py, dp = q, qx, qy, dq
@@ -69,7 +75,8 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     the center difference, so its rounding follows the boxes' size, not
     their position.  Pairs whose circumcircles are disjoint return 0.0
     before any clipping, and before their corners are built when the
-    extent stays below PRUNE_EXTENT_LIMIT.  An intersection below
+    extent stays below PRUNE_EXTENT_LIMIT; below it no corner can
+    overflow, so the corners are not checked either.  An intersection below
     MIN_OVERLAP_FRACTION times the summed box areas plus CLIP_ROUNDING *
     extent * reach reads as empty: reach is the summed circumradii, extent
     the largest center coordinate plus reach, and the term covers the
@@ -84,12 +91,17 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
     extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
     disjoint = math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK)
-    if disjoint and extent < PRUNE_EXTENT_LIMIT:
-        return 0.0
-    poly = corner_offsets(a)
-    clip = corner_offsets(b)
-    if disjoint:
-        return 0.0
+    if extent < PRUNE_EXTENT_LIMIT:
+        if disjoint:
+            return 0.0
+        # No corner can overflow below the limit (see PRUNE_EXTENT_LIMIT).
+        poly = unchecked_corner_offsets(a)
+        clip = unchecked_corner_offsets(b)
+    else:
+        poly = corner_offsets(a)
+        clip = corner_offsets(b)
+        if disjoint:
+            return 0.0
     check_extents("exact clipping", a, b)
     clip = [(x + dx, y + dy) for x, y in clip]
     for i in range(4):

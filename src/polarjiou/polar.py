@@ -37,10 +37,12 @@ def _profile_terms(box: OrientedBox, theta, trig: bool = True):
     """radius_at's rho, plus the cos(t), sin(t), (r2 cos t)^2, (r1 sin t)^2
     and their sum denom at t = theta - phi that the loss gradient reuses.
 
-    With trig=False a circle skips the trig and gets None for all five.
+    theta is a float64 array with at least one dimension; every returned
+    array is new, so the caller may write into it.  With trig=False a circle
+    skips the trig and gets None for all five.
     """
     check_extents("a radial profile", box)
-    t = np.asarray(theta, dtype=np.float64) - box.phi
+    t = theta - box.phi
     # A circle's radius is the same at every angle; the trig form would add
     # phi-dependent rounding, so equal circles would get profiles that differ
     # in the last bit.
@@ -49,10 +51,18 @@ def _profile_terms(box: OrientedBox, theta, trig: bool = True):
     if trig or not circle:
         c = np.cos(t)
         s = np.sin(t)
-        rc2 = (box.r2 * c) ** 2
-        rs2 = (box.r1 * s) ** 2
+        # Squared in place: (r2 c)^2 and (r1 s)^2 with no temporary.
+        rc2 = np.multiply(c, box.r2)
+        rc2 *= rc2
+        rs2 = np.multiply(s, box.r1)
+        rs2 *= rs2
         denom = rc2 + rs2
-    rho = np.full(t.shape, box.r1) if circle else box.r1 * box.r2 / np.sqrt(denom)
+    if circle:
+        rho = np.full(t.shape, box.r1)
+    else:
+        # r1 r2 / sqrt(denom), written over t, which is no longer needed.
+        rho = np.sqrt(denom, out=t)
+        np.divide(box.r1 * box.r2, rho, out=rho)
     return rho, c, s, rc2, rs2, denom
 
 
@@ -62,21 +72,40 @@ def radius_at(box: OrientedBox, theta):
     rho(theta) = r1*r2 / sqrt(r2^2 cos^2(theta - phi) + r1^2 sin^2(theta - phi)),
     so the point (rho cos theta, rho sin theta) relative to the center lies on
     the ellipse with semi-axes (r1, r2) rotated by phi; a circle's radius is
-    r1 exactly.  Accepts a scalar or an array of angles.  InvalidBoxError
-    when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
+    r1 exactly.  Accepts a scalar, which gives a float, or an array of
+    angles, which gives a new array.  InvalidBoxError when a half-extent
+    lies outside [MIN_EXTENT, MAX_EXTENT].
     """
-    rho = _profile_terms(box, theta, trig=False)[0]
-    return float(rho) if rho.ndim == 0 else rho
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim == 0:
+        return float(_profile_terms(box, theta.reshape(1), trig=False)[0][0])
+    return _profile_terms(box, theta, trig=False)[0]
+
+
+# The last grid built, as (n, grid): fits and batches ask for one n again and again.
+_last_grid = (None, None)
 
 
 def grid_angles(n: int) -> np.ndarray:
     """The shared discretization grid theta_i = 2*pi*i/n for i in [0, n);
-    DiscretizationError below MIN_GRID_ANGLES or when it cannot be allocated."""
+    DiscretizationError below MIN_GRID_ANGLES or when it cannot be allocated.
+
+    The grid is read-only and shared: the last one built is kept, and a
+    call with the same n returns that same array.  Copy it to modify it.
+    """
+    global _last_grid
+    last_n, grid = _last_grid
+    if n == last_n:
+        return grid
     if n < MIN_GRID_ANGLES:
         raise DiscretizationError(f"need at least {MIN_GRID_ANGLES} grid angles, got n={n}")
     if n <= _MAX_GRID_ANGLES:
         try:
-            return np.arange(n) * (2.0 * math.pi / n)
+            grid = np.arange(n) * (2.0 * math.pi / n)
         except MemoryError:
             pass
+        else:
+            grid.setflags(write=False)
+            _last_grid = (n, grid)
+            return grid
     raise DiscretizationError(f"cannot allocate a grid of n={n} angles")

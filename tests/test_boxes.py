@@ -1,8 +1,9 @@
 """Oriented-box types, canonical form, corner codecs, annotation parsing."""
 
 import math
+import pickle
 import warnings
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ class TestOrientedBox:
             vals[k] = "1.0"
             with pytest.raises(TypeError):
                 OrientedBox(*vals)
+
+
+    def test_pickle_replace_equality_and_hash(self):
+        box = OrientedBox(1, 2.5, np.float32(3.5), 1.5, -0.25)
+        again = pickle.loads(pickle.dumps(box))
+        assert again == box and hash(again) == hash(box)
+        assert astuple(again) == astuple(box) == (1.0, 2.5, 3.5, 1.5, -0.25)
+        assert {box, again, OrientedBox(cx=1.0, cy=2.5, r1=3.5, r2=1.5, phi=-0.25)} == {box}
+        moved = replace(box, cx=4)
+        assert moved == OrientedBox(4.0, 2.5, 3.5, 1.5, -0.25) and moved != box
+        assert type(moved.cx) is float
+        with pytest.raises(InvalidBoxError, match="half-extents must be positive"):
+            replace(box, r1=-1.0)
+        with pytest.raises(FrozenInstanceError):
+            box.cx = 0.0
 
 
 class TestCanonicalize:

@@ -436,6 +436,17 @@ class TestSmoothL1:
             floats = (rng.normal(size=(3, 5)) * 3.0).astype(np.float32)
             self.assert_same_bits(floats[0], floats[1])
             self.assert_same_bits(floats, floats[::-1])
+            self.assert_same_bits(floats[0].tolist(), floats[1].tolist())
+            self.assert_same_bits(tuple(floats[0]), tuple(floats[1]))
+            self.assert_same_bits(tuple(ints[0].tolist()), tuple(ints[1].tolist()))
+            pred, target = rng.normal(size=(2, 5)) * 10.0 ** rng.uniform(-6, 6, (2, 5))
+            # Tuples of Python floats, as a fit passes them; lists; tuples of
+            # numpy scalars; one row as a (1, 5) array and as a nested list.
+            self.assert_same_bits(tuple(pred.tolist()), tuple(target.tolist()))
+            self.assert_same_bits(pred.tolist(), target.tolist())
+            self.assert_same_bits(tuple(pred), tuple(target))
+            self.assert_same_bits(pred[None, :], target[None, :])
+            self.assert_same_bits([pred.tolist()], [target.tolist()])
 
     def test_smooth_l1_bits_at_the_branch_point(self):
         """Differences of exactly 1.0 and one ulp either side of it."""
@@ -449,13 +460,31 @@ class TestSmoothL1:
     @pytest.mark.parametrize("pred, target", [
         ((0.0, math.nan, 0.0, 0.0, 0.0), (0.0,) * 5),
         ((0.0, 1e308, 0.0, 0.0, 0.0), (0.0, -1e308, 0.0, 0.0, 0.0)),
-        ([[1e308, 0.0, 0.0, 0.0, 0.0]] * 2, [[0.0] * 5] * 2),
+        ([[0.0, 1e308, 0.0, 0.0, 0.0]] * 2, [[0.0, -1e308, 0.0, 0.0, 0.0]] * 2),
     ], ids=["nan-component", "difference-overflows", "row-sum-overflows"])
     def test_non_finite_smooth_l1_rejected_without_warning(self, pred, target):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidLossError, match="non-finite"):
                 smooth_l1(pred, target)
+
+    @pytest.mark.parametrize("rows", [2, 3, 7])
+    def test_finite_mean_of_overflowing_row_sum(self, rows):
+        """Rows whose sum overflows but whose mean is finite give that mean,
+        with no warning."""
+        pred = [[1e308, 0.0, 0.0, 0.0, 0.0]] * rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_l1(pred, [[0.0] * 5] * rows)
+        assert got == pytest.approx(1e308 - 0.5, rel=1e-15)
+
+    def test_overflowing_row_sum_keeps_other_rows(self):
+        """One row past half the largest float next to a small one: the
+        mean is their halved sum."""
+        pred = [[1.5e308, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 0.0]]
+        got = smooth_l1(pred * 2, [[0.0] * 5] * 4)
+        assert got == pytest.approx((1.5e308 + 2.5) / 2, rel=1e-15)
+        assert math.isfinite(got)
 
 
 class TestTotalLoss:

@@ -69,3 +69,10 @@ def test_import_loads_only_numpy_beyond_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
     assert set(proc.stdout.split()) - {"polarjiou", "numpy"} == set()
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml allows Python 3.10, so no file under src/ may use
+    newer syntax; ast.parse checks each against that version's grammar."""
+    for path in sorted(SRC.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

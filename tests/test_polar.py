@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import boxes, finite_floats
+from helpers import boxes, finite_floats, random_box, reference_profile
 from polarjiou import OrientedBox, grid_angles, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
 from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, _profile_terms
@@ -42,6 +42,20 @@ class TestRadiusAt:
         assert np.array_equal(want[0], rho)
         assert np.array_equal(want[1], np.cos(thetas - 0.7))
         assert np.array_equal(want[2], np.sin(thetas - 0.7))
+
+    def test_profile_terms_match_frozen_reference(self):
+        """rho, cos, sin, both squared terms and their sum keep the bits of
+        the inline numpy formula, for ellipses and a circle."""
+        rng = np.random.default_rng(11)
+        for n in (64, 720):
+            thetas = grid_angles(n)
+            for box in [random_box(rng) for _ in range(100)] + [OrientedBox(0, 0, 3, 3, 0.7)]:
+                rho, c, s, rc2, rs2, denom = _profile_terms(box, thetas)
+                ref_rho, ref_c, ref_s, ref_denom = reference_profile(box, thetas)
+                pairs = ((rho, ref_rho), (c, ref_c), (s, ref_s), (denom, ref_denom),
+                         (rc2, (box.r2 * ref_c) ** 2), (rs2, (box.r1 * ref_s) ** 2))
+                for got, want in pairs:
+                    assert got.tobytes() == want.tobytes(), box
 
     def test_axis_endpoints(self):
         box = OrientedBox(0, 0, 2, 1, 0)
@@ -142,6 +156,32 @@ class TestGridAngles:
     def test_too_few_angles_rejected(self, n):
         with pytest.raises(DiscretizationError):
             grid_angles(n)
+
+    def test_grid_is_shared_and_read_only(self):
+        """One n gives one array, again and again; it cannot be written,
+        and asking for another n in between builds the same values anew."""
+        grid = grid_angles(720)
+        assert grid_angles(720) is grid
+        assert np.array_equal(grid, np.arange(720) * (2.0 * math.pi / 720))
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        with pytest.raises(ValueError):
+            grid += 1.0
+        assert grid[0] == 0.0
+        grid_angles(64)
+        assert grid_angles(720).tobytes() == grid.tobytes()
+
+    @given(boxes(), st.sampled_from([4, 64, 720]))
+    def test_profile_bits_on_writable_copy(self, box, n):
+        """A writable copy of the grid gives the same profile, bit for bit,
+        and the profile is a new array the caller may write into."""
+        grid = grid_angles(n)
+        copy = grid.copy()
+        assert copy.flags.writeable
+        rho = radius_at(box, grid)
+        assert radius_at(box, copy).tobytes() == rho.tobytes()
+        rho[0] = -1.0
+        assert grid_angles(n)[0] == 0.0
 
     @pytest.mark.parametrize("n", [10**15, 2**60, 2**63, 10**20])
     def test_unallocatable_grid_rejected(self, n):
