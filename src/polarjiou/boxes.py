@@ -76,9 +76,12 @@ def canonicalize(box: OrientedBox) -> OrientedBox:
     return OrientedBox(box.cx, box.cy, r1, r2, phi)
 
 
-def unchecked_corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
-    """corner_offsets without its overflow check, for callers that have
-    bounded the corners themselves."""
+def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
+    """Corners of a box relative to its center, in decode_corners' order.
+
+    No overflow check: decode_corners is where a corner that overflows
+    is rejected.
+    """
     c, s = math.cos(box.phi), math.sin(box.phi)
     r1, r2 = box.r1, box.r2
     # The rotation of (+-r1, +-r2), with each product taken once: negating a
@@ -88,30 +91,23 @@ def unchecked_corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
             (cr1 - sr2, sr1 + cr2), (-cr1 - sr2, cr2 - sr1)]
 
 
-def corner_offsets(box: OrientedBox) -> list[tuple[float, float]]:
-    """Corners of a box relative to its center, in decode_corners' order.
-
-    Raises InvalidBoxError when a corner, offset plus center, overflows to a
-    non-finite value.
-    """
-    offsets = unchecked_corner_offsets(box)
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = offsets
-    cx, cy = box.cx, box.cy
-    # Corner by corner: a sum of the coordinates can overflow while every corner is finite.
-    fin = math.isfinite
-    if not (fin(x0 + cx) and fin(y0 + cy) and fin(x1 + cx) and fin(y1 + cy)
-            and fin(x2 + cx) and fin(y2 + cy) and fin(x3 + cx) and fin(y3 + cy)):
-        raise InvalidBoxError("non-finite corner coordinates")
-    return offsets
-
-
 def decode_corners(box: OrientedBox) -> np.ndarray:
     """Corners of a box: rotate the axis-aligned corners by phi, translate to the center.
 
     Returns a read-only (4, 2) float64 array.  The order starts at the corner
     that sits at (-r1, -r2) in the box frame and runs clockwise on screen.
+    Raises InvalidBoxError when a corner overflows to a non-finite value.
     """
-    quad = np.array([(ox + box.cx, oy + box.cy) for ox, oy in corner_offsets(box)])
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corner_offsets(box)
+    cx, cy = box.cx, box.cy
+    x0, y0, x1, y1 = x0 + cx, y0 + cy, x1 + cx, y1 + cy
+    x2, y2, x3, y3 = x2 + cx, y2 + cy, x3 + cx, y3 + cy
+    # Corner by corner: a sum of the coordinates can overflow while every corner is finite.
+    fin = math.isfinite
+    if not (fin(x0) and fin(y0) and fin(x1) and fin(y1)
+            and fin(x2) and fin(y2) and fin(x3) and fin(y3)):
+        raise InvalidBoxError("non-finite corner coordinates")
+    quad = np.array([(x0, y0), (x1, y1), (x2, y2), (x3, y3)])
     quad.setflags(write=False)
     return quad
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .boxes import OrientedBox, canonicalize, phi_distance
 from .errors import (
+    EmptyBatchError,
     GridAllocationError,
     InvalidBoxError,
     InvalidLossError,
@@ -149,8 +150,11 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     every other cell contributes (1 - y)^alpha * pt^gamma * log(1 - pt),
     down-weighted near peaks by the soft target y.  The sum is negated and
     divided by the positive count, floored at one; a loss whose terms all
-    underflow is +0.0.
+    underflow is +0.0.  Raises ValueError unless alpha and gamma are finite
+    and >= 0, and InvalidLossError when the loss is not finite.
     """
+    if not (0.0 <= alpha < math.inf and 0.0 <= gamma < math.inf):
+        raise ValueError(f"alpha and gamma must be finite and >= 0, got {alpha}, {gamma}")
     pred = np.asarray(pred, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     if y.ndim != 3:
@@ -160,10 +164,15 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     pt = np.clip(pred, PT_CLAMP, 1.0 - PT_CLAMP)
     pos = y == 1.0
     n_pos = max(int(np.count_nonzero(pos)), 1)
-    pos_term = np.sum((1.0 - pt[pos]) ** gamma * np.log(pt[pos]))
     neg = ~pos
-    neg_term = np.sum((1.0 - y[neg]) ** alpha * pt[neg] ** gamma * np.log1p(-pt[neg]))
-    return float(-(pos_term + neg_term) / n_pos) + 0.0
+    # A term that is not finite raises InvalidLossError below, without a numpy warning first.
+    with np.errstate(invalid="ignore", over="ignore"):
+        pos_term = np.sum((1.0 - pt[pos]) ** gamma * np.log(pt[pos]))
+        neg_term = np.sum((1.0 - y[neg]) ** alpha * pt[neg] ** gamma * np.log1p(-pt[neg]))
+    loss = float(-(pos_term + neg_term) / n_pos) + 0.0
+    if not math.isfinite(loss):
+        raise InvalidLossError(f"non-finite focal loss {loss}")
+    return loss
 
 
 # The element types of a 5-tuple of Python floats, the common call (one
@@ -197,7 +206,8 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
 
     Each component difference d costs 0.5*d^2 below 1 and |d| - 0.5 above;
     components are summed and, for (N, 5) inputs, rows are averaged.
-    Raises InvalidLossError when the result is not finite.
+    Raises EmptyBatchError for an empty (0, 5) batch and InvalidLossError
+    when the result is not finite.
     """
     if (type(pred_tuple) is tuple and type(target_tuple) is tuple
             and tuple(map(type, pred_tuple)) == _FIVE_FLOATS == tuple(map(type, target_tuple))):
@@ -209,6 +219,8 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
             raise ShapeError(f"expected matching (..., 5) tuples, got {p.shape} vs {t.shape}")
         rows = [_row_sum(p_row, t_row)
                 for p_row, t_row in zip(p.reshape(-1, 5).tolist(), t.reshape(-1, 5).tolist())]
+        if not rows:
+            raise EmptyBatchError("smooth_l1 needs at least one row")
         # A sum of one row over a count of one is that row, exactly.
         mean = rows[0] if len(rows) == 1 else _mean(rows)
     if not math.isfinite(mean):
@@ -296,7 +308,8 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
 
     The center is (cell + offset) * stride; (phi, r1, r2) are read at the
     peak cell and canonicalized.  Raises ValueError unless the stride is
-    finite and >= 1.
+    finite and >= 1, and OutOfImageError when a peak cell is not a whole
+    number inside the maps' H x W.
     """
     if not 1 <= stride < math.inf:
         raise ValueError(f"stride must be finite and >= 1, got {stride}")
@@ -308,10 +321,18 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
         raise ShapeError(
             f"param map must be (3, H, W) aligned with offsets, got shape {par.shape}"
         )
+    h, w = off.shape[1:]
     detections = []
     for category, cell_x, cell_y, score in peaks:
-        dx, dy = off[:, cell_y, cell_x]
-        phi, r1, r2 = par[:, cell_y, cell_x]
+        # The range test comes first: int() of a NaN or an infinity raises.
+        if not (0 <= cell_x < w and 0 <= cell_y < h
+                and cell_x == int(cell_x) and cell_y == int(cell_y)):
+            raise OutOfImageError(
+                f"peak cell ({cell_x}, {cell_y}) is not a whole cell of the {w}x{h} maps"
+            )
+        x, y = int(cell_x), int(cell_y)
+        dx, dy = off[:, y, x]
+        phi, r1, r2 = par[:, y, x]
         box = canonicalize(OrientedBox(
             (cell_x + dx) * stride, (cell_y + dy) * stride, r1, r2, phi,
         ))

@@ -8,13 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import (
-    OrientedBox,
-    corner_offsets,
-    decode_corners,
-    signed_area,
-    unchecked_corner_offsets,
-)
+from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
 from .errors import InsufficientSamplesError, InvalidBoxError
 from .polar import check_extents
 
@@ -30,8 +24,7 @@ CLIP_ROUNDING = 2e-15
 PRUNE_REACH_SLACK = 1e-9
 # Below this extent (largest center coordinate plus summed circumradii) no
 # corner can overflow: each corner coordinate is at most |center| plus
-# sqrt(2) times the box's circumradius, under the largest float.  A pair
-# pruned below it returns 0.0 without building corners.
+# sqrt(2) times the box's circumradius, under the largest float.
 PRUNE_EXTENT_LIMIT = 1e308
 
 MIN_MC_SAMPLES = 10_000
@@ -71,39 +64,35 @@ def _clip_halfplane(poly, a, b):
 def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     """Exact IoU of two rotated rectangles (half-plane clipping + shoelace area).
 
+    Corner overflow is checked only from PRUNE_EXTENT_LIMIT on, where
+    decode_corners raises InvalidBoxError for either box, pruned or not.
+    Pairs whose circumcircles are disjoint then return 0.0 before clipping,
+    and a pair that reaches clipping raises InvalidBoxError when a
+    half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
+
     Clipping runs in a's frame, a's corner offsets against b's shifted by
     the center difference, so its rounding follows the boxes' size, not
-    their position.  Pairs whose circumcircles are disjoint return 0.0
-    before any clipping, and before their corners are built when the
-    extent stays below PRUNE_EXTENT_LIMIT; below it no corner can
-    overflow, so the corners are not checked either.  An intersection below
-    MIN_OVERLAP_FRACTION times the summed box areas plus CLIP_ROUNDING *
-    extent * reach reads as empty: reach is the summed circumradii, extent
-    the largest center coordinate plus reach, and the term covers the
-    eps * extent rounding that the centers themselves carry.  That floor
-    grows with the square of the long side, so a thin enough box reads 0.0
-    against itself: OrientedBox(0, 0, 1, 1/ar, 0.3) reads 0.998 at ar = 1e14
-    and 0.0 from ar = 5e14, and OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.
-    The ratio is clamped at 1.  Raises InvalidBoxError when a corner overflows, pruned
-    or not, or when a pair it clips has a half-extent outside [MIN_EXTENT, MAX_EXTENT].
+    their position.  An intersection below MIN_OVERLAP_FRACTION times the
+    summed box areas plus CLIP_ROUNDING * extent * reach reads as empty:
+    reach is the summed circumradii, extent the largest center coordinate
+    plus reach, and the term covers the eps * extent rounding that the
+    centers themselves carry.  That floor grows with the square of the long
+    side, so a thin enough box reads 0.0 against itself:
+    OrientedBox(0, 0, 1, 1/ar, 0.3) reads 0.998 at ar = 1e14 and 0.0 from
+    ar = 5e14, and OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.  The ratio
+    is clamped at 1.
     """
     dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
     extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
-    disjoint = math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK)
-    if extent < PRUNE_EXTENT_LIMIT:
-        if disjoint:
-            return 0.0
-        # No corner can overflow below the limit (see PRUNE_EXTENT_LIMIT).
-        poly = unchecked_corner_offsets(a)
-        clip = unchecked_corner_offsets(b)
-    else:
-        poly = corner_offsets(a)
-        clip = corner_offsets(b)
-        if disjoint:
-            return 0.0
+    if extent >= PRUNE_EXTENT_LIMIT:
+        decode_corners(a)
+        decode_corners(b)
+    if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
+        return 0.0
     check_extents("exact clipping", a, b)
-    clip = [(x + dx, y + dy) for x, y in clip]
+    poly = corner_offsets(a)
+    clip = [(x + dx, y + dy) for x, y in corner_offsets(b)]
     for i in range(4):
         if not poly:
             break

@@ -5,6 +5,7 @@ A box's discrete radial profile is radius_at(box, grid_angles(n)).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -82,23 +83,20 @@ def radius_at(box: OrientedBox, theta):
     return _profile_terms(box, theta, trig=False)[0]
 
 
-# The last grid built, as (n, grid): fits and batches ask for one n again and again.
-_last_grid = (None, None)
-
-
+# The last grid is kept: fits and batches ask for one n again and again.
+@functools.lru_cache(maxsize=1)
 def grid_angles(n: int) -> np.ndarray:
     """The shared discretization grid theta_i = 2*pi*i/n for i in [0, n);
-    DiscretizationError below MIN_GRID_ANGLES or when it cannot be allocated.
+    DiscretizationError when n is not a whole number, below MIN_GRID_ANGLES,
+    or when the grid cannot be allocated.
 
     The grid is read-only and shared: the last one built is kept, and a
     call with the same n returns that same array.  Copy it to modify it.
     """
-    global _last_grid
-    last_n, grid = _last_grid
-    if n == last_n:
-        return grid
-    if n < MIN_GRID_ANGLES:
-        raise DiscretizationError(f"need at least {MIN_GRID_ANGLES} grid angles, got n={n}")
+    # The range test comes first: int() of a NaN or an infinity raises.
+    if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
+        raise DiscretizationError(
+            f"need a whole number of at least {MIN_GRID_ANGLES} grid angles, got n={n}")
     if n <= _MAX_GRID_ANGLES:
         try:
             grid = np.arange(n) * (2.0 * math.pi / n)
@@ -106,6 +104,5 @@ def grid_angles(n: int) -> np.ndarray:
             pass
         else:
             grid.setflags(write=False)
-            _last_grid = (n, grid)
             return grid
     raise DiscretizationError(f"cannot allocate a grid of n={n} angles")

@@ -28,7 +28,13 @@ from polarjiou import (
 )
 from helpers import boxes, reference_extract_peaks, reference_heatmap, reference_smooth_l1
 from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, target_grid
-from polarjiou.errors import GridAllocationError, InvalidLossError, OutOfImageError, ShapeError
+from polarjiou.errors import (
+    EmptyBatchError,
+    GridAllocationError,
+    InvalidLossError,
+    OutOfImageError,
+    ShapeError,
+)
 
 
 def lattice_objects(rng, count, num_classes, height, width, stride,
@@ -374,6 +380,31 @@ class TestFocalLoss:
         loss = focal_loss(np.full((1, 1, 1), 0.5), self.single_cell_target(), gamma=5000.0)
         assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
+    @pytest.mark.parametrize("where, value", [
+        ("pred", math.nan), ("target", math.nan), ("target", math.inf), ("target", 3.0),
+    ])
+    def test_non_finite_focal_loss_rejected_without_warning(self, where, value):
+        """A NaN cell, or a target whose negative weight (1 - y)^alpha is
+        infinite or NaN (alpha 2.5 at y = 3), makes the loss non-finite."""
+        pred = np.full((1, 4, 4), 0.2)
+        target = np.zeros((1, 4, 4))
+        target[0, 1, 1] = 1.0
+        (pred if where == "pred" else target)[0, 0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidLossError, match="non-finite focal loss"):
+                focal_loss(pred, target, alpha=2.5)
+
+    def test_focal_exponents_must_be_finite_and_non_negative(self):
+        """The rule of the CLI's --alpha and --gamma; zero is allowed and
+        drops the weights, so a lone positive costs -ln(pt)."""
+        pred, target = np.full((1, 1, 1), 0.5), self.single_cell_target()
+        for name in ("alpha", "gamma"):
+            for value in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+                with pytest.raises(ValueError, match="alpha and gamma must be finite and >= 0"):
+                    focal_loss(pred, target, **{name: value})
+        assert focal_loss(pred, target, 0.0, 0.0) == pytest.approx(math.log(2), abs=1e-15)
+
 
 class TestSmoothL1:
     def test_identical_tuples(self):
@@ -403,6 +434,12 @@ class TestSmoothL1:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert smooth_l1((0, 1e200, 0, 0, 0), (0, -1e200, 0, 0, 0)) == 2e200
+
+    def test_smooth_l1_empty_batch_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyBatchError, match="smooth_l1"):
+                smooth_l1(np.zeros((0, 5)), np.zeros((0, 5)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -700,6 +737,23 @@ class TestDecodeDetections:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="stride"):
                 decode_detections([(0, 1, 1, 0.9)], offset, params, stride)
+
+    @pytest.mark.parametrize("cell", [
+        (-1, 2), (5, 2), (2, -1), (2, 4), (2.5, 2), (2, 1.5), (math.nan, 2), (2, math.inf),
+    ])
+    def test_peak_cell_outside_the_maps_rejected(self, cell):
+        """A peak cell must be a whole number inside the H x W maps; Python's
+        negative indices would read a cell from the other side."""
+        offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
+        with pytest.raises(OutOfImageError, match=r"peak cell .* of the 5x4 maps"):
+            decode_detections([(0, *cell, 0.9)], offset, params, 4)
+
+    def test_whole_float_peak_cell_reads_that_cell(self):
+        offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
+        params[:, 3, 4] = (0.1, 8.0, 4.0)
+        (det,) = decode_detections([(0, 4.0, 3.0, 0.9)], offset, params, 4)
+        assert (det.box.cx, det.box.cy, det.box.r1, det.box.r2, det.box.phi) == (
+            16.0, 12.0, 8.0, 4.0, 0.1)
 
 
 class TestRoundtrip:

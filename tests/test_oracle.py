@@ -217,8 +217,8 @@ class TestPruningEquivalence:
                 with pytest.raises(InvalidBoxError, match="non-finite corner"):
                     exact_rect_iou(a, b)
             with pytest.raises(InvalidBoxError, match="non-finite corner"):
-                corner_offsets(h)
-            corner_offsets(o)
+                decode_corners(h)
+            decode_corners(o)
 
     def test_finite_corners_whose_sum_overflows_accepted(self):
         """Every corner is finite although the sum of the coordinates is not:
@@ -241,26 +241,31 @@ class TestPruningEquivalence:
         for a, b in far:
             assert exact_rect_iou(a, b) == 0.0, (a, b)
 
-    @pytest.mark.parametrize("cx, corners_built", [
+    @pytest.mark.parametrize("cx, corners_checked", [
         (math.nextafter(PRUNE_EXTENT_LIMIT, 0.0), 0),
         (PRUNE_EXTENT_LIMIT, 4),
         (math.nextafter(PRUNE_EXTENT_LIMIT, math.inf), 4),
     ])
-    def test_pruned_pair_at_the_extent_limit(self, monkeypatch, cx, corners_built):
-        """From PRUNE_EXTENT_LIMIT on a pruned pair builds its corners first,
-        which are finite here, and still reads 0.0; just below the limit it
-        builds none."""
-        built = []
+    def test_pruned_pair_at_the_extent_limit(self, monkeypatch, cx, corners_checked):
+        """From PRUNE_EXTENT_LIMIT on a pruned pair checks its corners with
+        decode_corners, which finds them finite here, and still reads 0.0;
+        just below the limit it checks none.  At any extent a pruned pair
+        builds no corner offsets for clipping."""
+        checked, built = [], []
 
-        def counted(box):
-            built.append(box)
-            return corner_offsets(box)
+        def counted(calls, fn):
+            def wrapper(box):
+                calls.append(box)
+                return fn(box)
+            return wrapper
 
-        monkeypatch.setattr(polarjiou.oracle, "corner_offsets", counted)
+        monkeypatch.setattr(polarjiou.oracle, "decode_corners", counted(checked, decode_corners))
+        monkeypatch.setattr(polarjiou.oracle, "corner_offsets", counted(built, corner_offsets))
         a, b = OrientedBox(cx, 0.0, 2.0, 1.0, 0.3), OrientedBox(0.0, 0.0, 2.0, 1.0, 0.3)
         assert exact_rect_iou(a, b) == 0.0
         assert exact_rect_iou(b, a) == 0.0
-        assert len(built) == corners_built
+        assert len(checked) == corners_checked
+        assert built == []
 
     def test_disjoint_circumcircles_skip_clipping(self, monkeypatch):
         def fail(*args):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import boxes, finite_floats, random_box, reference_profile
-from polarjiou import OrientedBox, grid_angles, radius_at
+from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
 from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, _profile_terms
 
@@ -182,6 +182,20 @@ class TestGridAngles:
         assert radius_at(box, copy).tobytes() == rho.tobytes()
         rho[0] = -1.0
         assert grid_angles(n)[0] == 0.0
+
+    @pytest.mark.parametrize("n", [16.5, 720.5, math.nan, math.inf, -math.inf])
+    def test_n_that_is_not_a_whole_number_rejected(self, n):
+        """16.5 would build 17 angles that stop short of 2 pi."""
+        with pytest.raises(DiscretizationError, match="whole number"):
+            grid_angles(n)
+
+    def test_whole_float_n_keeps_the_bits(self):
+        """720.0 builds its own grid when the cache is empty, with the bits of 720."""
+        grid = grid_angles(720)
+        grid_angles.cache_clear()
+        assert grid_angles(720.0).tobytes() == grid.tobytes()
+        a, b = OrientedBox(0, 0, 3, 1, 0), OrientedBox(0, 0, 3, 1, 0.4)
+        assert jiou_bar(a, b, n=720.0) == jiou_bar(a, b, n=720)
 
     @pytest.mark.parametrize("n", [10**15, 2**60, 2**63, 10**20])
     def test_unallocatable_grid_rejected(self, n):
