@@ -151,7 +151,8 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     down-weighted near peaks by the soft target y.  The sum is negated and
     divided by the positive count, floored at one; a loss whose terms all
     underflow is +0.0.  Raises ValueError unless alpha and gamma are finite
-    and >= 0, and InvalidLossError when the loss is not finite.
+    and >= 0 and every target value lies in [0, 1], and InvalidLossError
+    when the loss is not finite (a NaN cell).
     """
     if not (0.0 <= alpha < math.inf and 0.0 <= gamma < math.inf):
         raise ValueError(f"alpha and gamma must be finite and >= 0, got {alpha}, {gamma}")
@@ -161,6 +162,9 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
         raise ShapeError(f"target must be a (C, H, W) heatmap, got shape {y.shape}")
     if pred.shape != y.shape:
         raise ShapeError(f"pred shape {pred.shape} vs target shape {y.shape}")
+    outside = y[(y < 0.0) | (y > 1.0)]
+    if outside.size:
+        raise ValueError(f"target values must lie in [0, 1], got {outside[0]}")
     pt = np.clip(pred, PT_CLAMP, 1.0 - PT_CLAMP)
     pos = y == 1.0
     n_pos = max(int(np.count_nonzero(pos)), 1)

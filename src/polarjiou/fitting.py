@@ -42,15 +42,22 @@ class FitStep:
 class FitTrace:
     """One gradient-descent run: per-step states plus the convergence verdict.
 
-    projected_steps lists the steps whose half-extents had to be clamped
-    back to the validity floor.
+    Stored: steps, projected_steps (the steps whose half-extents had to be
+    clamped back to the validity floor) and loss_kind.  final_exact_iou
+    and converged are derived from the last step.
     """
 
     steps: tuple
-    final_exact_iou: float
-    converged: bool
     projected_steps: tuple
     loss_kind: str
+
+    @property
+    def final_exact_iou(self) -> float:
+        return self.steps[-1].exact_iou
+
+    @property
+    def converged(self) -> bool:
+        return self.final_exact_iou >= CONVERGED_IOU
 
 
 def _pinned_tuple(box: OrientedBox):
@@ -119,7 +126,7 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
         if r1 < MIN_HALF_EXTENT or r2 < MIN_HALF_EXTENT:
             projected.append(it + 1)
 
-    return FitTrace(tuple(steps), iou, iou >= CONVERGED_IOU, tuple(projected), loss_kind)
+    return FitTrace(tuple(steps), tuple(projected), loss_kind)
 
 
 def default_fit_suite(num_cases: int = 50, seed: int = DEFAULT_SEED):
@@ -158,7 +165,8 @@ def default_angle_diffs():
 class SweepRecord:
     """One sweep cell: the discrete ratio against both references.
 
-    Deviations are signed (ratio minus reference).
+    Stored: the cell's inputs and the three measurements.  The deviations
+    dev_rect and dev_ellipse are derived, signed (ratio minus reference).
     """
 
     aspect_ratio: float
@@ -167,8 +175,14 @@ class SweepRecord:
     jiou_bar: float
     rect_iou: float
     ellipse_mc: float
-    dev_rect: float
-    dev_ellipse: float
+
+    @property
+    def dev_rect(self) -> float:
+        return self.jiou_bar - self.rect_iou
+
+    @property
+    def dev_ellipse(self) -> float:
+        return self.jiou_bar - self.ellipse_mc
 
 
 def _cell_seed(seed: int, i: int, j: int) -> int:
@@ -200,8 +214,6 @@ def deviation_sweep(aspect_ratios=None, angle_diffs=None, n_values=None,
                 value = jiou_bar(base, rotated, n)
                 records.append(SweepRecord(
                     aspect_ratio=float(ar), angle_diff=float(dphi), n=int(n),
-                    jiou_bar=value.ratio, rect_iou=rect, ellipse_mc=mc,
-                    dev_rect=value.ratio - rect, dev_ellipse=value.ratio - mc,
-                ))
+                    jiou_bar=value.ratio, rect_iou=rect, ellipse_mc=mc))
     return records
 

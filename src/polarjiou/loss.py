@@ -31,10 +31,18 @@ RATIO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class JiouValue:
-    """Discrete radial IoU ratio in (0, 1] and its negative-log loss."""
+    """Discrete radial IoU ratio in (0, 1] and its negative-log loss.
+
+    Only ratio is stored; loss is derived from it.
+    """
 
     ratio: float
-    loss: float
+
+    @property
+    def loss(self) -> float:
+        """-log(ratio), the ratio clamped at RATIO_FLOOR."""
+        # +0.0 normalizes -log(1.0) == -0.0 to plain 0.0.
+        return -math.log(max(self.ratio, RATIO_FLOOR)) + 0.0
 
 
 @dataclass(frozen=True)
@@ -70,9 +78,7 @@ def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> Jiou
         # Distinct profiles have a true ratio below 1 even when the two sums
         # round to the same float.
         ratio = math.nextafter(1.0, 0.0)
-    # +0.0 normalizes -log(1.0) == -0.0 to plain 0.0.
-    loss = -math.log(max(ratio, RATIO_FLOOR)) + 0.0
-    return JiouValue(ratio=ratio, loss=loss)
+    return JiouValue(ratio)
 
 
 def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouGradient:

@@ -83,20 +83,26 @@ def radius_at(box: OrientedBox, theta):
     return _profile_terms(box, theta, trig=False)[0]
 
 
-# The last grid is kept: fits and batches ask for one n again and again.
-@functools.lru_cache(maxsize=1)
 def grid_angles(n: int) -> np.ndarray:
     """The shared discretization grid theta_i = 2*pi*i/n for i in [0, n);
     DiscretizationError when n is not a whole number, below MIN_GRID_ANGLES,
     or when the grid cannot be allocated.
 
     The grid is read-only and shared: the last one built is kept, and a
-    call with the same n returns that same array.  Copy it to modify it.
+    call with the same n (720.0 counts as 720) returns that same array.
+    Copy it to modify it.
     """
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
         raise DiscretizationError(
             f"need a whole number of at least {MIN_GRID_ANGLES} grid angles, got n={n}")
+    return _grid(int(n))
+
+
+# The last grid is kept: fits and batches ask for one n again and again.
+# Keyed on a plain int, so a whole float n shares the int's entry.
+@functools.lru_cache(maxsize=1)
+def _grid(n: int) -> np.ndarray:
     if n <= _MAX_GRID_ANGLES:
         try:
             grid = np.arange(n) * (2.0 * math.pi / n)

@@ -420,7 +420,7 @@ def reference_fit_box(init, target, loss_kind, n=DEFAULT_N, lr=DEFAULT_LR,
         steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
         converged = iou >= CONVERGED_IOU
 
-    return FitTrace(tuple(steps), iou, converged, tuple(projected), loss_kind)
+    return FitTrace(tuple(steps), tuple(projected), loss_kind)
 
 
 def reference_heatmap(objects, num_classes, height, width, stride):

@@ -141,6 +141,14 @@ class TestGroupSoftmax:
         with pytest.raises(ShapeError):
             group_softmax(np.zeros(4), [np.zeros((3, 4)), np.zeros((2, 4))])
 
+    def test_descriptor_must_be_a_vector(self):
+        with pytest.raises(ShapeError, match="descriptor must be a vector"):
+            group_softmax(np.zeros((2, 2)), [np.eye(2)])
+
+    def test_no_group_map_rejected(self):
+        with pytest.raises(GroupingError, match="need at least one group map"):
+            group_softmax(np.zeros(4), [])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_descriptor_rejected(self, bad):
         """A NaN descriptor would give all-NaN weights with no warning."""

@@ -294,6 +294,11 @@ class TestCornersToBox:
         with pytest.raises(DegenerateQuadError):
             corners_to_box(collinear)
 
+    def test_quad_collapsing_to_a_segment_rejected(self):
+        """A nonzero area (1e-11) whose short side (1e-13) is below the floor."""
+        with pytest.raises(DegenerateQuadError, match="quad collapses to a segment"):
+            corners_to_box([(0, 0), (1e-13, 0), (1e-13, 100), (0, 100)])
+
     def test_skewed_quad_warns(self):
         skew = np.array([(0, 0), (4, 0), (5.0, 2), (1.0, 2)], dtype=float)
         with pytest.warns(UserWarning):
@@ -384,6 +389,10 @@ class TestDotaParsing:
     def test_non_numeric_coordinate(self):
         with pytest.raises(AnnotationError):
             parse_dota_record("0 0 x 0 4 2 0 2 plane 0", lineno=1)
+
+    def test_non_integer_difficulty_names_lineno(self):
+        with pytest.raises(AnnotationError, match="line 3: non-integer difficulty 'x'"):
+            parse_dota_record("0 0 1 0 1 1 0 1 plane x", 3)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_coordinate_names_lineno(self, token):

@@ -485,6 +485,18 @@ class TestNmsCommand:
         assert err.startswith(
             "error: half-extents must lie in [1e-100, 1e+100] for exact clipping, got ")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["0,0,1,1,0,0.9"], "error: line 2: expected 7 fields, got 6"),
+        (["0,0,1,1,0,0.9,0", "0,0,-2,1,0,0.8,0"],
+         "error: line 3: half-extents must be positive, got r1=-2.0, r2=1.0"),
+    ])
+    def test_malformed_row_exits_two(self, tmp_path, rows, message):
+        src = tmp_path / "dets.csv"
+        src.write_text("\n".join([DETECTIONS_CSV_HEADER, *rows]) + "\n")
+        code, out, err = run_cli(["nms", str(src)])
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == message
+
     def test_parse_detections_line_numbers(self, tmp_path):
         src = tmp_path / "dets.csv"
         src.write_text(DETECTIONS_CSV_HEADER + "\n0,0,1,1,0,0.9,0\n0,0,1,1,0,zz,0\n")

@@ -31,6 +31,7 @@ from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, target_grid
 from polarjiou.errors import (
     EmptyBatchError,
     GridAllocationError,
+    InvalidBoxError,
     InvalidLossError,
     OutOfImageError,
     ShapeError,
@@ -380,12 +381,9 @@ class TestFocalLoss:
         loss = focal_loss(np.full((1, 1, 1), 0.5), self.single_cell_target(), gamma=5000.0)
         assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
-    @pytest.mark.parametrize("where, value", [
-        ("pred", math.nan), ("target", math.nan), ("target", math.inf), ("target", 3.0),
-    ])
+    @pytest.mark.parametrize("where, value", [("pred", math.nan), ("target", math.nan)])
     def test_non_finite_focal_loss_rejected_without_warning(self, where, value):
-        """A NaN cell, or a target whose negative weight (1 - y)^alpha is
-        infinite or NaN (alpha 2.5 at y = 3), makes the loss non-finite."""
+        """A NaN cell makes the loss non-finite."""
         pred = np.full((1, 4, 4), 0.2)
         target = np.zeros((1, 4, 4))
         target[0, 1, 1] = 1.0
@@ -394,6 +392,19 @@ class TestFocalLoss:
             warnings.simplefilter("error")
             with pytest.raises(InvalidLossError, match="non-finite focal loss"):
                 focal_loss(pred, target, alpha=2.5)
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    @pytest.mark.parametrize("value", [math.inf, 3.0, -2.0])
+    def test_focal_target_outside_unit_interval_rejected(self, value, alpha):
+        """(1 - y)^alpha grows past 1 off [0, 1]: with an integer alpha the
+        loss would stay finite and silently wrong (1.0568 reads 1.1907 at
+        y = 3 and 1.7709 at y = -2 on a (1, 2, 2) map)."""
+        pred = np.full((1, 4, 4), 0.2)
+        target = np.zeros((1, 4, 4))
+        target[0, 1, 1] = 1.0
+        target[0, 0, 0] = value
+        with pytest.raises(ValueError, match=r"target values must lie in \[0, 1\]"):
+            focal_loss(pred, target, alpha=alpha)
 
     def test_focal_exponents_must_be_finite_and_non_negative(self):
         """The rule of the CLI's --alpha and --gamma; zero is allowed and
@@ -702,6 +713,10 @@ class TestEncodeOffset:
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError):
             encode_offset(1, 1, 0)
+
+    def test_rejects_non_finite_center(self):
+        with pytest.raises(InvalidBoxError, match="non-finite center"):
+            encode_offset(math.nan, 1.0, 4)
 
     @pytest.mark.parametrize("stride", [math.inf, math.nan])
     def test_rejects_non_finite_stride(self, stride):

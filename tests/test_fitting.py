@@ -1,5 +1,6 @@
 """Gradient-descent box fitting and the discretization deviation sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,12 @@ import polarjiou.fitting
 from helpers import dyadic, reference_fit_box
 from polarjiou import OrientedBox, fit_box, jiou_bar, smooth_l1
 from polarjiou.errors import EmptyBatchError, InvalidBoxError
+from polarjiou.loss import RATIO_FLOOR, JiouValue
 from polarjiou.fitting import (
+    CONVERGED_IOU,
+    FitStep,
+    FitTrace,
+    SweepRecord,
     default_angle_diffs,
     default_fit_suite,
     deviation_sweep,
@@ -240,6 +246,49 @@ class TestDeviationSweep:
         assert len(diffs) == 19
         assert diffs[0] == 0.0
         assert diffs[-1] == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+class TestResultRecords:
+    """Each record stores what was measured; what follows from it is derived."""
+
+    @pytest.mark.parametrize("record, stored", [
+        (JiouValue, ("ratio",)),
+        (FitTrace, ("steps", "projected_steps", "loss_kind")),
+        (SweepRecord, ("aspect_ratio", "angle_diff", "n", "jiou_bar", "rect_iou",
+                       "ellipse_mc")),
+    ])
+    def test_stored_fields(self, record, stored):
+        assert tuple(f.name for f in dataclasses.fields(record)) == stored
+
+    @pytest.mark.parametrize("record, kwargs", [
+        (JiouValue, dict(ratio=0.5, loss=0.0)),
+        (FitTrace, dict(steps=(FitStep(0, 0.0, 3.0, 1.0, 0.0, 1.0),), final_exact_iou=0.2,
+                        converged=False, projected_steps=(), loss_kind="jiou")),
+        (SweepRecord, dict(aspect_ratio=2.0, angle_diff=0.5, n=64, jiou_bar=0.8,
+                           rect_iou=0.7, ellipse_mc=0.75, dev_rect=0.0, dev_ellipse=0.0)),
+    ])
+    def test_derived_value_cannot_be_passed(self, record, kwargs):
+        """Derived values that contradict the stored ones cannot be passed in."""
+        with pytest.raises(TypeError):
+            record(**kwargs)
+
+    def test_jiou_loss_follows_ratio(self):
+        assert JiouValue(0.25).loss == -math.log(0.25)
+        assert JiouValue(0.0).loss == -math.log(RATIO_FLOOR)
+        loss = JiouValue(1.0).loss
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
+
+    def test_fit_verdict_follows_last_step(self):
+        below = math.nextafter(CONVERGED_IOU, 0.0)
+        first = FitStep(0, 0.0, 3.0, 1.0, 0.5, 0.2)
+        for last_iou, converged in ((CONVERGED_IOU, True), (below, False)):
+            trace = FitTrace((first, FitStep(1, 0.1, 3.0, 1.0, 0.1, last_iou)), (), "jiou")
+            assert trace.final_exact_iou == last_iou
+            assert trace.converged is converged
+
+    def test_sweep_deviations_follow_measurements(self):
+        r = SweepRecord(2.0, 0.5, 64, jiou_bar=0.8, rect_iou=0.7, ellipse_mc=0.75)
+        assert r.dev_rect == 0.8 - 0.7 and r.dev_ellipse == 0.8 - 0.75
 
 
 class TestCsvOutput:

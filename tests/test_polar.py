@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import boxes, finite_floats, random_box, reference_profile
 from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
-from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, _profile_terms
+from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, _grid, _profile_terms
 
 
 class TestRadiusAt:
@@ -190,12 +190,19 @@ class TestGridAngles:
             grid_angles(n)
 
     def test_whole_float_n_keeps_the_bits(self):
-        """720.0 builds its own grid when the cache is empty, with the bits of 720."""
+        """720.0 builds the grid when the cache is empty, with the bits of 720."""
         grid = grid_angles(720)
-        grid_angles.cache_clear()
+        _grid.cache_clear()
         assert grid_angles(720.0).tobytes() == grid.tobytes()
         a, b = OrientedBox(0, 0, 3, 1, 0), OrientedBox(0, 0, 3, 1, 0.4)
         assert jiou_bar(a, b, n=720.0) == jiou_bar(a, b, n=720)
+
+    def test_whole_float_n_shares_the_int_grid(self):
+        """720.0 and numpy's int64 720 key the cache as 720 does, so calls
+        that alternate between them return one array and build it once."""
+        grid = grid_angles(720)
+        for n in (720.0, np.int64(720), 720, 720.0):
+            assert grid_angles(n) is grid
 
     @pytest.mark.parametrize("n", [10**15, 2**60, 2**63, 10**20])
     def test_unallocatable_grid_rejected(self, n):
