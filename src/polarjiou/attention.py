@@ -33,7 +33,10 @@ def global_pool_embed(features, embed) -> np.ndarray:
     embed must be a finite (c, c) matrix.  Returns the length-c descriptor
     relu(embed @ pooled).
     """
-    pooled = _features(features).mean(axis=(1, 2))
+    features = _features(features)
+    if 0 in features.shape[1:]:
+        raise ShapeError(f"cannot pool an empty spatial map, got shape {features.shape}")
+    pooled = features.mean(axis=(1, 2))
     embed = np.asarray(embed, dtype=np.float64)
     c = pooled.shape[0]
     if embed.shape != (c, c):

@@ -7,8 +7,9 @@ seeded synthetic scene).
 
 Exit codes: 0 success, 1 bad annotation records in roundtrip (malformed,
 non-finite, zero-area or with a negative fitted center), 2 malformed inputs,
-half-extents out of range, or an angle grid (jiou, fit) or target grid
-(roundtrip, heatmap-demo) too large to allocate, 3 unwritable output path.
+half-extents out of range, a SmoothL1 fit whose loss overflows, or an angle
+grid (jiou, fit) or target grid (roundtrip, heatmap-demo) too large to
+allocate, 3 unwritable output path.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
     DiscretizationError,
     GridAllocationError,
     InvalidBoxError,
+    InvalidLossError,
     OutOfImageError,
 )
 from .fitting import (
@@ -140,7 +142,8 @@ _exponent = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 FLAGS = {
     "n": dict(type=_checked(int, lambda v: v >= MIN_GRID_ANGLES, f">= {MIN_GRID_ANGLES}"),
               default=DEFAULT_N, help="discretization angles (default %(default)s)"),
-    "seed": dict(type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)"),
+    "seed": dict(type=_checked(int, lambda v: v >= 0, ">= 0"), default=DEFAULT_SEED,
+                 help="random seed (default %(default)s)"),
     "stride": dict(type=_positive_int, default=DEFAULT_STRIDE,
                    help="output stride (default %(default)s)"),
     "alpha": dict(type=_exponent, default=DEFAULT_ALPHA,
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SpecError, AnnotationError, DiscretizationError, InvalidBoxError,
-            OutOfImageError) as exc:
+            InvalidLossError, OutOfImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2

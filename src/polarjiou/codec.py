@@ -59,8 +59,9 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     Returns the read-only (C, H, W) grid the function allocated, with no
     copy; every value lies in [0, 1].  Each object stamps a Gaussian centered
     on its output-grid cell with the object-adaptive sigma; overlaps combine
-    by pointwise max, so the result does not depend on object order, and
-    center cells are set to exactly 1.
+    by pointwise max, so the result does not depend on object order.  Each
+    center holds exactly 1 from its own stamp: its cell is inside the grid, so
+    its window holds offset 0, where any sigma, even inf, stamps exp(-0.0) = 1.
     Only the window where the Gaussian does not underflow to 0.0 is written.
     Objects are visited grouped by sigma: each group computes one stamp over
     the integer offsets its clipped windows span and writes a slice of it
@@ -68,7 +69,6 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     object's stamp is exactly its window.
     """
     values = target_grid((num_classes, height, width))
-    positives = []
     by_sigma = {}
     for box, cls in objects:
         if not (0 <= cls < num_classes and cls == int(cls)):
@@ -78,8 +78,7 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
             raise OutOfImageError(
                 f"center cell ({cell_x}, {cell_y}) outside {width}x{height} grid"
             )
-        positives.append((int(cls), cell_x, cell_y))
-        by_sigma.setdefault(gaussian_sigma(box, stride), []).append(positives[-1])
+        by_sigma.setdefault(gaussian_sigma(box, stride), []).append((int(cls), cell_x, cell_y))
     for sigma, group in by_sigma.items():
         # Capped at the grid size, which also keeps an infinite sigma finite.
         reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), max(height, width)))
@@ -87,20 +86,18 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
         # Each window as offsets from its center, clipped to the grid.
         x0, x1 = np.maximum(-reach, -cx), np.minimum(reach + 1, width - cx)
         y0, y1 = np.maximum(-reach, -cy), np.minimum(reach + 1, height - cy)
-        dx = np.arange(x0.min(), x1.max(), dtype=np.float64)
-        dy = np.arange(y0.min(), y1.max(), dtype=np.float64)
+        sx, sy = x0.min(), y0.min()
+        dx = np.arange(sx, x1.max(), dtype=np.float64)
+        dy = np.arange(sy, y1.max(), dtype=np.float64)
         stamp = dx[None, :] ** 2 + dy[:, None] ** 2
         # exp(-(dx^2 + dy^2) / (2 sigma^2)), computed in place.
         np.negative(stamp, out=stamp)
         np.divide(stamp, 2.0 * sigma * sigma, out=stamp)
         np.exp(stamp, out=stamp)
-        sx, sy = x0.min(), y0.min()
         for c, x, y, a, b, p, q in zip(*(v.tolist() for v in (classes, cx, cy, x0, x1, y0, y1))):
             window = values[c, y + p:y + q, x + a:x + b]
             np.maximum(window, stamp[p - sy:q - sy, a - sx:b - sx], out=window)
         del stamp
-    for cls, cx, cy in positives:
-        values[cls, cy, cx] = 1.0
     values.setflags(write=False)
     return values
 
@@ -235,12 +232,17 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
 def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> float:
     """The training loss cla + mu * jiou + reg, as a float that is never -0.0.
 
-    Raises InvalidLossError when any input is not finite.
+    Raises InvalidLossError when any input is not finite, or when finite
+    inputs overflow.
     """
     parts = (cla, jiou, reg, mu)
     if not all(math.isfinite(v) for v in parts):
         raise InvalidLossError(f"non-finite loss components {parts}")
-    return float(cla + mu * jiou + reg) + 0.0
+    with np.errstate(over="ignore"):  # numpy scalars would warn before the raise
+        total = float(cla + mu * jiou + reg) + 0.0
+    if not math.isfinite(total):
+        raise InvalidLossError(f"loss components {parts} overflow to {total}")
+    return total
 
 
 def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
@@ -266,8 +268,9 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
     heat = np.asarray(heatmap, dtype=np.float64)
     if heat.ndim != 3:
         raise ShapeError(f"expected a (C, H, W) heatmap, got shape {heat.shape}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    # The range test comes first: int() of a NaN or an infinity raises.
+    if not (1 <= k < math.inf and k == int(k)):
+        raise ValueError(f"k must be a whole number >= 1, got {k}")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     h, w = heat.shape[1:]
@@ -283,7 +286,7 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
         keep |= (ys + dy < 0) | (ys + dy >= h) | (xs + dx < 0) | (xs + dx >= w)
         cells, ys, xs, score = cells[keep], ys[keep], xs[keep], score[keep]
     cats = cells // (h * w)
-    top = np.lexsort((xs, ys, cats, -score))[:k]
+    top = np.lexsort((xs, ys, cats, -score))[:int(k)]
     return list(zip(cats[top].tolist(), xs[top].tolist(), ys[top].tolist(),
                     score[top].tolist()))
 
@@ -357,8 +360,7 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     """
     objects = [(canonicalize(box), cls) for box, cls in objects]
     enc = encode_targets(objects, num_classes, height, width, stride)
-    peaks = extract_peaks(enc.heatmap, k=max(len(objects), 1),
-                          threshold=DEFAULT_PEAK_THRESHOLD)
+    peaks = extract_peaks(enc.heatmap, k=max(len(objects), 1))
     detections = decode_detections(peaks, enc.offset_map, enc.param_map, stride)
     by_cell = {peak[:3]: det for peak, det in zip(peaks, detections)}
     matches = [by_cell.get(cell) for cell in enc.positives]

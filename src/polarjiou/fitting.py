@@ -84,8 +84,9 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")
     if not 0.0 < lr < math.inf:
         raise ValueError(f"lr must be finite and positive, got {lr}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    # The range test comes first: int() of a NaN or an infinity raises.
+    if not (1 <= max_iters < math.inf and max_iters == int(max_iters)):
+        raise ValueError(f"max_iters must be a whole number >= 1, got {max_iters}")
     target = canonicalize(target)
     if loss_kind == "jiou":
         thetas = grid_angles(n)
@@ -104,7 +105,7 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     loss, grad = evaluate(state)
     steps = []
     projected = []
-    for it in range(max_iters + 1):
+    for it in range(int(max_iters) + 1):
         iou = exact_rect_iou(state, target)
         steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
         if iou >= CONVERGED_IOU or it == max_iters:

@@ -71,6 +71,14 @@ class TestGlobalPoolEmbed:
         out = global_pool_embed(np.ones((2, 1, 1)), embed)
         assert np.allclose(out, [2.0, 2.0])
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0)])
+    def test_empty_spatial_map_rejected(self, shape):
+        """An empty map has no mean: ShapeError, with no numpy warning first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="empty spatial map"):
+                global_pool_embed(np.zeros(shape), np.eye(2))
+
     def test_bad_embed_shape(self):
         with pytest.raises(ShapeError):
             global_pool_embed(np.ones((2, 2, 2)), np.eye(3))

@@ -405,6 +405,14 @@ class TestFitCommand:
             "usage: polarjiou [-h] {jiou,sweep,roundtrip,fit,nms,heatmap-demo} ...",
         ]
 
+    def test_overflowing_smooth_l1_loss_exits_two(self):
+        """Extents near the float limit overflow the SmoothL1 loss of the
+        starting box; the fit reports it as an input error."""
+        code, out, err = run_cli(["fit", "--loss", "smooth_l1", "--init", "0,0,1e308,1e308,0",
+                                  "--target", "0,0,1,1,0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: non-finite SmoothL1 loss inf\n")
+
 
 class TestNmsCommand:
     def detections_file(self, path):
@@ -590,13 +598,17 @@ class TestArgumentErrors:
         ["heatmap-demo", "--classes", "0"],
         ["roundtrip", "a.txt", "--stride", "0"],
         ["heatmap-demo", "--height", "-10", "--width", "-10"],
+        ["sweep", "--seed", "-1", "--out", "{tmp}/s.csv"],
+        ["fit", "--suite", "--seed", "-1"],
+        ["heatmap-demo", "--seed", "-1"],
     ])
-    def test_out_of_range_value_exits_two(self, argv, capsys):
+    def test_out_of_range_value_exits_two(self, argv, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([arg.format(tmp=tmp_path) for arg in argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,message", [
         (["heatmap-demo", "--alpha", "nan"], "--alpha: must be finite and >= 0, got nan"),

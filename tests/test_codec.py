@@ -561,6 +561,12 @@ class TestTotalLoss:
             total_loss(math.nan, 0, 0, 5)
         with pytest.raises(InvalidLossError):
             total_loss(0, math.inf, 0, 5)
+        # Finite components whose weighted sum overflows, also as numpy
+        # scalars, which must not warn first.
+        with pytest.raises(InvalidLossError):
+            total_loss(1e308, 1e308, 0.0, 1e308)
+        with pytest.raises(InvalidLossError, match="overflow"):
+            total_loss(np.float64(1e308), np.float64(1e308), 0.0, 1e308)
 
 
 class TestExtractPeaks:
@@ -615,10 +621,19 @@ class TestExtractPeaks:
         heat = np.zeros((1, 3, 3))
         with pytest.raises(ValueError):
             extract_peaks(heat, k=0)
+        for k in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="k must be a whole number"):
+                extract_peaks(heat, k=k)
         with pytest.raises(ValueError):
             extract_peaks(heat, threshold=1.0)
         with pytest.raises(ShapeError):
             extract_peaks(np.zeros((3, 3)))
+
+    def test_whole_float_k(self):
+        heat = render_heatmap([(OrientedBox(9.0 + 20 * i, 9.0, 4.0, 2.0, 0.0), 0)
+                               for i in range(4)], 1, 8, 24, 4)
+        assert extract_peaks(heat, k=3.0) == extract_peaks(heat, k=3)
+        assert len(extract_peaks(heat, k=3)) == 3
 
 
 class TestSparsePeaks:

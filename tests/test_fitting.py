@@ -113,11 +113,20 @@ class TestFitBox:
             fit_box(box, box, "jiou", lr=0.0)
         with pytest.raises(ValueError):
             fit_box(box, box, "jiou", max_iters=0)
+        for max_iters in (2.5, math.nan):
+            with pytest.raises(ValueError, match="max_iters must be a whole number"):
+                fit_box(box, box, "jiou", max_iters=max_iters)
         # This pair takes a step, so an unchecked lr would reach the box.
         for lr in (math.nan, math.inf):
             with pytest.raises(ValueError, match="lr"):
                 fit_box(OrientedBox(0, 0, 6, 2, 0.9), OrientedBox(0, 0, 6, 2, 0.1), "jiou",
                         lr=lr)
+
+    def test_whole_float_max_iters(self):
+        init, target = OrientedBox(0, 0, 6, 2, 0.9), OrientedBox(0, 0, 6, 2, 0.1)
+        trace = fit_box(init, target, "jiou", max_iters=3)
+        assert len(trace.steps) == 4
+        assert fit_box(init, target, "jiou", max_iters=3.0) == trace
 
     def test_overflowing_step_rejected_as_invalid_box(self):
         """A step that overflows to inf is rejected by OrientedBox, with no

@@ -1,13 +1,23 @@
 """Discrete polar IoU ratio, its negative-log loss, and analytic gradients."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import boxes, fd_gradient, fd_suite, finite_floats, random_box, reference_jiou
+from helpers import (
+    boxes,
+    fd_gradient,
+    fd_suite,
+    finite_floats,
+    longdouble_gradient,
+    longdouble_ratio,
+    random_box,
+    reference_jiou,
+)
 from polarjiou import (
     OrientedBox,
     batch_jiou,
@@ -203,6 +213,74 @@ def test_matches_frozen_reference():
             g = jiou_gradient(a, b, n)
             assert (value.ratio, value.loss) == (ratio, loss), (a, b, n)
             assert (g.d_phi, g.d_r1, g.d_r2) == grad, (a, b, n)
+
+
+EPS = np.finfo(np.float64).eps
+
+# Aspect-ratio bands of the yardstick pairs, each with the seed of its pairs.
+LONGDOUBLE_BANDS = [((1.0, 20.0), 51), ((20.0, 100.0), 52)]
+
+# Bounds on today's float64 error against the np.longdouble yardstick,
+# measured on the seeded pairs below at n = 720 (x86-64 Linux, numpy 2.4):
+# the largest relative ratio error is 0.66 * EPS * ar at 1-20 and 0.45 *
+# EPS * ar at 20-100.  The largest gradient error, relative to the
+# reference's max-norm, is 29 * EPS * ar at 1-20 but 363 * EPS * ar at
+# 20-100: it grows with the square of the aspect ratio, 1.7 and 6.9 times
+# EPS * ar^2.  ar is the pair's larger aspect ratio.  The gradient's
+# largest errors come from small gradients summed from large per-angle
+# terms of both signs (at 20-100 the worst is 0.011 from terms whose
+# magnitudes add up to 4400), so its bound keeps about 3x headroom for
+# numpy builds whose trig rounds differently.
+LONGDOUBLE_RATIO_BOUND = 1.0
+LONGDOUBLE_GRADIENT_BOUND = 20.0
+
+
+def longdouble_pairs(band, seed, count=200):
+    """Seeded (pred, target, ar) triples: both boxes' aspect ratios drawn
+    from band, any orientation; ar is the larger of the two."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            r2 = rng.uniform(1.0, 10.0)
+            pair.append(OrientedBox(0.0, 0.0, r2 * rng.uniform(*band), r2,
+                                    rng.uniform(-math.pi / 2, math.pi / 2)))
+        triples.append((*pair, max(b.r1 / b.r2 for b in pair)))
+    return triples
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason=f"np.longdouble is no wider than float64 on {platform.system()} {platform.machine()}")
+class TestLongdoubleYardstick:
+    """Today's float64 ratio and gradient against the same formulas in
+    np.longdouble (a 64-bit mantissa on x86-64 Linux): the accuracy check
+    for any change of their low bits."""
+
+    def test_longdouble_closed_forms(self):
+        """Concentric circles of radii r < R: ratio (r/R)^2, and the loss
+        -2 log(r/R) falls by 1/r along each half-extent of the smaller."""
+        small, large = OrientedBox(0, 0, 1.5, 1.5, 0.3), OrientedBox(0, 0, 4.0, 4.0, -1.0)
+        assert abs(longdouble_ratio(small, large) - np.longdouble(0.140625)) < 1e-18
+        d_r = -1 / np.longdouble(1.5)
+        assert np.max(np.abs(longdouble_gradient(small, large) - [0.0, d_r, d_r])) < 1e-18
+
+    @pytest.mark.parametrize("band, seed", LONGDOUBLE_BANDS)
+    def test_longdouble_ratio_error(self, band, seed):
+        for pred, target, ar in longdouble_pairs(band, seed):
+            ref = longdouble_ratio(pred, target)
+            err = float(abs(np.longdouble(jiou_bar(pred, target).ratio) - ref) / ref)
+            assert err <= LONGDOUBLE_RATIO_BOUND * EPS * ar, (pred, target)
+
+    @pytest.mark.parametrize("band, seed", LONGDOUBLE_BANDS)
+    def test_longdouble_gradient_error(self, band, seed):
+        for pred, target, ar in longdouble_pairs(band, seed):
+            ref = longdouble_gradient(pred, target)
+            g = jiou_gradient(pred, target)
+            diff = np.array([g.d_phi, g.d_r1, g.d_r2], dtype=np.longdouble) - ref
+            err = float(np.max(np.abs(diff)) / np.max(np.abs(ref)))
+            assert err <= LONGDOUBLE_GRADIENT_BOUND * EPS * ar * ar, (pred, target)
 
 
 class TestBatchJiou:
