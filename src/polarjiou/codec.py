@@ -18,6 +18,7 @@ from .errors import (
     InvalidLossError,
     OutOfImageError,
     ShapeError,
+    check_count,
 )
 from .oracle import Detection
 
@@ -268,9 +269,7 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
     heat = np.asarray(heatmap, dtype=np.float64)
     if heat.ndim != 3:
         raise ShapeError(f"expected a (C, H, W) heatmap, got shape {heat.shape}")
-    # The range test comes first: int() of a NaN or an infinity raises.
-    if not (1 <= k < math.inf and k == int(k)):
-        raise ValueError(f"k must be a whole number >= 1, got {k}")
+    k = check_count("k", k, 1)
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     h, w = heat.shape[1:]
@@ -286,7 +285,7 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
         keep |= (ys + dy < 0) | (ys + dy >= h) | (xs + dx < 0) | (xs + dx >= w)
         cells, ys, xs, score = cells[keep], ys[keep], xs[keep], score[keep]
     cats = cells // (h * w)
-    top = np.lexsort((xs, ys, cats, -score))[:int(k)]
+    top = np.lexsort((xs, ys, cats, -score))[:k]
     return list(zip(cats[top].tolist(), xs[top].tolist(), ys[top].tolist(),
                     score[top].tolist()))
 

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of count arguments."""
+
+import math
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """value as an int when it is a whole number >= minimum (3.0 counts as 3);
+    ValueError naming the argument otherwise."""
+    # The range test comes first: int() of a NaN or an infinity raises.
+    if not (minimum <= value < math.inf and value == int(value)):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value}")
+    return int(value)
 
 
 class InvalidBoxError(ValueError):

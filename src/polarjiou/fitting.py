@@ -11,10 +11,9 @@ import numpy as np
 
 from .boxes import HALF_PI, OrientedBox, canonicalize
 from .codec import smooth_l1
-from .errors import EmptyBatchError
-from .loss import DEFAULT_N, _gradient, jiou_bar
+from .errors import EmptyBatchError, check_count
+from .loss import DEFAULT_N, jiou_bar, jiou_gradient
 from .oracle import exact_rect_iou, mc_ellipse_iou
-from .polar import grid_angles, radius_at
 
 CONVERGED_IOU = 0.95
 MIN_HALF_EXTENT = 0.1
@@ -77,26 +76,21 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     are clamped back to 0.1 and the step is recorded as projected.
     Convergence means exact rectangle IoU >= 0.95, checked at every
     recorded step including the initial state.  Fully deterministic.
-    What the loss reuses of the fixed target (the JIoU grid and target
-    profile, or the SmoothL1 target tuple) is built once per run.
+    The SmoothL1 target tuple is built once per run; the JIoU target's
+    profile stays kept on the shared grid (see polar.PROFILE_SLOTS).
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")
     if not 0.0 < lr < math.inf:
         raise ValueError(f"lr must be finite and positive, got {lr}")
-    # The range test comes first: int() of a NaN or an infinity raises.
-    if not (1 <= max_iters < math.inf and max_iters == int(max_iters)):
-        raise ValueError(f"max_iters must be a whole number >= 1, got {max_iters}")
+    max_iters = check_count("max_iters", max_iters, 1)
     target = canonicalize(target)
-    if loss_kind == "jiou":
-        thetas = grid_angles(n)
-        rho_t = radius_at(target, thetas)
-    else:
-        pinned_target = _pinned_tuple(target)
+    pinned_target = _pinned_tuple(target)
 
     def evaluate(box):
         if loss_kind == "jiou":
-            return jiou_bar(box, target, n).loss, _gradient(box, thetas, rho_t)
+            g = jiou_gradient(box, target, n)
+            return jiou_bar(box, target, n).loss, (g.d_phi, g.d_r1, g.d_r2)
         loss = smooth_l1(_pinned_tuple(box), pinned_target)
         diff = (box.phi - target.phi, box.r1 - target.r1, box.r2 - target.r2)
         return loss, tuple(min(max(d, -1.0), 1.0) for d in diff)
@@ -105,7 +99,7 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     loss, grad = evaluate(state)
     steps = []
     projected = []
-    for it in range(int(max_iters) + 1):
+    for it in range(max_iters + 1):
         iou = exact_rect_iou(state, target)
         steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
         if iou >= CONVERGED_IOU or it == max_iters:
@@ -137,6 +131,7 @@ def default_fit_suite(num_cases: int = 50, seed: int = DEFAULT_SEED):
     initial guess keeps the target's extents but is off in angle by up to
     80 degrees either way.
     """
+    num_cases = check_count("num_cases", num_cases, 0)
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(num_cases):
@@ -204,6 +199,8 @@ def deviation_sweep(aspect_ratios=None, angle_diffs=None, n_values=None,
     ns = DEFAULT_N_VALUES if n_values is None else tuple(n_values)
     if not ars or not dphis or not ns:
         raise EmptyBatchError("sweep grids must be non-empty")
+    # Fewer than MIN_MC_SAMPLES is the oracle's InsufficientSamplesError.
+    mc_samples = check_count("mc_samples", mc_samples, 1)
     records = []
     for i, ar in enumerate(ars):
         base = OrientedBox(0.0, 0.0, ar, 1.0, 0.0)

@@ -90,37 +90,34 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
     stationary point (zero gradient at the loss minimum).
     """
     thetas = grid_angles(n)
-    return JiouGradient(*_gradient(pred, thetas, radius_at(target, thetas)))
-
-
-def _gradient(pred: OrientedBox, thetas, rho_t):
-    """jiou_gradient's (d_phi, d_r1, d_r2) as floats, given the grid and the
-    target's profile on it, which a fit builds once per run."""
+    rho_t = radius_at(target, thetas)
     rho_p, c, s, rc2, rs2, denom = _profile_terms(pred, thetas)
     s_min, s_max = _sums(rho_p, rho_t)
 
     # Rows: the closed-form derivatives of rho_p by phi, r1 and r2 at each
     # angle, times the 2 rho_p that turns them into derivatives of rho_p^2.
-    # Each is built in place, left to right as the formula reads; c and s
-    # hold the divisors and the factor once d_phi no longer needs them.
+    # Each is built in place, left to right as the formula reads; the
+    # profile's arrays may be kept ones, so the divisors and the factor go
+    # through a buffer row of their own.
     r1, r2 = pred.r1, pred.r2
     d = np.empty((3, rho_p.size))
     d_phi, d_r1, d_r2 = d
+    buf = np.empty(rho_p.size)
     np.multiply(rho_p, c, out=d_phi)
     d_phi *= s
     d_phi *= r1 * r1 - r2 * r2
     d_phi /= denom
     np.multiply(rho_p, rc2, out=d_r1)
-    d_r1 /= np.multiply(denom, r1, out=c)
+    d_r1 /= np.multiply(denom, r1, out=buf)
     np.multiply(rho_p, rs2, out=d_r2)
-    d_r2 /= np.multiply(denom, r2, out=s)
-    d *= np.multiply(rho_p, 2.0, out=c)
+    d_r2 /= np.multiply(denom, r2, out=buf)
+    d *= np.multiply(rho_p, 2.0, out=buf)
 
     # np.compress keeps the rows contiguous; d[:, mask] would not, and its
     # row sums would round differently.
     ds_min = np.compress(rho_p <= rho_t, d, axis=1).sum(axis=1)
     ds_max = np.compress(rho_p >= rho_t, d, axis=1).sum(axis=1)
-    return tuple((ds_max / s_max - ds_min / s_min).tolist())
+    return JiouGradient(*(ds_max / s_max - ds_min / s_min).tolist())
 
 
 def batch_jiou(preds, targets, n: int = DEFAULT_N):
@@ -134,7 +131,11 @@ def batch_jiou(preds, targets, n: int = DEFAULT_N):
         raise ShapeError(f"{len(preds)} predictions vs {len(targets)} targets")
     if not preds:
         raise EmptyBatchError("batch_jiou needs at least one pair")
-    values = [jiou_bar(p, t, n) for p, t in zip(preds, targets)]
-    grads = [jiou_gradient(p, t, n) for p, t in zip(preds, targets)]
+    # Each pair's value and gradient in turn, so the gradient finds both
+    # profiles that jiou_bar just built still kept on the grid.
+    values, grads = [], []
+    for p, t in zip(preds, targets):
+        values.append(jiou_bar(p, t, n))
+        grads.append(jiou_gradient(p, t, n))
     mean_loss = sum(v.loss for v in values) / len(values)
     return mean_loss, values, grads

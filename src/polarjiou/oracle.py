@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
-from .errors import InsufficientSamplesError, InvalidBoxError
+from .errors import InsufficientSamplesError, InvalidBoxError, check_count
 from .polar import check_extents
 
 # An intersection counts as empty below this fraction of the two boxes'
@@ -161,6 +161,7 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
         raise InsufficientSamplesError(
             f"need at least {MIN_MC_SAMPLES} samples, got {samples}"
         )
+    samples = check_count("samples", samples, MIN_MC_SAMPLES)
     (ax0, ay0), (ax1, ay1) = aabb(a)
     (bx0, by0), (bx1, by1) = aabb(b)
     x0, y0 = min(ax0, bx0), min(ay0, by0)

@@ -34,15 +34,57 @@ def check_extents(use: str, *boxes: OrientedBox) -> None:
                 f"got r1={box.r1}, r2={box.r2}")
 
 
+# The last few profiles built on the shared grid.  A fit needs its fixed
+# target plus the current and the candidate prediction; a batch pair needs
+# its two boxes.
+PROFILE_SLOTS = 3
+
+# (grid, ((key, profile), ...)), most recently used first.  The grid and its
+# entries are swapped in as one tuple, so an entry is only ever read beside
+# the grid it was built on; _grid starts an empty one for each new grid.
+# Threads swapping at once may drop each other's entries, which costs a
+# rebuild, never a profile of the wrong grid.
+_kept = (None, ())
+# Requests served from _kept, and profiles built on the shared grid; counted
+# without a lock, so concurrent threads may lose an increment.
+_kept_hits = 0
+_kept_misses = 0
+
+
 def _profile_terms(box: OrientedBox, theta, trig: bool = True):
     """radius_at's rho, plus the cos(t), sin(t), (r2 cos t)^2, (r1 sin t)^2
     and their sum denom at t = theta - phi that the loss gradient reuses.
 
-    theta is a float64 array with at least one dimension; every returned
-    array is new, so the caller may write into it.  With trig=False a circle
-    skips the trig and gets None for all five.
+    theta is a float64 array with at least one dimension.  On the shared
+    grid of grid_angles the last PROFILE_SLOTS profiles are kept, keyed on
+    (r1, r2, phi), and returned again as read-only arrays; for any other
+    theta every returned array is new, so the caller may write into it.
+    With trig=False a circle skips the trig and gets None for all five.
     """
+    global _kept, _kept_hits, _kept_misses
     check_extents("a radial profile", box)
+    grid, entries = _kept
+    if theta is not grid:
+        return _build_profile(box, theta, trig)
+    key = (box.r1, box.r2, box.phi)
+    for i, entry in enumerate(entries):
+        # An entry built without trig does not serve a request for it.
+        if entry[0] == key and not (trig and entry[1][1] is None):
+            _kept_hits += 1
+            _kept = (grid, (entry,) + entries[:i] + entries[i + 1:])
+            return entry[1]
+    _kept_misses += 1
+    profile = _build_profile(box, theta, trig)
+    for array in profile:
+        if array is not None:
+            array.setflags(write=False)
+    # A circle's entry with trig replaces the one without.
+    rest = tuple(entry for entry in entries if entry[0] != key)
+    _kept = (grid, ((key, profile),) + rest[:PROFILE_SLOTS - 1])
+    return profile
+
+
+def _build_profile(box: OrientedBox, theta, trig: bool):
     t = theta - box.phi
     # A circle's radius is the same at every angle; the trig form would add
     # phi-dependent rounding, so equal circles would get profiles that differ
@@ -80,7 +122,9 @@ def radius_at(box: OrientedBox, theta):
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim == 0:
         return float(_profile_terms(box, theta.reshape(1), trig=False)[0][0])
-    return _profile_terms(box, theta, trig=False)[0]
+    rho = _profile_terms(box, theta, trig=False)[0]
+    # A kept profile is read-only and shared; the caller gets its own copy.
+    return rho if rho.flags.writeable else rho.copy()
 
 
 def grid_angles(n: int) -> np.ndarray:
@@ -90,7 +134,8 @@ def grid_angles(n: int) -> np.ndarray:
 
     The grid is read-only and shared: the last one built is kept, and a
     call with the same n (720.0 counts as 720) returns that same array.
-    Copy it to modify it.
+    Copy it to modify it.  Profiles built on it are kept until another n
+    replaces it (see _profile_terms).
     """
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
@@ -103,6 +148,7 @@ def grid_angles(n: int) -> np.ndarray:
 # Keyed on a plain int, so a whole float n shares the int's entry.
 @functools.lru_cache(maxsize=1)
 def _grid(n: int) -> np.ndarray:
+    global _kept
     if n <= _MAX_GRID_ANGLES:
         try:
             grid = np.arange(n) * (2.0 * math.pi / n)
@@ -110,5 +156,7 @@ def _grid(n: int) -> np.ndarray:
             pass
         else:
             grid.setflags(write=False)
+            # The profiles kept for the previous grid go with it.
+            _kept = (grid, ())
             return grid
     raise DiscretizationError(f"cannot allocate a grid of n={n} angles")

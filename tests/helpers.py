@@ -26,6 +26,7 @@ from polarjiou.fitting import (
     FitStep,
     FitTrace,
 )
+from polarjiou import polar
 from polarjiou.loss import DEFAULT_N, RATIO_FLOOR
 from polarjiou.oracle import (
     CLIP_ROUNDING,
@@ -49,6 +50,11 @@ def boxes(draw, canonical=False, max_center=100.0, min_r=0.1, max_r=50.0):
     phi = draw(finite_floats(-7.0, 7.0))
     box = OrientedBox(cx, cy, ra, rb, phi)
     return canonicalize(box) if canonical else box
+
+
+def kept_counts():
+    """(hits, misses) of the profiles kept on the shared grid so far."""
+    return polar._kept_hits, polar._kept_misses
 
 
 def random_box(rng, max_center=100.0, min_r=0.5, max_r=30.0):

@@ -116,6 +116,11 @@ class TestFitBox:
         for max_iters in (2.5, math.nan):
             with pytest.raises(ValueError, match="max_iters must be a whole number"):
                 fit_box(box, box, "jiou", max_iters=max_iters)
+        for num_cases in (2.5, math.nan, -1):
+            with pytest.raises(ValueError, match="num_cases must be a whole number"):
+                default_fit_suite(num_cases)
+        with pytest.raises(ValueError, match="mc_samples must be a whole number"):
+            deviation_sweep(n_values=[16], mc_samples=math.nan)
         # This pair takes a step, so an unchecked lr would reach the box.
         for lr in (math.nan, math.inf):
             with pytest.raises(ValueError, match="lr"):
@@ -200,6 +205,10 @@ class TestFitSuite:
         b = default_fit_suite(seed=42)
         assert len(a) == 50
         assert a == b
+
+    def test_whole_float_num_cases(self):
+        assert default_fit_suite(3.0) == default_fit_suite(3)
+        assert default_fit_suite(0) == []
 
     def test_suite_shape(self):
         for init, target in default_fit_suite(num_cases=10):

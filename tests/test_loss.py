@@ -2,6 +2,7 @@
 
 import math
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     fd_gradient,
     fd_suite,
     finite_floats,
+    kept_counts,
     longdouble_gradient,
     longdouble_ratio,
     random_box,
@@ -27,6 +29,8 @@ from polarjiou import (
     mc_ellipse_iou,
     radius_at,
 )
+import polarjiou.fitting
+from polarjiou import fit_box, polar
 from polarjiou.errors import DiscretizationError, EmptyBatchError, InvalidBoxError, ShapeError
 
 
@@ -321,3 +325,51 @@ class TestBatchJiou:
     def test_empty_batch(self):
         with pytest.raises(EmptyBatchError):
             batch_jiou([], [], 64)
+
+    def test_first_bad_pair_raises_its_error(self):
+        """Pairs are scored one after the other, and the first pair with an
+        extent off the range raises the error that names its box, as when
+        every value was taken before any gradient."""
+        good = OrientedBox(0, 0, 2, 1, 0.3)
+        tiny = OrientedBox(0, 0, 2e-120, 1e-120, 0.1)
+        huge = OrientedBox(0, 0, 3e103, 1e103, 0.2)
+        want = re.escape("half-extents must lie in [1e-100, 1e+100] for a radial profile, "
+                         f"got r1={tiny.r1}, r2={tiny.r2}")
+        for preds, targets in (([good, tiny, huge], [good, good, good]),
+                               ([good, good, good], [good, tiny, huge])):
+            with pytest.raises(InvalidBoxError, match=f"^{want}$"):
+                batch_jiou(preds, targets, 720)
+
+
+class TestProfileCache:
+    """Each box's profile is built once per pair and once per fit evaluation."""
+
+    def test_batch_builds_each_box_once(self):
+        rng = np.random.default_rng(26)
+        k = 12
+        preds = [random_box(rng) for _ in range(k)]
+        targets = [random_box(rng) for _ in range(k)]
+        polar._grid.cache_clear()
+        hits, misses = kept_counts()
+        batch_jiou(preds, targets, 720)
+        # jiou_bar builds both profiles; jiou_gradient finds both kept.
+        assert kept_counts() == (hits + 2 * k, misses + 2 * k)
+
+    def test_fit_builds_each_box_once(self, monkeypatch):
+        """A JIoU fit of E evaluations builds E + 1 profiles: the target's
+        once, and each evaluated box's once."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jiou_bar(*args, **kwargs)
+
+        monkeypatch.setattr(polarjiou.fitting, "jiou_bar", counted)
+        polar._grid.cache_clear()
+        hits, misses = kept_counts()
+        trace = fit_box(OrientedBox(0, 0, 12, 3, 0.9), OrientedBox(0, 0, 10, 4, 0.2), "jiou",
+                        lr=5.0)
+        evaluations = len(calls)
+        assert evaluations > len(trace.steps) > 2
+        # Each evaluation asks for the target twice and its box twice.
+        assert kept_counts() == (hits + 3 * evaluations - 1, misses + evaluations + 1)

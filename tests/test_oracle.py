@@ -603,6 +603,16 @@ class TestMonteCarloEllipse:
         with pytest.raises(InsufficientSamplesError):
             mc_rect_iou(box, box, 100, seed=0)
 
+    @pytest.mark.parametrize("oracle", [mc_ellipse_iou, mc_rect_iou])
+    def test_samples_must_be_a_whole_number(self, oracle):
+        """A fractional or non-finite count names the argument; a whole
+        float counts as the int."""
+        a, b = OrientedBox(0, 0, 2, 1, 0), OrientedBox(0.5, 0, 2, 1, 0.7)
+        for samples in (20000.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="samples must be a whole number"):
+                oracle(a, b, samples, seed=0)
+        assert oracle(a, b, 20000.0, seed=3) == oracle(a, b, 20000, seed=3)
+
 
 MC_SAMPLE_COUNTS = (10_000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7, 1_000_000)
 MC_ORACLES = [pytest.param(mc_ellipse_iou, True, id="ellipse"),

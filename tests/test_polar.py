@@ -5,16 +5,19 @@ Half-extents outside [MIN_EXTENT, MAX_EXTENT] are rejected.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import boxes, finite_floats, random_box, reference_profile
+from helpers import boxes, finite_floats, kept_counts, random_box, reference_profile
 from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
-from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, _grid, _profile_terms
+from polarjiou import polar
+from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, _grid, _profile_terms
 
 
 class TestRadiusAt:
@@ -211,6 +214,121 @@ class TestGridAngles:
         array from 2**63 on."""
         with pytest.raises(DiscretizationError, match=f"n={n} "):
             grid_angles(n)
+
+
+def fresh_grid(n):
+    """grid_angles(n) built anew, so no profile is kept for it yet."""
+    _grid.cache_clear()
+    return grid_angles(n)
+
+
+class TestKeptProfiles:
+    """The last PROFILE_SLOTS profiles built on the shared grid are kept."""
+
+    def test_radius_at_result_is_the_callers(self):
+        """Writing into one radius_at result leaves the next one, served from
+        the kept profile, untouched."""
+        box, grid = OrientedBox(0, 0, 3, 1, 0.4), grid_angles(720)
+        first = radius_at(box, grid)
+        want = first.copy()
+        first[:] = -1.0
+        second = radius_at(box, grid)
+        assert second.flags.writeable and second is not first
+        assert second.tobytes() == want.tobytes()
+
+    def test_kept_arrays_read_only_and_a_copy_gets_new_ones(self):
+        box = OrientedBox(0, 0, 3, 1, 0.4)
+        grid = grid_angles(720)
+        kept = _profile_terms(box, grid)
+        assert _profile_terms(box, grid) is kept
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        copy = np.array(grid)
+        hits, misses = kept_counts()
+        for _ in range(2):
+            new = _profile_terms(box, copy)
+            for got, want in zip(new, kept):
+                assert got.flags.writeable and got.tobytes() == want.tobytes()
+        # A copy of the grid, equal or not, is never looked up or kept.
+        assert kept_counts() == (hits, misses)
+
+    def test_one_build_per_box_and_least_recent_dropped(self):
+        grid = fresh_grid(720)
+        boxes_ = [OrientedBox(0, 0, 3, 1, 0.1 * k) for k in range(PROFILE_SLOTS + 1)]
+        hits, misses = kept_counts()
+        for box in boxes_[:PROFILE_SLOTS]:
+            _profile_terms(box, grid)
+        # Centers do not enter a profile, so a shifted box is a hit.
+        shifted = OrientedBox(50, -7, 3, 1, 0.0)
+        assert _profile_terms(shifted, grid) is _profile_terms(boxes_[0], grid)
+        assert kept_counts() == (hits + 2, misses + PROFILE_SLOTS)
+        # boxes_[0] was used last, so the new box drops boxes_[1].
+        _profile_terms(boxes_[-1], grid)
+        _profile_terms(boxes_[0], grid)
+        assert kept_counts() == (hits + 3, misses + PROFILE_SLOTS + 1)
+        _profile_terms(boxes_[1], grid)
+        assert kept_counts() == (hits + 3, misses + PROFILE_SLOTS + 2)
+        assert len(polar._kept[1]) == PROFILE_SLOTS
+
+    def test_switching_n_empties_the_kept_profiles(self):
+        box = OrientedBox(0, 0, 3, 1, 0.4)
+        grid = grid_angles(720)
+        _profile_terms(box, grid)
+        assert polar._kept[0] is grid and polar._kept[1]
+        other = grid_angles(64)
+        assert polar._kept == (other, ())
+        hits, misses = kept_counts()
+        # The old grid is no longer the shared one: nothing is looked up.
+        _profile_terms(box, grid)
+        assert kept_counts() == (hits, misses) and polar._kept == (other, ())
+        _profile_terms(box, grid_angles(720))
+        assert kept_counts() == (hits, misses + 1)
+
+    def test_circle_kept_without_trig_does_not_serve_trig(self):
+        circle = OrientedBox(0, 0, 3, 3, 0.7)
+        grid = fresh_grid(64)
+        hits, misses = kept_counts()
+        rho = radius_at(circle, grid)
+        assert polar._kept[1][0][1][1] is None
+        terms = _profile_terms(circle, grid)
+        assert kept_counts() == (hits, misses + 2)
+        assert np.array_equal(terms[1], np.cos(grid - 0.7)) and np.array_equal(terms[0], rho)
+        # The entry with trig replaced the one without and serves both.
+        assert len(polar._kept[1]) == 1
+        radius_at(circle, grid)
+        assert _profile_terms(circle, grid) is terms
+        assert kept_counts() == (hits + 2, misses + 2)
+
+    def test_threads_switching_grids_get_their_own_grid_profiles(self):
+        """Four threads alternate n; every profile each one gets is the one
+        built on the grid it passed, bit for bit."""
+        box = OrientedBox(0, 0, 5, 2, 0.3)
+        want = {n: _profile_terms(box, np.array(grid_angles(n))) for n in (16, 720)}
+        failures = []
+
+        def work(ns):
+            for _ in range(150):
+                for n in ns:
+                    grid = grid_angles(n)
+                    got = _profile_terms(box, grid)
+                    if any(g.tobytes() != w.tobytes() for g, w in zip(got, want[n])):
+                        failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(ns,))
+                       for ns in ((16, 720), (720, 16)) * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
 
 
 class TestDiscretize:
