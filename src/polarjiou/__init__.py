@@ -3,15 +3,11 @@
 The core idea: reduce each rotated box to the radial profile of its inscribed
 ellipse on a shared angle grid, and score overlap as the ratio of the discrete
 intersection and union area integrals.  Around that sit exact-geometry and
-Monte-Carlo oracles, an anchor-free training-target codec, grouped channel
-weighting for multi-scale features, and desk-scale fitting/sweep harnesses.
+Monte-Carlo oracles, an anchor-free training-target codec, a per-group
+channel softmax, and desk-scale fitting/sweep harnesses.
 """
 
-from .attention import (
-    apply_weights,
-    global_pool_embed,
-    group_softmax,
-)
+from .attention import group_softmax
 from .boxes import (
     OrientedBox,
     canonicalize,
@@ -73,7 +69,6 @@ __all__ = [
     "JiouValue",
     "OrientedBox",
     "SweepRecord",
-    "apply_weights",
     "batch_jiou",
     "canonicalize",
     "corner_set_distance",
@@ -91,7 +86,6 @@ __all__ = [
     "fit_box",
     "focal_loss",
     "gaussian_sigma",
-    "global_pool_embed",
     "grid_angles",
     "group_softmax",
     "jiou_bar",

@@ -1,10 +1,8 @@
-"""Grouped channel weighting for a multi-scale feature map.
+"""Per-group softmax weights for a channel descriptor.
 
-Reference array math only.  The features are one (c, H, W) map whose
-channels are m scale groups of c/m channels each, concatenated in order.
-Pool the map globally, embed and rectify the pooled vector, map it to
-per-group logits, softmax within each group, and rescale each channel by
-its weight.
+Reference array math only.  A length-c descriptor is split into m groups of
+c/m channels; each group's map turns the whole descriptor into that group's
+logits, and the softmax is taken within the group.
 """
 
 from __future__ import annotations
@@ -20,41 +18,19 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _features(features) -> np.ndarray:
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected (c, H, W) features, got shape {arr.shape}")
-    return _finite(arr, "feature")
-
-
-def global_pool_embed(features, embed) -> np.ndarray:
-    """Spatial-mean pool the (c, H, W) features, then embed and rectify.
-
-    embed must be a finite (c, c) matrix.  Returns the length-c descriptor
-    relu(embed @ pooled).
-    """
-    features = _features(features)
-    if 0 in features.shape[1:]:
-        raise ShapeError(f"cannot pool an empty spatial map, got shape {features.shape}")
-    pooled = features.mean(axis=(1, 2))
-    embed = np.asarray(embed, dtype=np.float64)
-    c = pooled.shape[0]
-    if embed.shape != (c, c):
-        raise ShapeError(f"embed matrix must be ({c}, {c}), got shape {embed.shape}")
-    return np.maximum(_finite(embed, "embed") @ pooled, 0.0)
-
-
 def group_softmax(w, per_group_maps) -> np.ndarray:
     """Map the descriptor to one softmax distribution per group.
 
     Each of the m maps is a finite (c/m, c) matrix producing that group's
-    logits from the finite length-c descriptor; the softmax is taken within
-    the group.  Returns the (m, c/m) weights, each row summing to 1; raises
-    ShapeError when a logit overflows.
+    logits from the finite length-c descriptor, c >= 1; the softmax is taken
+    within the group.  Returns the (m, c/m) weights, each row summing to 1;
+    raises ShapeError when a logit overflows.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ShapeError(f"descriptor must be a vector, got shape {w.shape}")
+    if w.size == 0:
+        raise ShapeError("descriptor is empty: need at least one channel")
     _finite(w, "descriptor")
     maps = [np.asarray(mp, dtype=np.float64) for mp in per_group_maps]
     m = len(maps)
@@ -77,17 +53,3 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
         e = np.exp(logits)
         rows.append(e / e.sum())
     return np.stack(rows)
-
-
-def apply_weights(features, weights) -> np.ndarray:
-    """Scale channel i * (c/m) + j of the (c, H, W) features by weights[i, j].
-
-    weights is the (m, c/m) output of group_softmax; any finite 2-D array of
-    c entries is read in row-major order.
-    """
-    features = _features(features)
-    weights = np.asarray(weights, dtype=np.float64)
-    c = features.shape[0]
-    if weights.ndim != 2 or weights.size != c:
-        raise ShapeError(f"weights must be 2-D with {c} entries, got shape {weights.shape}")
-    return features * _finite(weights, "weight").reshape(c)[:, None, None]

@@ -48,9 +48,16 @@ def target_grid(shape) -> np.ndarray:
         raise GridAllocationError(shape) from exc
 
 
+def _check_stride(stride) -> None:
+    if not 1 <= stride < math.inf:
+        raise ValueError(f"stride must be finite and >= 1, got {stride}")
+
+
 def gaussian_sigma(box: OrientedBox, stride: int) -> float:
     """Object-adaptive kernel width in grid cells: the short side spans about
-    +-3 sigma at output stride, floored at one cell."""
+    +-3 sigma at output stride, floored at one cell.  Raises ValueError unless
+    the stride is finite and >= 1."""
+    _check_stride(stride)
     return max(1.0, min(2.0 * box.r1, 2.0 * box.r2) / (6.0 * stride))
 
 
@@ -67,8 +74,12 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     Objects are visited grouped by sigma: each group computes one stamp over
     the integer offsets its clipped windows span and writes a slice of it
     into each window, and only one stamp is alive at a time.  A single
-    object's stamp is exactly its window.
+    object's stamp is exactly its window.  num_classes, height and width
+    must be whole numbers >= 0, else ValueError naming the argument.
     """
+    num_classes = check_count("num_classes", num_classes, 0)
+    height = check_count("height", height, 0)
+    width = check_count("width", width, 0)
     values = target_grid((num_classes, height, width))
     by_sigma = {}
     for box, cls in objects:
@@ -126,8 +137,8 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     """Build all training targets for (box, class) pairs on one output grid."""
     objects = list(objects)
     heatmap = render_heatmap(objects, num_classes, height, width, stride)
-    offset_map = target_grid((2, height, width))
-    param_map = target_grid((3, height, width))
+    offset_map = target_grid((2, *heatmap.shape[1:]))
+    param_map = target_grid((3, *heatmap.shape[1:]))
     positives = []
     for box, cls in objects:
         cell_x, cell_y, dx, dy = encode_offset(box.cx, box.cy, stride)
@@ -297,8 +308,7 @@ def encode_offset(cx: float, cy: float, stride: int):
 
     Raises ValueError unless the stride is finite and >= 1.
     """
-    if not 1 <= stride < math.inf:
-        raise ValueError(f"stride must be finite and >= 1, got {stride}")
+    _check_stride(stride)
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise InvalidBoxError(f"non-finite center ({cx}, {cy})")
     if cx < 0 or cy < 0:
@@ -317,8 +327,7 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
     finite and >= 1, and OutOfImageError when a peak cell is not a whole
     number inside the maps' H x W.
     """
-    if not 1 <= stride < math.inf:
-        raise ValueError(f"stride must be finite and >= 1, got {stride}")
+    _check_stride(stride)
     off = np.asarray(offset_map, dtype=np.float64)
     par = np.asarray(param_map, dtype=np.float64)
     if off.ndim != 3 or off.shape[0] != 2:

@@ -67,6 +67,15 @@ class TestGaussianSigma:
     def test_floored_at_one_cell(self):
         assert gaussian_sigma(OrientedBox(0, 0, 2, 1, 0), 4) == 1.0
 
+    @pytest.mark.parametrize("stride", [0, math.nan, -4, math.inf])
+    def test_bad_stride_rejected(self, stride):
+        """A stride that is not finite and >= 1 is refused, as encode_offset
+        refuses it, instead of dividing by zero or flooring to one cell."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="stride must be finite and >= 1"):
+                gaussian_sigma(OrientedBox(0, 0, 48, 24, 0), stride)
+
 
 class TestRenderHeatmap:
     def test_center_cell_is_one(self):
@@ -139,6 +148,24 @@ class TestRenderHeatmap:
         for cls in (1, np.int64(1), 1.0):
             enc = encode_targets([(box, cls)], 3, 8, 8, 4)
             assert enc.positives == ((1, 2, 2),) and enc.heatmap[1, 2, 2] == 1.0
+
+    @pytest.mark.parametrize("arg", ["num_classes", "height", "width"])
+    @pytest.mark.parametrize("value", [-1, 2.5, math.nan])
+    def test_grid_size_not_a_count_rejected(self, arg, value):
+        """Each grid size must be a whole number >= 0; the error names it,
+        in encode_targets too, which renders the heatmap first."""
+        sizes = {"num_classes": 2, "height": 8, "width": 8, arg: value}
+        for build in (render_heatmap, encode_targets):
+            with pytest.raises(ValueError, match=f"{arg} must be a whole number >= 0"):
+                build([], stride=4, **sizes)
+
+    def test_whole_grid_sizes_accepted(self):
+        """Zero classes with no objects is an empty grid; numpy integers and
+        whole floats count as their integer value."""
+        assert render_heatmap([], 0, 3, 5, 4).shape == (0, 3, 5)
+        enc = encode_targets([], np.int64(2), 3.0, np.int32(5), 4)
+        assert enc.heatmap.shape == (2, 3, 5)
+        assert enc.offset_map.shape == (2, 3, 5) and enc.param_map.shape == (3, 3, 5)
 
 
 def same_bits(a, b):
