@@ -52,8 +52,6 @@ class TestGroupSoftmax:
     def test_indivisible_descriptor_rejected(self):
         with pytest.raises(GroupingError):
             group_softmax(np.zeros(5), [np.zeros((2, 5)), np.zeros((2, 5))])
-        with pytest.raises(GroupingError):
-            group_softmax(np.zeros(7), [np.zeros((2, 7))] * 4)
 
     def test_empty_descriptor_rejected(self):
         """A zero-channel descriptor has no softmax: ShapeError, not numpy's
@@ -111,3 +109,13 @@ class TestGroupSoftmax:
             warnings.simplefilter("error")
             with pytest.raises(ShapeError, match="non-finite group logit"):
                 group_softmax([10.0, 1.0], [[[1e308, 0.0], [0.0, 1.0]]])
+
+
+class TestFeatureStack:
+    """The multi-scale stack is one (c, H, W) map, groups in channel order."""
+
+    def test_indivisible_channels_rejected(self):
+        """A 7-channel descriptor (a pooled (7, 2, 2) zero map) does not
+        split into 4 groups."""
+        with pytest.raises(GroupingError):
+            group_softmax(np.zeros(7), [np.zeros((2, 7))] * 4)
