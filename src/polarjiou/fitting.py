@@ -76,8 +76,9 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     are clamped back to 0.1 and the step is recorded as projected.
     Convergence means exact rectangle IoU >= 0.95, checked at every
     recorded step including the initial state.  Fully deterministic.
-    The SmoothL1 target tuple is built once per run; the JIoU target's
-    profile stays kept on the shared grid (see polar.PROFILE_SLOTS).
+    The SmoothL1 target tuple is built once per run.  A JIoU evaluation
+    asks only for the target's and the candidate's profiles, so with
+    polar.PROFILE_SLOTS kept the target's is built once per run.
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")

@@ -132,7 +132,7 @@ def batch_jiou(preds, targets, n: int = DEFAULT_N):
     if not preds:
         raise EmptyBatchError("batch_jiou needs at least one pair")
     # Each pair's value and gradient in turn, so the gradient finds both
-    # profiles that jiou_bar just built still kept on the grid.
+    # profiles that jiou_bar just built among the PROFILE_SLOTS kept ones.
     values, grads = [], []
     for p, t in zip(preds, targets):
         values.append(jiou_bar(p, t, n))

@@ -34,78 +34,56 @@ def check_extents(use: str, *boxes: OrientedBox) -> None:
                 f"got r1={box.r1}, r2={box.r2}")
 
 
-# The last few profiles built on the shared grid.  A fit needs its fixed
-# target plus the current and the candidate prediction; a batch pair needs
-# its two boxes.
-PROFILE_SLOTS = 3
+# The last profiles built on the shared grid.  A batch pair needs its two
+# boxes; a fit evaluation needs the fixed target and the new candidate, and
+# never asks for an earlier state's profile again.
+PROFILE_SLOTS = 2
 
-# (grid, ((key, profile), ...)), most recently used first.  The grid and its
-# entries are swapped in as one tuple, so an entry is only ever read beside
-# the grid it was built on; _grid starts an empty one for each new grid.
-# Threads swapping at once may drop each other's entries, which costs a
-# rebuild, never a profile of the wrong grid.
-_kept = (None, ())
-# Requests served from _kept, and profiles built on the shared grid; counted
-# without a lock, so concurrent threads may lose an increment.
-_kept_hits = 0
-_kept_misses = 0
+# The grid that _grid built last, the one _profile_terms looks profiles up for.
+_shared_grid = None
 
 
-def _profile_terms(box: OrientedBox, theta, trig: bool = True):
+def _profile_terms(box: OrientedBox, theta):
     """radius_at's rho, plus the cos(t), sin(t), (r2 cos t)^2, (r1 sin t)^2
     and their sum denom at t = theta - phi that the loss gradient reuses.
 
     theta is a float64 array with at least one dimension.  On the shared
-    grid of grid_angles the last PROFILE_SLOTS profiles are kept, keyed on
-    (r1, r2, phi), and returned again as read-only arrays; for any other
-    theta every returned array is new, so the caller may write into it.
-    With trig=False a circle skips the trig and gets None for all five.
+    grid of grid_angles the profile comes from _kept_profile, as read-only
+    arrays; for any other theta every returned array is new, so the caller
+    may write into it.
     """
-    global _kept, _kept_hits, _kept_misses
     check_extents("a radial profile", box)
-    grid, entries = _kept
-    if theta is not grid:
-        return _build_profile(box, theta, trig)
-    key = (box.r1, box.r2, box.phi)
-    for i, entry in enumerate(entries):
-        # An entry built without trig does not serve a request for it.
-        if entry[0] == key and not (trig and entry[1][1] is None):
-            _kept_hits += 1
-            _kept = (grid, (entry,) + entries[:i] + entries[i + 1:])
-            return entry[1]
-    _kept_misses += 1
-    profile = _build_profile(box, theta, trig)
+    if theta is _shared_grid:
+        return _kept_profile(box.r1, box.r2, box.phi, theta.size)
+    return _build_profile(box.r1, box.r2, box.phi, theta)
+
+
+# Keyed on n, not on the grid object: a profile is always built on a grid of
+# its own n, with the same bits, so switching n needs no emptying.
+@functools.lru_cache(maxsize=PROFILE_SLOTS)
+def _kept_profile(r1: float, r2: float, phi: float, n: int):
+    profile = _build_profile(r1, r2, phi, _grid(n))
     for array in profile:
-        if array is not None:
-            array.setflags(write=False)
-    # A circle's entry with trig replaces the one without.
-    rest = tuple(entry for entry in entries if entry[0] != key)
-    _kept = (grid, ((key, profile),) + rest[:PROFILE_SLOTS - 1])
+        array.setflags(write=False)
     return profile
 
 
-def _build_profile(box: OrientedBox, theta, trig: bool):
-    t = theta - box.phi
-    # A circle's radius is the same at every angle; the trig form would add
-    # phi-dependent rounding, so equal circles would get profiles that differ
-    # in the last bit.
-    circle = box.r1 == box.r2
-    c = s = rc2 = rs2 = denom = None
-    if trig or not circle:
-        c = np.cos(t)
-        s = np.sin(t)
-        # Squared in place: (r2 c)^2 and (r1 s)^2 with no temporary.
-        rc2 = np.multiply(c, box.r2)
-        rc2 *= rc2
-        rs2 = np.multiply(s, box.r1)
-        rs2 *= rs2
-        denom = rc2 + rs2
-    if circle:
-        rho = np.full(t.shape, box.r1)
+def _build_profile(r1: float, r2: float, phi: float, theta):
+    t = theta - phi
+    c = np.cos(t)
+    s = np.sin(t)
+    # Squared in place: (r2 c)^2 and (r1 s)^2 with no temporary.
+    rc2 = np.multiply(c, r2)
+    rc2 *= rc2
+    rs2 = np.multiply(s, r1)
+    rs2 *= rs2
+    denom = rc2 + rs2
+    if r1 == r2:
+        rho = np.full(t.shape, r1)
     else:
         # r1 r2 / sqrt(denom), written over t, which is no longer needed.
         rho = np.sqrt(denom, out=t)
-        np.divide(box.r1 * box.r2, rho, out=rho)
+        np.divide(r1 * r2, rho, out=rho)
     return rho, c, s, rc2, rs2, denom
 
 
@@ -114,17 +92,27 @@ def radius_at(box: OrientedBox, theta):
 
     rho(theta) = r1*r2 / sqrt(r2^2 cos^2(theta - phi) + r1^2 sin^2(theta - phi)),
     so the point (rho cos theta, rho sin theta) relative to the center lies on
-    the ellipse with semi-axes (r1, r2) rotated by phi; a circle's radius is
-    r1 exactly.  Accepts a scalar, which gives a float, or an array of
-    angles, which gives a new array.  InvalidBoxError when a half-extent
-    lies outside [MIN_EXTENT, MAX_EXTENT].
+    the ellipse with semi-axes (r1, r2) rotated by phi.  A circle's radius is
+    r1 exactly, with no trig: the trig form would add phi-dependent rounding,
+    so equal circles would get profiles that differ in the last bit.
+    Accepts a scalar, which gives a float, or an array of angles, which
+    gives a new array.  ValueError naming theta when an angle is NaN or
+    infinite; InvalidBoxError when a half-extent lies outside
+    [MIN_EXTENT, MAX_EXTENT].
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim == 0:
-        return float(_profile_terms(box, theta.reshape(1), trig=False)[0][0])
-    rho = _profile_terms(box, theta, trig=False)[0]
-    # A kept profile is read-only and shared; the caller gets its own copy.
-    return rho if rho.flags.writeable else rho.copy()
+    # The shared grid is finite by construction.
+    if theta is not _shared_grid and not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite angles, got {theta}")
+    if box.r1 == box.r2:
+        check_extents("a radial profile", box)
+        rho = np.full(theta.shape, box.r1)
+    else:
+        rho = _profile_terms(box, theta.reshape(1) if theta.ndim == 0 else theta)[0]
+        # A kept profile is read-only and shared; the caller gets its own copy.
+        if not rho.flags.writeable:
+            rho = rho.copy()
+    return rho.item() if theta.ndim == 0 else rho
 
 
 def grid_angles(n: int) -> np.ndarray:
@@ -134,8 +122,8 @@ def grid_angles(n: int) -> np.ndarray:
 
     The grid is read-only and shared: the last one built is kept, and a
     call with the same n (720.0 counts as 720) returns that same array.
-    Copy it to modify it.  Profiles built on it are kept until another n
-    replaces it (see _profile_terms).
+    Copy it to modify it.  The last PROFILE_SLOTS profiles built on it are
+    kept until newer ones push them out (see _kept_profile).
     """
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
@@ -148,7 +136,7 @@ def grid_angles(n: int) -> np.ndarray:
 # Keyed on a plain int, so a whole float n shares the int's entry.
 @functools.lru_cache(maxsize=1)
 def _grid(n: int) -> np.ndarray:
-    global _kept
+    global _shared_grid
     if n <= _MAX_GRID_ANGLES:
         try:
             grid = np.arange(n) * (2.0 * math.pi / n)
@@ -156,7 +144,6 @@ def _grid(n: int) -> np.ndarray:
             pass
         else:
             grid.setflags(write=False)
-            # The profiles kept for the previous grid go with it.
-            _kept = (grid, ())
+            _shared_grid = grid
             return grid
     raise DiscretizationError(f"cannot allocate a grid of n={n} angles")

@@ -54,7 +54,8 @@ def boxes(draw, canonical=False, max_center=100.0, min_r=0.1, max_r=50.0):
 
 def kept_counts():
     """(hits, misses) of the profiles kept on the shared grid so far."""
-    return polar._kept_hits, polar._kept_misses
+    info = polar._kept_profile.cache_info()
+    return info.hits, info.misses
 
 
 def random_box(rng, max_center=100.0, min_r=0.5, max_r=30.0):

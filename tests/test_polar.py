@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from helpers import boxes, finite_floats, kept_counts, random_box, reference_profile
 from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
-from polarjiou import polar
-from polarjiou.polar import MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, _grid, _profile_terms
+from polarjiou.polar import (
+    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, _grid, _kept_profile, _profile_terms)
 
 
 class TestRadiusAt:
@@ -59,6 +59,14 @@ class TestRadiusAt:
                          (rc2, (box.r2 * ref_c) ** 2), (rs2, (box.r1 * ref_s) ** 2))
                 for got, want in pairs:
                     assert got.tobytes() == want.tobytes(), box
+
+    @pytest.mark.parametrize("box", [OrientedBox(0, 0, 3, 1, 0.4), OrientedBox(0, 0, 3, 3, 0.7)])
+    def test_non_finite_theta_rejected(self, box):
+        """A NaN or infinite angle, alone or inside an array, is rejected,
+        for a circle too, with no numpy warning."""
+        for theta in (math.inf, -math.inf, math.nan, np.array([0.0, np.nan]), [1.0, math.inf]):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                radius_at(box, theta)
 
     def test_axis_endpoints(self):
         box = OrientedBox(0, 0, 2, 1, 0)
@@ -217,8 +225,9 @@ class TestGridAngles:
 
 
 def fresh_grid(n):
-    """grid_angles(n) built anew, so no profile is kept for it yet."""
+    """grid_angles(n) built anew, with no profile kept yet."""
     _grid.cache_clear()
+    _kept_profile.cache_clear()
     return grid_angles(n)
 
 
@@ -270,36 +279,43 @@ class TestKeptProfiles:
         assert kept_counts() == (hits + 3, misses + PROFILE_SLOTS + 1)
         _profile_terms(boxes_[1], grid)
         assert kept_counts() == (hits + 3, misses + PROFILE_SLOTS + 2)
-        assert len(polar._kept[1]) == PROFILE_SLOTS
+        assert _kept_profile.cache_info().currsize == PROFILE_SLOTS
 
-    def test_switching_n_empties_the_kept_profiles(self):
+    def test_profiles_are_kept_across_switches_of_n(self):
+        """An old grid object of the same n is never looked up; across
+        switches of n no more than PROFILE_SLOTS profiles are kept, and one
+        served after switching back equals a fresh build, bit for bit."""
         box = OrientedBox(0, 0, 3, 1, 0.4)
-        grid = grid_angles(720)
-        _profile_terms(box, grid)
-        assert polar._kept[0] is grid and polar._kept[1]
-        other = grid_angles(64)
-        assert polar._kept == (other, ())
+        grid = fresh_grid(720)
+        kept = _profile_terms(box, grid)
+        grid_angles(64)
+        assert grid_angles(720) is not grid
         hits, misses = kept_counts()
-        # The old grid is no longer the shared one: nothing is looked up.
-        _profile_terms(box, grid)
-        assert kept_counts() == (hits, misses) and polar._kept == (other, ())
-        _profile_terms(box, grid_angles(720))
-        assert kept_counts() == (hits, misses + 1)
+        old = _profile_terms(box, grid)
+        assert old is not kept and old[0].flags.writeable
+        assert kept_counts() == (hits, misses)
+        # Each switch back to 720 is served from the profile kept for 720.
+        for n in (64, 720, 16, 720):
+            _profile_terms(box, grid_angles(n))
+        assert kept_counts() == (hits + 2, misses + 2)
+        served = _profile_terms(box, grid_angles(720))
+        for got, want in zip(served, _profile_terms(box, np.array(grid_angles(720)))):
+            assert got.tobytes() == want.tobytes()
+        for n in (16, 64, 720, 64, 16):
+            for k in range(3):
+                _profile_terms(OrientedBox(0, 0, 3 + k, 1, 0.4), grid_angles(n))
+                assert _kept_profile.cache_info().currsize <= PROFILE_SLOTS
 
-    def test_circle_kept_without_trig_does_not_serve_trig(self):
+    def test_circle_radius_keeps_nothing_and_its_terms_keep_trig(self):
         circle = OrientedBox(0, 0, 3, 3, 0.7)
         grid = fresh_grid(64)
-        hits, misses = kept_counts()
         rho = radius_at(circle, grid)
-        assert polar._kept[1][0][1][1] is None
+        assert radius_at(circle, 0.5) == 3.0
+        assert _kept_profile.cache_info() == (0, 0, PROFILE_SLOTS, 0)
         terms = _profile_terms(circle, grid)
-        assert kept_counts() == (hits, misses + 2)
-        assert np.array_equal(terms[1], np.cos(grid - 0.7)) and np.array_equal(terms[0], rho)
-        # The entry with trig replaced the one without and serves both.
-        assert len(polar._kept[1]) == 1
-        radius_at(circle, grid)
         assert _profile_terms(circle, grid) is terms
-        assert kept_counts() == (hits + 2, misses + 2)
+        assert _kept_profile.cache_info() == (1, 1, PROFILE_SLOTS, 1)
+        assert np.array_equal(terms[1], np.cos(grid - 0.7)) and np.array_equal(terms[0], rho)
 
     def test_threads_switching_grids_get_their_own_grid_profiles(self):
         """Four threads alternate n; every profile each one gets is the one
