@@ -186,8 +186,9 @@ def corner_set_distance(a, b) -> float:
 
 
 def phi_distance(a: float, b: float) -> float:
-    """Angle distance modulo pi (box orientations are pi-periodic)."""
-    return abs(math.remainder(a - b, math.pi))
+    """Angle distance modulo pi, in [0, pi/2], finite for any two finite angles:
+    each is reduced modulo pi first, which keeps angles in [-pi/2, pi/2] as they are."""
+    return abs(math.remainder(math.remainder(a, math.pi) - math.remainder(b, math.pi), math.pi))
 
 
 DOTA_META_PREFIXES = ("imagesource", "gsd")

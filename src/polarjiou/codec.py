@@ -12,7 +12,6 @@ import numpy as np
 
 from .boxes import OrientedBox, canonicalize, phi_distance
 from .errors import (
-    EmptyBatchError,
     GridAllocationError,
     InvalidBoxError,
     InvalidLossError,
@@ -188,14 +187,9 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     return loss
 
 
-# The element types of a 5-tuple of Python floats, the common call (one
-# regression tuple against another), which needs no numpy.
-_FIVE_FLOATS = (float,) * 5
-
-
 def _row_sum(p_row, t_row) -> float:
-    # Python floats: no numpy call per term, and no warning where p - t
-    # overflows.  Left to right is numpy's order for a sum of five terms.
+    # Python floats, so no warning where p - t overflows, added left to right
+    # (numpy's order for five terms) so the sum keeps the frozen reference's bits.
     total = 0.0
     for a, b in zip(p_row, t_row):
         d = abs(a - b)
@@ -203,42 +197,29 @@ def _row_sum(p_row, t_row) -> float:
     return total
 
 
-def _mean(row_sums) -> float:
-    """np.mean of the row sums: their numpy sum over their count.  Where that
-    sum overflows, each row is divided by the count before the sum instead."""
-    rows = np.array(row_sums)
-    with np.errstate(over="ignore"):
-        total = rows.sum()
-    if math.isinf(total):
-        return float((rows / rows.size).sum())
-    return float(total / rows.size)
-
-
 def smooth_l1(pred_tuple, target_tuple) -> float:
-    """SmoothL1 over 5-component regression tuples (phi, r1, r2, dx, dy).
-
-    Each component difference d costs 0.5*d^2 below 1 and |d| - 0.5 above;
-    components are summed and, for (N, 5) inputs, rows are averaged.
-    Raises EmptyBatchError for an empty (0, 5) batch and InvalidLossError
-    when the result is not finite.
-    """
-    if (type(pred_tuple) is tuple and type(target_tuple) is tuple
-            and tuple(map(type, pred_tuple)) == _FIVE_FLOATS == tuple(map(type, target_tuple))):
-        mean = _row_sum(pred_tuple, target_tuple)
-    else:
-        p = np.asarray(pred_tuple, dtype=np.float64)
-        t = np.asarray(target_tuple, dtype=np.float64)
-        if p.shape != t.shape or p.ndim not in (1, 2) or p.shape[-1] != 5:
-            raise ShapeError(f"expected matching (..., 5) tuples, got {p.shape} vs {t.shape}")
-        rows = [_row_sum(p_row, t_row)
-                for p_row, t_row in zip(p.reshape(-1, 5).tolist(), t.reshape(-1, 5).tolist())]
-        if not rows:
-            raise EmptyBatchError("smooth_l1 needs at least one row")
-        # A sum of one row over a count of one is that row, exactly.
-        mean = rows[0] if len(rows) == 1 else _mean(rows)
-    if not math.isfinite(mean):
-        raise InvalidLossError(f"non-finite SmoothL1 loss {mean}")
-    return mean
+    """SmoothL1 between one pair of regression tuples (phi, r1, r2, dx, dy),
+    each a tuple, list or 1-D array of five numbers: a component difference
+    d costs 0.5*d^2 below 1 and |d| - 0.5 above, summed over the five.
+    Raises ShapeError for anything else (a 2-D array, nested lists, four or
+    six components) and InvalidLossError when the sum is not finite."""
+    try:
+        # A tuple (fit_box's form) is read as it is, anything else through
+        # numpy: a str is one number there, and what is not 1-D becomes nested
+        # lists, which float() refuses where a one-element array can pass.
+        if type(pred_tuple) is not tuple:
+            pred_tuple = np.asarray(pred_tuple, dtype=np.float64).tolist()
+        if type(target_tuple) is not tuple:
+            target_tuple = np.asarray(target_tuple, dtype=np.float64).tolist()
+        p, t = [*map(float, pred_tuple)], [*map(float, target_tuple)]
+    except (TypeError, ValueError):
+        p = t = ()
+    if len(p) != 5 or len(t) != 5:
+        raise ShapeError("smooth_l1 takes two tuples of five numbers")
+    total = _row_sum(p, t)
+    if not math.isfinite(total):
+        raise InvalidLossError(f"non-finite SmoothL1 loss {total}")
+    return total
 
 
 def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> float:

@@ -224,7 +224,8 @@ def mc_rect_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
 
 @dataclass(frozen=True)
 class Detection:
-    """A scored, categorized oriented box."""
+    """A scored, categorized oriented box: InvalidBoxError unless the score is
+    finite in [0, 1] and the category a whole number (2.0 and True count)."""
 
     box: OrientedBox
     score: float
@@ -233,8 +234,14 @@ class Detection:
     def __post_init__(self):
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise InvalidBoxError(f"score must be finite in [0, 1], got {self.score}")
+        try:
+            category = int(self.category)
+        except (TypeError, ValueError, OverflowError):
+            category = None
+        if category is None or category != self.category:
+            raise InvalidBoxError(f"category must be a whole number, got {self.category!r}")
         object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "category", int(self.category))
+        object.__setattr__(self, "category", category)
 
 
 def rotated_nms(detections, iou_threshold: float):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, astuple, replace
 
@@ -359,6 +360,24 @@ class TestPhiDistance:
 
     def test_symmetric(self):
         assert phi_distance(0.2, 1.0) == phi_distance(1.0, 0.2)
+
+    def test_finite_for_huge_angles(self):
+        """a - b overflows here, but each angle reduced modulo pi does not."""
+        huge = sys.float_info.max
+        for a, b in ((1e308, -1e308), (-1.7e308, 1.7e308), (huge, -huge)):
+            got = phi_distance(a, b)
+            assert 0.0 <= got <= math.pi / 2
+            assert got == phi_distance(b, a)
+            ra, rb = math.remainder(a, math.pi), math.remainder(b, math.pi)
+            assert got == abs(math.remainder(ra - rb, math.pi))
+
+    def test_canonical_angles_keep_their_bits(self):
+        """Angles in [-pi/2, pi/2] are not moved by the reduction."""
+        rng = np.random.default_rng(3)
+        half = math.pi / 2
+        angles = [-half, half, 0.0, -0.0, *rng.uniform(-half, half, 200)]
+        for a, b in zip(angles, angles[::-1]):
+            assert phi_distance(a, b) == abs(math.remainder(a - b, math.pi))
 
 
 class TestDotaParsing:

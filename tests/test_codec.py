@@ -29,7 +29,6 @@ from polarjiou import (
 from helpers import boxes, reference_extract_peaks, reference_heatmap, reference_smooth_l1
 from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, target_grid
 from polarjiou.errors import (
-    EmptyBatchError,
     GridAllocationError,
     InvalidBoxError,
     InvalidLossError,
@@ -461,11 +460,6 @@ class TestSmoothL1:
         pred = (0.5, 2.0, 0, 0, 0)
         assert smooth_l1(pred, (0, 0, 0, 0, 0)) == pytest.approx(0.125 + 1.5)
 
-    def test_rows_averaged(self):
-        pred = np.array([[0.5, 0, 0, 0, 0], [2.0, 0, 0, 0, 0]])
-        target = np.zeros((2, 5))
-        assert smooth_l1(pred, target) == pytest.approx((0.125 + 1.5) / 2)
-
     def test_huge_difference_is_linear_without_warning(self):
         """The quadratic branch is not squared where it is discarded, so a
         difference of 2e200 costs 2e200 - 0.5 with no overflow warning."""
@@ -473,32 +467,41 @@ class TestSmoothL1:
             warnings.simplefilter("error")
             assert smooth_l1((0, 1e200, 0, 0, 0), (0, -1e200, 0, 0, 0)) == 2e200
 
-    def test_smooth_l1_empty_batch_rejected_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(EmptyBatchError, match="smooth_l1"):
-                smooth_l1(np.zeros((0, 5)), np.zeros((0, 5)))
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             smooth_l1((1, 2, 3), (1, 2, 3))
         with pytest.raises(ShapeError):
             smooth_l1(np.zeros((2, 5)), np.zeros((3, 5)))
 
+    def test_smooth_l1_rejects_anything_but_five_numbers(self):
+        """One pair of 5-component tuples only: any 2-D array, a (1, 5) row
+        and a (5, 1) column included, nested or ragged lists, four or six
+        components, strings and bytes raise ShapeError, with no warning."""
+        five = [0.5, 1.0, 2.0, 0.0, 0.25]
+        bad = [np.zeros((0, 5)), np.zeros((1, 5)), np.zeros((2, 5)), np.zeros((5, 1)),
+               [five], [[v] for v in five], [five, five], five[:4], five + [0.0],
+               tuple(five[:4]), np.zeros(4), np.zeros(6), (five,) * 5, "12345", b"12345",
+               [five, 0.0], ["a"] * 5, ("a",) * 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in bad:
+                for pred, target in ((arg, five), (five, arg), (arg, arg)):
+                    with pytest.raises(ShapeError, match="five numbers"):
+                        smooth_l1(pred, target)
+
     @staticmethod
     def assert_same_bits(pred, target):
         got, want = smooth_l1(pred, target), reference_smooth_l1(pred, target)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (pred, target)
 
-    @pytest.mark.parametrize("rows", [None, 1, 2, 7, 8, 9, 33])
+    @pytest.mark.parametrize("rows", [None])
     def test_smooth_l1_bits_match_frozen_reference(self, rows):
-        """The bits of the numpy form, for one tuple and for N rows, with
-        component differences from 1e-6 to 1e6 on both sides of 1."""
-        rng = np.random.default_rng(5 if rows is None else rows)
-        shape = (5,) if rows is None else (rows, 5)
+        """The bits of the numpy form, with component differences from 1e-6
+        to 1e6 on both sides of 1."""
+        rng = np.random.default_rng(5)
         for _ in range(200):
-            pred = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
-            target = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
+            pred = rng.normal(size=5) * 10.0 ** rng.uniform(-6, 6, 5)
+            target = rng.normal(size=5) * 10.0 ** rng.uniform(-6, 6, 5)
             self.assert_same_bits(pred, target)
 
     def test_smooth_l1_bits_on_other_input_types(self):
@@ -507,21 +510,17 @@ class TestSmoothL1:
             ints = rng.integers(-5, 6, size=(2, 5))
             self.assert_same_bits(ints[0], ints[1])
             self.assert_same_bits(ints[0].tolist(), ints[1].tolist())
-            self.assert_same_bits(ints.tolist(), np.zeros((2, 5), dtype=int).tolist())
             floats = (rng.normal(size=(3, 5)) * 3.0).astype(np.float32)
             self.assert_same_bits(floats[0], floats[1])
-            self.assert_same_bits(floats, floats[::-1])
             self.assert_same_bits(floats[0].tolist(), floats[1].tolist())
             self.assert_same_bits(tuple(floats[0]), tuple(floats[1]))
             self.assert_same_bits(tuple(ints[0].tolist()), tuple(ints[1].tolist()))
             pred, target = rng.normal(size=(2, 5)) * 10.0 ** rng.uniform(-6, 6, (2, 5))
             # Tuples of Python floats, as a fit passes them; lists; tuples of
-            # numpy scalars; one row as a (1, 5) array and as a nested list.
+            # numpy scalars.
             self.assert_same_bits(tuple(pred.tolist()), tuple(target.tolist()))
             self.assert_same_bits(pred.tolist(), target.tolist())
             self.assert_same_bits(tuple(pred), tuple(target))
-            self.assert_same_bits(pred[None, :], target[None, :])
-            self.assert_same_bits([pred.tolist()], [target.tolist()])
 
     def test_smooth_l1_bits_at_the_branch_point(self):
         """Differences of exactly 1.0 and one ulp either side of it."""
@@ -530,36 +529,16 @@ class TestSmoothL1:
                 pred = [0.25] * 5
                 pred[k] += d
                 self.assert_same_bits(pred, [0.25] * 5)
-                self.assert_same_bits([pred, [d] * 5], [[0.25] * 5, [0.0] * 5])
 
     @pytest.mark.parametrize("pred, target", [
         ((0.0, math.nan, 0.0, 0.0, 0.0), (0.0,) * 5),
         ((0.0, 1e308, 0.0, 0.0, 0.0), (0.0, -1e308, 0.0, 0.0, 0.0)),
-        ([[0.0, 1e308, 0.0, 0.0, 0.0]] * 2, [[0.0, -1e308, 0.0, 0.0, 0.0]] * 2),
-    ], ids=["nan-component", "difference-overflows", "row-sum-overflows"])
+    ], ids=["nan-component", "difference-overflows"])
     def test_non_finite_smooth_l1_rejected_without_warning(self, pred, target):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidLossError, match="non-finite"):
                 smooth_l1(pred, target)
-
-    @pytest.mark.parametrize("rows", [2, 3, 7])
-    def test_finite_mean_of_overflowing_row_sum(self, rows):
-        """Rows whose sum overflows but whose mean is finite give that mean,
-        with no warning."""
-        pred = [[1e308, 0.0, 0.0, 0.0, 0.0]] * rows
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = smooth_l1(pred, [[0.0] * 5] * rows)
-        assert got == pytest.approx(1e308 - 0.5, rel=1e-15)
-
-    def test_overflowing_row_sum_keeps_other_rows(self):
-        """One row past half the largest float next to a small one: the
-        mean is their halved sum."""
-        pred = [[1.5e308, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 0.0]]
-        got = smooth_l1(pred * 2, [[0.0] * 5] * 4)
-        assert got == pytest.approx((1.5e308 + 2.5) / 2, rel=1e-15)
-        assert math.isfinite(got)
 
 
 class TestTotalLoss:

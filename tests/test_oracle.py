@@ -724,6 +724,18 @@ class TestDetection:
         with pytest.raises(InvalidBoxError):
             Detection(box, math.nan, 0)
 
+    def test_category_must_be_a_whole_number(self):
+        """1.5 and -0.5 are not truncated to 1 and 0, so a category-1.5
+        detection never meets a category-1.2 one in rotated_nms."""
+        box = OrientedBox(0, 0, 2, 1, 0.3)
+        for category in (1.5, -0.5, 1.2, math.nan, math.inf, -math.inf, np.float64(0.5),
+                         "3", None, 1j):
+            with pytest.raises(InvalidBoxError, match="category must be a whole number"):
+                Detection(box, 0.5, category)
+        for category in (2, 2.0, -3.0, True, np.int64(4), np.uint8(5), np.float32(6.0)):
+            det = Detection(box, 0.5, category)
+            assert type(det.category) is int and det.category == category
+
 
 class TestRotatedNms:
     def test_duplicate_suppressed(self):
