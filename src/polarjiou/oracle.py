@@ -4,6 +4,8 @@ Monte-Carlo IoU estimates for ellipses and rectangles, and greedy rotated NMS.""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +30,16 @@ PRUNE_REACH_SLACK = 1e-9
 PRUNE_EXTENT_LIMIT = 1e308
 
 MIN_MC_SAMPLES = 10_000
+# Above 2**53 a float sample count no longer holds every whole number, and
+# drawing even 2**53 samples would take years; larger counts raise ValueError.
+MAX_MC_SAMPLES = 1 << 53
 # The Monte-Carlo oracles draw and test their samples this many at a time,
 # which bounds their working memory whatever the sample count.
 MC_CHUNK = 1 << 15
+# The oracles split their chunks over at most this many worker threads.  Each
+# holds about 2.1 MB of chunk buffers, so three keep a call's buffers under
+# 8 MiB however many CPUs the machine has.
+MC_MAX_WORKERS = 3
 
 
 def _clip_halfplane(poly, a, b):
@@ -156,31 +165,37 @@ def _rect_aabb(box: OrientedBox):
     return corners.min(axis=0).tolist(), corners.max(axis=0).tolist()
 
 
-def _mc_iou(a, b, samples, seed, contains, aabb):
-    if samples < MIN_MC_SAMPLES:
-        raise InsufficientSamplesError(
-            f"need at least {MIN_MC_SAMPLES} samples, got {samples}"
-        )
-    samples = check_count("samples", samples, MIN_MC_SAMPLES)
-    (ax0, ay0), (ax1, ay1) = aabb(a)
-    (bx0, by0), (bx1, by1) = aabb(b)
-    x0, y0 = min(ax0, bx0), min(ay0, by0)
-    w, h = max(ax1, bx1) - x0, max(ay1, by1) - y0
-    if not (math.isfinite(w) and math.isfinite(h)):
-        raise OverflowError("Range exceeds valid bounds")
+def _mc_worker_limit() -> int:
+    """Worker threads a Monte-Carlo call may use: one per CPU available to
+    this process, at most MC_MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MC_MAX_WORKERS)
+
+
+def _mc_counts(a, b, seed, start, stop, frame_box, contains):
+    """(n_a, n_b, n_inter) over samples start..stop-1 of the seeded stream."""
+    x0, y0, w, h = frame_box
     rng = np.random.default_rng(seed)
+    # Generator.random takes one 64-bit PCG64 output per double, two per
+    # sample, so this run continues the one stream where sample `start` begins.
+    if start:
+        rng.bit_generator.advance(2 * start)
     # Every chunk is drawn and tested in these buffers; a short last chunk
     # uses their leading rows.
-    n = min(MC_CHUNK, samples)
+    n = min(MC_CHUNK, stop - start)
     pts = np.empty((n, 2))
     x, y, dx, dy, u, v = np.empty((6, n))
     in_a, in_b, spare = np.empty((3, n), dtype=bool)
     n_a = n_b = n_inter = 0
     # A sample whose box-frame coordinate overflows to inf lies outside that
-    # box, and the containment comparison already reads it that way.
+    # box, and the containment comparison already reads it that way.  The
+    # error state is per thread, so each run sets its own.
     with np.errstate(over="ignore"):
-        for start in range(0, samples, MC_CHUNK):
-            k = min(MC_CHUNK, samples - start)
+        for first in range(start, stop, MC_CHUNK):
+            k = min(MC_CHUNK, stop - first)
             rng.random(out=pts[:k])
             # lo + span * u, as Generator.uniform computes it, from the same stream.
             xk = np.multiply(pts[:k, 0], w, out=x[:k])
@@ -194,6 +209,54 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
             n_b += int(np.count_nonzero(bk))
             ak &= bk
             n_inter += int(np.count_nonzero(ak))
+    return n_a, n_b, n_inter
+
+
+def _mc_iou(a, b, samples, seed, contains, aabb):
+    if samples < MIN_MC_SAMPLES:
+        raise InsufficientSamplesError(
+            f"need at least {MIN_MC_SAMPLES} samples, got {samples}"
+        )
+    samples = check_count("samples", samples, MIN_MC_SAMPLES)
+    if samples > MAX_MC_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_MC_SAMPLES}, got {samples}")
+    (ax0, ay0), (ax1, ay1) = aabb(a)
+    (bx0, by0), (bx1, by1) = aabb(b)
+    x0, y0 = min(ax0, bx0), min(ay0, by0)
+    w, h = max(ax1, bx1) - x0, max(ay1, by1) - y0
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise OverflowError("Range exceeds valid bounds")
+    chunks = -(-samples // MC_CHUNK)
+    # A Generator or BitGenerator seed is one stream shared with the caller,
+    # which runs cannot jump apart: one run draws from it in order.
+    shared = isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    workers = 1 if shared else min(_mc_worker_limit(), chunks)
+    # Contiguous runs of whole chunks, one per worker; a short last chunk
+    # falls to the last run, and the calling thread runs the first.
+    bounds = [min(samples, i * chunks // workers * MC_CHUNK) for i in range(workers + 1)]
+    results = [None] * workers
+
+    def run(i):
+        try:
+            results[i] = _mc_counts(a, b, seed, bounds[i], bounds[i + 1],
+                                    (x0, y0, w, h), contains)
+        except BaseException as exc:  # re-raised below, after every join
+            results[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    n_a, n_b, n_inter = (sum(counts) for counts in zip(*results))
     n_union = n_a + n_b - n_inter
     if n_union == 0:
         return 0.0, 0.0
@@ -207,8 +270,17 @@ def mc_ellipse_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
 
     Uniform points are drawn over the united bounding box of the two
     ellipses, MC_CHUNK rows at a time from one seeded stream, and tested
-    in buffers allocated once per call; the result keeps the bits of one
-    Generator.uniform draw of all samples and does not depend on MC_CHUNK.
+    in buffers allocated once per run.  The chunks are split into
+    contiguous runs, one per CPU available to the process, at most
+    MC_MAX_WORKERS and at most one per chunk; the calling thread runs the
+    first and joins the worker threads running the others, re-raising the
+    first run's error after every join.  Each run jumps the stream ahead to
+    its first sample, so the result keeps the bits of one Generator.uniform
+    draw of all samples and depends on neither MC_CHUNK nor the worker
+    count.  A Generator or BitGenerator passed as seed is drawn from in
+    order by the calling thread alone.  samples must be a whole number
+    from MIN_MC_SAMPLES to MAX_MC_SAMPLES; a larger count raises ValueError
+    before any sampling.
     Raises OverflowError when that box is wider than the largest float.
     Returns (estimate, standard_error); the standard error
     is the binomial deviation of the intersection fraction among union
@@ -232,7 +304,11 @@ class Detection:
     category: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+        try:
+            score_ok = math.isfinite(self.score) and 0.0 <= self.score <= 1.0
+        except TypeError:
+            score_ok = False
+        if not score_ok:
             raise InvalidBoxError(f"score must be finite in [0, 1], got {self.score}")
         try:
             category = int(self.category)

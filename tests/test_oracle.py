@@ -1,6 +1,8 @@
 """Ground-truth IoU oracles (exact clipping, Monte-Carlo) and rotated NMS."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -25,6 +27,7 @@ from polarjiou import (
     Detection,
     OrientedBox,
     decode_corners,
+    deviation_sweep,
     exact_rect_iou,
     jiou_bar,
     mc_ellipse_iou,
@@ -35,6 +38,7 @@ from polarjiou.boxes import corner_offsets
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
 from polarjiou.oracle import (
     CLIP_ROUNDING,
+    MAX_MC_SAMPLES,
     MC_CHUNK,
     MIN_MC_SAMPLES,
     PRUNE_EXTENT_LIMIT,
@@ -704,6 +708,127 @@ class TestMcChunkedStream:
         assert got[0] == want[0] and got[1] == want[1]
 
     @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    @pytest.mark.parametrize("chunk", (1000, 4099))
+    @pytest.mark.parametrize("workers", (1, 2, 3, 7))
+    def test_mc_estimate_does_not_depend_on_worker_count(self, monkeypatch, oracle, ellipse,
+                                                         chunk, workers):
+        """Each worker draws its own contiguous run of whole chunks from the
+        one seeded stream, so any worker count keeps the single draw's bits;
+        the runs take distinct threads, and none is left alive."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", chunk)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: workers)
+        runs = []
+        counts = polarjiou.oracle._mc_counts
+
+        def recorded(a, b, seed, start, stop, frame_box, contains):
+            runs.append((start, stop, threading.current_thread()))
+            return counts(a, b, seed, start, stop, frame_box, contains)
+
+        monkeypatch.setattr(polarjiou.oracle, "_mc_counts", recorded)
+        alive = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for case in sorted(MC_STREAM_CASES):
+                a, b = MC_STREAM_CASES[case]
+                for samples in (10_000, max(3 * chunk, MIN_MC_SAMPLES) + 7):
+                    runs.clear()
+                    got = oracle(a, b, samples, seed=samples)
+                    assert threading.active_count() == alive
+                    want = reference_mc_iou(a, b, samples, samples, ellipse)
+                    assert got[0] == want[0] and got[1] == want[1], (case, samples)
+                    runs.sort(key=lambda run: run[0])
+                    assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+                    assert runs[-1][1] == samples
+                    assert all(start % chunk == 0 for start, _, _ in runs)
+                    assert len(runs) == len({thread for _, _, thread in runs})
+                    assert len(runs) == min(workers, -(-samples // chunk))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ("caller", "worker"))
+    def test_mc_error_in_any_run_raised_in_caller(self, monkeypatch, failing):
+        """A run that raises, in the calling thread or in a worker, raises in
+        the caller once every worker is joined."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", 1000)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        caller = threading.get_ident()
+        contains = polarjiou.oracle._ellipse_contains
+
+        def failing_contains(box, x, y, frame, out):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} run failed")
+            return contains(box, x, y, frame, out)
+
+        monkeypatch.setattr(polarjiou.oracle, "_ellipse_contains", failing_contains)
+        a, b = MC_STREAM_CASES["nested"]
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} run failed"):
+            mc_ellipse_iou(a, b, 10_000, seed=0)
+        assert threading.active_count() == alive
+
+    def test_mc_extreme_extents_do_not_warn_on_workers(self, monkeypatch):
+        """numpy's error state is per thread, so each worker ignores the
+        overflow of its own samples' box-frame coordinates."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", 2500)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 2)
+        a = OrientedBox(0, 0, 1e100, 1e-100, 0.3)
+        b = OrientedBox(1, 1, 1e-100, 1e100, 1.0)
+        with np.errstate(all="ignore"):
+            want = reference_mc_iou(a, b, 10_000, 0, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc_ellipse_iou(a, b, 10_000, 0)
+        assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    @pytest.mark.parametrize("make", (np.random.default_rng, np.random.MT19937),
+                             ids=("generator", "mt19937"))
+    def test_mc_shared_generator_seed_drawn_in_order(self, monkeypatch, oracle, ellipse, make):
+        """A generator passed as the seed cannot be split into runs: the
+        estimate and the generator's next draw match one draw from it."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", 1000)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        a, b = MC_STREAM_CASES["nested"]
+        got_seed, want_seed = make(3), make(3)
+        got = oracle(a, b, 10_007, seed=got_seed)
+        want = reference_mc_iou(a, b, 10_007, want_seed, ellipse)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert (np.random.default_rng(got_seed).random()
+                == np.random.default_rng(want_seed).random())
+
+    @pytest.mark.parametrize("oracle", [mc_ellipse_iou, mc_rect_iou])
+    @pytest.mark.parametrize("samples", (1e300, MAX_MC_SAMPLES + 1))
+    def test_mc_huge_sample_count_rejected(self, monkeypatch, oracle, samples):
+        """Counts above MAX_MC_SAMPLES raise before any run or thread starts;
+        deviation_sweep reaches the same error through the oracle."""
+        def fail(*args, **kwargs):
+            raise AssertionError("started sampling")
+
+        monkeypatch.setattr(polarjiou.oracle, "_mc_counts", fail)
+        monkeypatch.setattr(polarjiou.oracle.threading, "Thread", fail)
+        a, b = MC_STREAM_CASES["nested"]
+        with pytest.raises(ValueError, match="samples must be at most"):
+            oracle(a, b, samples, seed=0)
+        with pytest.raises(ValueError, match="samples must be at most"):
+            deviation_sweep([2.0], [0.1], [16], mc_samples=samples)
+
+    def test_mc_sample_limit_is_inclusive(self, monkeypatch):
+        """MAX_MC_SAMPLES itself is split into runs like any other count."""
+        runs = []
+
+        def counted(a, b, seed, start, stop, frame_box, contains):
+            runs.append((start, stop))
+            return 1, 1, 1
+
+        monkeypatch.setattr(polarjiou.oracle, "_mc_counts", counted)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        a, b = MC_STREAM_CASES["nested"]
+        assert mc_ellipse_iou(a, b, float(MAX_MC_SAMPLES), seed=0) == (1.0, 0.0)
+        assert sorted(runs)[0][0] == 0 and sorted(runs)[-1][1] == MAX_MC_SAMPLES
+        assert len(runs) == 3
+
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
     def test_mc_peak_memory_bounded(self, oracle, ellipse):
         """One 1e6-sample call stays far below the 54 MiB a single draw takes."""
         a, b = MC_STREAM_CASES["nested"]
@@ -723,6 +848,15 @@ class TestDetection:
             Detection(box, 1.5, 0)
         with pytest.raises(InvalidBoxError):
             Detection(box, math.nan, 0)
+
+    def test_score_must_be_a_number(self):
+        """A score math.isfinite cannot take is a typed error too."""
+        box = OrientedBox(0, 0, 1, 1, 0)
+        for score in ("0.5", None, 1j):
+            with pytest.raises(InvalidBoxError, match=r"score must be finite in \[0, 1\]"):
+                Detection(box, score, 0)
+        det = Detection(box, np.float32(0.5), 0)
+        assert type(det.score) is float and det.score == 0.5
 
     def test_category_must_be_a_whole_number(self):
         """1.5 and -0.5 are not truncated to 1 and 0, so a category-1.5
