@@ -187,7 +187,10 @@ def corner_set_distance(a, b) -> float:
 
 def phi_distance(a: float, b: float) -> float:
     """Angle distance modulo pi, in [0, pi/2], finite for any two finite angles:
-    each is reduced modulo pi first, which keeps angles in [-pi/2, pi/2] as they are."""
+    each is reduced modulo pi first, which keeps angles in [-pi/2, pi/2] as they are.
+    ValueError naming both angles when either is not finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"angles must be finite, got a={a} and b={b}")
     return abs(math.remainder(math.remainder(a, math.pi) - math.remainder(b, math.pi), math.pi))
 
 

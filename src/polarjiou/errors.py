@@ -2,13 +2,34 @@
 
 import math
 
+# Error texts print an integer longer than this many digits in short form.
+# Every int64 or uint64 value (at most 20 digits) still prints in full.
+MAX_PRINTED_DIGITS = 24
+
+
+def short_int(value) -> str:
+    """str(value), except that an int longer than MAX_PRINTED_DIGITS digits
+    reads as its first six digits, cut rather than rounded and
+    without trailing zeros, in scientific form: int(1.5e300) reads
+    1.5e+300.  The digits come from the integer, not from a float, so
+    10**400 reads 1e+400 and no decimal string of the whole integer is built."""
+    if not isinstance(value, int) or abs(value) < 10**MAX_PRINTED_DIGITS:
+        return str(value)
+    magnitude = abs(value)
+    exponent = int(math.log10(magnitude))
+    # The float logarithm can land one off near a power of ten.
+    exponent += (magnitude >= 10 ** (exponent + 1)) - (magnitude < 10**exponent)
+    lead = str(magnitude // 10 ** (exponent - 5))
+    mantissa = lead[0] + f".{lead[1:]}".rstrip(".0")
+    return f"{'-' * (value < 0)}{mantissa}e+{exponent}"
+
 
 def check_count(name: str, value, minimum: int) -> int:
     """value as an int when it is a whole number >= minimum (3.0 counts as 3);
     ValueError naming the argument otherwise."""
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (minimum <= value < math.inf and value == int(value)):
-        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {short_int(value)}")
     return int(value)
 
 
@@ -69,4 +90,4 @@ class GridAllocationError(MemoryError):
 
     def __init__(self, shape):
         self.shape = tuple(shape)
-        super().__init__(f"cannot allocate the {'x'.join(map(str, self.shape))} target grid")
+        super().__init__(f"cannot allocate the {'x'.join(map(short_int, self.shape))} target grid")

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
-from .errors import InsufficientSamplesError, InvalidBoxError, check_count
+from .errors import InsufficientSamplesError, InvalidBoxError, check_count, short_int
 from .polar import check_extents
 
 # An intersection counts as empty below this fraction of the two boxes'
@@ -36,9 +36,10 @@ MAX_MC_SAMPLES = 1 << 53
 # The Monte-Carlo oracles draw and test their samples this many at a time,
 # which bounds their working memory whatever the sample count.
 MC_CHUNK = 1 << 15
-# The oracles split their chunks over at most this many worker threads.  Each
-# holds about 2.1 MB of chunk buffers, so three keep a call's buffers under
-# 8 MiB however many CPUs the machine has.
+# The oracles split their chunks over at most this many runs, the calling
+# thread's and those of a thread pool made for the call.  Each run holds
+# about 2.1 MB of chunk buffers, so three keep a call's buffers under 8 MiB
+# however many CPUs the machine has.
 MC_MAX_WORKERS = 3
 
 
@@ -166,8 +167,8 @@ def _rect_aabb(box: OrientedBox):
 
 
 def _mc_worker_limit() -> int:
-    """Worker threads a Monte-Carlo call may use: one per CPU available to
-    this process, at most MC_MAX_WORKERS."""
+    """Runs a Monte-Carlo call may split into: one per CPU available to this
+    process, at most MC_MAX_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -219,7 +220,13 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
         )
     samples = check_count("samples", samples, MIN_MC_SAMPLES)
     if samples > MAX_MC_SAMPLES:
-        raise ValueError(f"samples must be at most {MAX_MC_SAMPLES}, got {samples}")
+        raise ValueError(f"samples must be at most {MAX_MC_SAMPLES}, got {short_int(samples)}")
+    # Every run seeds its generator this way; a bad seed fails here, not in a worker.
+    try:
+        np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"seed must be a numpy.random.default_rng seed, got {short_int(seed)}: "
+                         f"{exc}") from None
     (ax0, ay0), (ax1, ay1) = aabb(a)
     (bx0, by0), (bx1, by1) = aabb(b)
     x0, y0 = min(ax0, bx0), min(ay0, by0)
@@ -232,30 +239,17 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
     shared = isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     workers = 1 if shared else min(_mc_worker_limit(), chunks)
     # Contiguous runs of whole chunks, one per worker; a short last chunk
-    # falls to the last run, and the calling thread runs the first.
+    # falls to the last run.  The calling thread runs the first and a pool
+    # made for this call the others.
     bounds = [min(samples, i * chunks // workers * MC_CHUNK) for i in range(workers + 1)]
-    results = [None] * workers
 
-    def run(i):
-        try:
-            results[i] = _mc_counts(a, b, seed, bounds[i], bounds[i + 1],
-                                    (x0, y0, w, h), contains)
-        except BaseException as exc:  # re-raised below, after every join
-            results[i] = exc
+    def run(start, stop):
+        return _mc_counts(a, b, seed, start, stop, (x0, y0, w, h), contains)
 
-    threads = []
-    try:
-        for i in range(1, workers):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    # Leaving the block joins every worker; map raises the first failing run's error.
+    with ThreadPoolExecutor(workers) as pool:
+        rest = pool.map(run, bounds[1:-1], bounds[2:])
+        results = [run(bounds[0], bounds[1]), *rest]
     n_a, n_b, n_inter = (sum(counts) for counts in zip(*results))
     n_union = n_a + n_b - n_inter
     if n_union == 0:
@@ -272,15 +266,17 @@ def mc_ellipse_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
     ellipses, MC_CHUNK rows at a time from one seeded stream, and tested
     in buffers allocated once per run.  The chunks are split into
     contiguous runs, one per CPU available to the process, at most
-    MC_MAX_WORKERS and at most one per chunk; the calling thread runs the
-    first and joins the worker threads running the others, re-raising the
-    first run's error after every join.  Each run jumps the stream ahead to
-    its first sample, so the result keeps the bits of one Generator.uniform
-    draw of all samples and depends on neither MC_CHUNK nor the worker
-    count.  A Generator or BitGenerator passed as seed is drawn from in
-    order by the calling thread alone.  samples must be a whole number
-    from MIN_MC_SAMPLES to MAX_MC_SAMPLES; a larger count raises ValueError
-    before any sampling.
+    MC_MAX_WORKERS and at most one per chunk.  The calling thread runs the
+    first; a concurrent.futures thread pool made for the call runs the
+    others, and is shut down, every worker joined, before the call returns
+    or raises the first failing run's error.  Each run jumps the stream
+    ahead to its first sample, so the result keeps the bits of one
+    Generator.uniform draw of all samples and depends on neither MC_CHUNK
+    nor the worker count.  A Generator or BitGenerator passed as seed is
+    drawn from in order by the calling thread alone.  samples must be a
+    whole number from MIN_MC_SAMPLES to MAX_MC_SAMPLES; a larger count
+    raises ValueError before any sampling, as does a seed that
+    numpy.random.default_rng refuses.
     Raises OverflowError when that box is wider than the largest float.
     Returns (estimate, standard_error); the standard error
     is the binomial deviation of the intersection fraction among union

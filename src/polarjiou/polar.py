@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .boxes import OrientedBox
-from .errors import DiscretizationError, InvalidBoxError
+from .errors import DiscretizationError, InvalidBoxError, short_int
 
 MIN_GRID_ANGLES = 4
 # Past intp's byte range numpy gives ValueError or an empty array, not MemoryError.
@@ -128,7 +128,7 @@ def grid_angles(n: int) -> np.ndarray:
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
         raise DiscretizationError(
-            f"need a whole number of at least {MIN_GRID_ANGLES} grid angles, got n={n}")
+            f"need a whole number of at least {MIN_GRID_ANGLES} grid angles, got n={short_int(n)}")
     return _grid(int(n))
 
 
@@ -146,4 +146,4 @@ def _grid(n: int) -> np.ndarray:
             grid.setflags(write=False)
             _shared_grid = grid
             return grid
-    raise DiscretizationError(f"cannot allocate a grid of n={n} angles")
+    raise DiscretizationError(f"cannot allocate a grid of n={short_int(n)} angles")

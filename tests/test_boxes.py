@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import sys
 import warnings
 from dataclasses import FrozenInstanceError, astuple, replace
@@ -370,6 +371,12 @@ class TestPhiDistance:
             assert got == phi_distance(b, a)
             ra, rb = math.remainder(a, math.pi), math.remainder(b, math.pi)
             assert got == abs(math.remainder(ra - rb, math.pi))
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.3),
+                                      (math.nan, math.nan)])
+    def test_non_finite_angle_rejected(self, a, b):
+        with pytest.raises(ValueError, match=re.escape(f"got a={a} and b={b}")):
+            phi_distance(a, b)
 
     def test_canonical_angles_keep_their_bits(self):
         """Angles in [-pi/2, pi/2] are not moved by the reduction."""

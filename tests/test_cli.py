@@ -283,6 +283,16 @@ class TestRoundtripCommand:
         assert out == "records 1\nparse_errors 0\n"
         assert err == f"error: cannot allocate the {grid} target grid\n"
 
+    def test_huge_grid_text_is_short(self, tmp_path):
+        """A record centred at 1e300 asks for a grid whose two sizes print
+        in short form."""
+        path = tmp_path / "ann.txt"
+        write_rect_file(path, [(OrientedBox(1e300, 1e300, 1e290, 5e289, 0.0), "plane")])
+        code, out, err = run_cli(["roundtrip", str(path)])
+        assert code == 2
+        assert out == "records 1\nparse_errors 0\n"
+        assert err == "error: cannot allocate the 1x2.5e+299x2.5e+299 target grid\n"
+
     def test_other_memory_errors_propagate(self, tmp_path, monkeypatch):
         """Only a failed target-grid allocation becomes exit 2; a MemoryError
         raised after the grids exist is not reported as one."""

@@ -180,6 +180,12 @@ class TestTargetGrid:
             target_grid(shape)
         assert info.value.shape == shape
 
+    def test_huge_grid_text_is_short(self):
+        with pytest.raises(GridAllocationError) as info:
+            render_heatmap([], 1, 1e300, 1, 4)
+        assert str(info.value) == "cannot allocate the 1x1e+300x1 target grid"
+        assert info.value.shape == (1, int(1e300), 1)
+
     def test_negative_sizes_stay_value_errors(self):
         with pytest.raises(ValueError) as info:
             target_grid((1, -2, 3))

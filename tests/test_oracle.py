@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -714,7 +715,8 @@ class TestMcChunkedStream:
                                                          chunk, workers):
         """Each worker draws its own contiguous run of whole chunks from the
         one seeded stream, so any worker count keeps the single draw's bits;
-        the runs take distinct threads, and none is left alive."""
+        the calling thread runs the first run and pool threads the others,
+        and no thread is left alive."""
         monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", chunk)
         monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: workers)
         runs = []
@@ -725,6 +727,7 @@ class TestMcChunkedStream:
             return counts(a, b, seed, start, stop, frame_box, contains)
 
         monkeypatch.setattr(polarjiou.oracle, "_mc_counts", recorded)
+        caller = threading.current_thread()
         alive = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -741,7 +744,9 @@ class TestMcChunkedStream:
                     assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
                     assert runs[-1][1] == samples
                     assert all(start % chunk == 0 for start, _, _ in runs)
-                    assert len(runs) == len({thread for _, _, thread in runs})
+                    threads = [thread for _, _, thread in runs]
+                    assert threads[0] is caller and caller not in threads[1:]
+                    assert len(set(threads[1:])) <= workers - 1
                     assert len(runs) == min(workers, -(-samples // chunk))
         finally:
             sys.setswitchinterval(interval)
@@ -765,6 +770,28 @@ class TestMcChunkedStream:
         alive = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} run failed"):
             mc_ellipse_iou(a, b, 10_000, seed=0)
+        assert threading.active_count() == alive
+
+    def test_mc_pool_that_cannot_start_a_thread_raises_in_caller(self, monkeypatch):
+        """When the pool cannot start its second thread, the error reaches the
+        caller once the thread it did start is joined."""
+        submitted = []
+
+        class OneThreadPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if submitted:
+                    raise RuntimeError("can't start new thread")
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", 1000)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        monkeypatch.setattr(polarjiou.oracle, "ThreadPoolExecutor", OneThreadPool)
+        a, b = MC_STREAM_CASES["nested"]
+        alive = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            mc_ellipse_iou(a, b, 10_000, seed=0)
+        assert len(submitted) == 1
         assert threading.active_count() == alive
 
     def test_mc_extreme_extents_do_not_warn_on_workers(self, monkeypatch):
@@ -797,6 +824,56 @@ class TestMcChunkedStream:
         assert (np.random.default_rng(got_seed).random()
                 == np.random.default_rng(want_seed).random())
 
+    @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
+    @pytest.mark.parametrize("make", (
+        lambda: np.int64(5), lambda: np.uint32(5), lambda: True, lambda: 10**400,
+        lambda: [5, 11], lambda: (5, 11), lambda: np.array([5, 11]),
+        lambda: np.random.SeedSequence(5),
+    ), ids=("int64", "uint32", "bool", "huge_int", "list", "tuple", "array", "seed_sequence"))
+    def test_mc_accepted_seed_keeps_its_bits(self, monkeypatch, oracle, ellipse, make):
+        """Every seed numpy.random.default_rng takes passes the caller's check
+        and gives the single draw's bits; generators are checked above."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", 1000)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        a, b = MC_STREAM_CASES["nested"]
+        got = oracle(a, b, 10_007, seed=make())
+        want = reference_mc_iou(a, b, 10_007, make(), ellipse)
+        assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("oracle", [mc_ellipse_iou, mc_rect_iou])
+    def test_mc_none_seed_accepted(self, monkeypatch, oracle):
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        estimate, se = oracle(*MC_STREAM_CASES["nested"], 100_000, seed=None)
+        assert 0.0 < estimate < 1.0 and 0.0 < se < 0.01
+
+    @pytest.mark.parametrize("oracle", [mc_ellipse_iou, mc_rect_iou])
+    @pytest.mark.parametrize("seed, text", [
+        (1.5, "1.5"), (np.float64(3.0), "3.0"), ("7", "7"), (-1, "-1"), ([3, -1], "[3, -1]"),
+        ([1.5], "[1.5]"), (-(10**400), "-1e+400"),
+    ], ids=("float", "float64", "str", "negative", "negative_entry", "float_entry", "huge_negative"))
+    def test_mc_bad_seed_rejected_before_any_run(self, monkeypatch, oracle, seed, text):
+        """A seed numpy.random.default_rng refuses raises ValueError naming
+        seed on the calling thread, before any run or thread starts; numpy's
+        reason follows the seed."""
+        def fail(*args, **kwargs):
+            raise AssertionError("started sampling")
+
+        monkeypatch.setattr(polarjiou.oracle, "_mc_counts", fail)
+        monkeypatch.setattr(polarjiou.oracle, "ThreadPoolExecutor", fail)
+        a, b = MC_STREAM_CASES["nested"]
+        prefix = f"seed must be a numpy.random.default_rng seed, got {text}: "
+        with pytest.raises(ValueError) as info:
+            oracle(a, b, 100_000, seed)
+        assert str(info.value).startswith(prefix) and len(str(info.value)) > len(prefix)
+
+    def test_mc_huge_sample_count_text_is_short(self):
+        """The refused count prints in short form, however many digits it has."""
+        a, b = MC_STREAM_CASES["nested"]
+        for samples, text in ((1e300, "1e+300"), (10**400, "1e+400")):
+            with pytest.raises(ValueError) as info:
+                mc_ellipse_iou(a, b, samples, 0)
+            assert str(info.value) == f"samples must be at most {MAX_MC_SAMPLES}, got {text}"
+
     @pytest.mark.parametrize("oracle", [mc_ellipse_iou, mc_rect_iou])
     @pytest.mark.parametrize("samples", (1e300, MAX_MC_SAMPLES + 1))
     def test_mc_huge_sample_count_rejected(self, monkeypatch, oracle, samples):
@@ -806,7 +883,7 @@ class TestMcChunkedStream:
             raise AssertionError("started sampling")
 
         monkeypatch.setattr(polarjiou.oracle, "_mc_counts", fail)
-        monkeypatch.setattr(polarjiou.oracle.threading, "Thread", fail)
+        monkeypatch.setattr(polarjiou.oracle, "ThreadPoolExecutor", fail)
         a, b = MC_STREAM_CASES["nested"]
         with pytest.raises(ValueError, match="samples must be at most"):
             oracle(a, b, samples, seed=0)

@@ -223,6 +223,12 @@ class TestGridAngles:
         with pytest.raises(DiscretizationError, match=f"n={n} "):
             grid_angles(n)
 
+    @pytest.mark.parametrize("n, text", [(1e300, "1e+300"), (10**400, "1e+400")])
+    def test_huge_grid_text_is_short(self, n, text):
+        with pytest.raises(DiscretizationError) as info:
+            grid_angles(n)
+        assert str(info.value) == f"cannot allocate a grid of n={text} angles"
+
 
 def fresh_grid(n):
     """grid_angles(n) built anew, with no profile kept yet."""
