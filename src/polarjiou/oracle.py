@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -118,27 +119,41 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
 def _to_frame(box: OrientedBox, x: np.ndarray, y: np.ndarray, frame):
     """Point coordinates in the box frame (origin at center, x along r1).
 
-    frame = (dx, dy, u, v, spare) holds one chunk's work buffers; the
-    coordinates are written into u and v, which are returned."""
+    frame = (dx, dy, u, v, spare) holds one chunk's work buffers; rotated
+    coordinates are written into u and v.  Steps that are exact identities
+    are skipped: x - cx when cx == 0.0 (likewise y), and the whole rotation
+    when phi == 0.0 (either signed zero), so the arrays returned may be x
+    and y themselves, which the caller must not write into.  No skip
+    changes a containment test's result:
+    - x - 0.0 is x, and x - (-0.0) is x up to the sign of a zero;
+    - at phi = ±0.0, math.cos is 1.0 and math.sin ±0.0, so the rotation
+      returns dx and dy up to the sign of a zero, which the tests' square
+      and abs erase;
+    - a coordinate that overflows to inf reads as outside on both paths:
+      the full path may make it nan (inf·0), which fails the comparison."""
     dx, dy, u, v, _ = frame
-    np.subtract(x, box.cx, out=dx)
-    np.subtract(y, box.cy, out=dy)
+    if box.cx != 0.0:
+        x = np.subtract(x, box.cx, out=dx)
+    if box.cy != 0.0:
+        y = np.subtract(y, box.cy, out=dy)
+    if box.phi == 0.0:
+        return x, y
     c, s = math.cos(box.phi), math.sin(box.phi)
     # u = c·dx + s·dy
-    np.multiply(dx, c, out=u)
-    np.multiply(dy, s, out=v)
+    np.multiply(x, c, out=u)
+    np.multiply(y, s, out=v)
     u += v
     # v = -s·dx + c·dy
-    np.multiply(dx, -s, out=v)
-    dy *= c
-    v += dy
+    np.multiply(x, -s, out=v)
+    v += np.multiply(y, c, out=dy)
     return u, v
 
 
 def _ellipse_contains(box: OrientedBox, x, y, frame, out: np.ndarray) -> np.ndarray:
+    _, _, fu, fv, _ = frame
     u, v = _to_frame(box, x, y, frame)
-    u /= box.r1
-    v /= box.r2
+    u = np.divide(u, box.r1, out=fu)
+    v = np.divide(v, box.r2, out=fv)
     u *= u
     v *= v
     u += v
@@ -146,10 +161,10 @@ def _ellipse_contains(box: OrientedBox, x, y, frame, out: np.ndarray) -> np.ndar
 
 
 def _rect_contains(box: OrientedBox, x, y, frame, out: np.ndarray) -> np.ndarray:
+    _, _, fu, fv, spare = frame
     u, v = _to_frame(box, x, y, frame)
-    spare = frame[4]
-    np.less_equal(np.abs(u, out=u), box.r1, out=out)
-    out &= np.less_equal(np.abs(v, out=v), box.r2, out=spare)
+    np.less_equal(np.abs(u, out=fu), box.r1, out=out)
+    out &= np.less_equal(np.abs(v, out=fv), box.r2, out=spare)
     return out
 
 
@@ -176,8 +191,12 @@ def _mc_worker_limit() -> int:
     return min(cpus, MC_MAX_WORKERS)
 
 
-def _mc_counts(a, b, seed, start, stop, frame_box, contains):
-    """(n_a, n_b, n_inter) over samples start..stop-1 of the seeded stream."""
+def _mc_counts(a, b, seed, start, stop, frame_box, contains, stopped):
+    """(n_a, n_b, n_inter) over samples start..stop-1 of the seeded stream.
+
+    The run ends early, with partial counts, once the threading.Event
+    stopped is set: another run of the call has failed, and the call
+    raises that run's error."""
     x0, y0, w, h = frame_box
     rng = np.random.default_rng(seed)
     # Generator.random takes one 64-bit PCG64 output per double, two per
@@ -196,6 +215,8 @@ def _mc_counts(a, b, seed, start, stop, frame_box, contains):
     # error state is per thread, so each run sets its own.
     with np.errstate(over="ignore"):
         for first in range(start, stop, MC_CHUNK):
+            if stopped.is_set():
+                break
             k = min(MC_CHUNK, stop - first)
             rng.random(out=pts[:k])
             # lo + span * u, as Generator.uniform computes it, from the same stream.
@@ -243,13 +264,24 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
     # made for this call the others.
     bounds = [min(samples, i * chunks // workers * MC_CHUNK) for i in range(workers + 1)]
 
+    # Set by a run that raises, or by the caller leaving the block, so that
+    # the other runs stop before their next chunk.
+    stopped = threading.Event()
+
     def run(start, stop):
-        return _mc_counts(a, b, seed, start, stop, (x0, y0, w, h), contains)
+        try:
+            return _mc_counts(a, b, seed, start, stop, (x0, y0, w, h), contains, stopped)
+        except BaseException:
+            stopped.set()
+            raise
 
     # Leaving the block joins every worker; map raises the first failing run's error.
     with ThreadPoolExecutor(workers) as pool:
-        rest = pool.map(run, bounds[1:-1], bounds[2:])
-        results = [run(bounds[0], bounds[1]), *rest]
+        try:
+            rest = pool.map(run, bounds[1:-1], bounds[2:])
+            results = [run(bounds[0], bounds[1]), *rest]
+        finally:
+            stopped.set()
     n_a, n_b, n_inter = (sum(counts) for counts in zip(*results))
     n_union = n_a + n_b - n_inter
     if n_union == 0:
@@ -269,11 +301,15 @@ def mc_ellipse_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
     MC_MAX_WORKERS and at most one per chunk.  The calling thread runs the
     first; a concurrent.futures thread pool made for the call runs the
     others, and is shut down, every worker joined, before the call returns
-    or raises the first failing run's error.  Each run jumps the stream
-    ahead to its first sample, so the result keeps the bits of one
-    Generator.uniform draw of all samples and depends on neither MC_CHUNK
-    nor the worker count.  A Generator or BitGenerator passed as seed is
-    drawn from in order by the calling thread alone.  samples must be a
+    or raises the first failing run's error; once a run fails, or the
+    caller is interrupted, the other runs stop before their next chunk.
+    Each run jumps the stream ahead to its first sample, so the result
+    keeps the bits of one Generator.uniform draw of all samples and depends
+    on neither MC_CHUNK nor the worker count.  A Generator or BitGenerator
+    passed as seed is drawn from in order by the calling thread alone.
+    Steps of the box-frame transform that are exact identities (a center
+    coordinate or an angle of 0.0) are skipped, with the same bits; see
+    _to_frame.  samples must be a
     whole number from MIN_MC_SAMPLES to MAX_MC_SAMPLES; a larger count
     raises ValueError before any sampling, as does a seed that
     numpy.random.default_rng refuses.

@@ -629,6 +629,12 @@ MC_STREAM_CASES = {
     "thin": (OrientedBox(0, 0, 50, 0.4, 0.1), OrientedBox(1, 0.5, 40, 0.3, 0.12)),
     "far": (OrientedBox(1e6 + 0.3, -1e6, 4, 2, 0.5),
             OrientedBox(1e6 + 1.1, -1e6 + 0.4, 3, 2.5, -0.2)),
+    # The frame steps that are identities (a center coordinate of 0.0, an
+    # angle of 0.0) are skipped: a deviation_sweep cell, signed zeros, and
+    # an axis-aligned box away from the origin.
+    "sweep": (OrientedBox(0, 0, 3, 1, 0), OrientedBox(0, 0, 3, 1, 0.5)),
+    "signed_zeros": (OrientedBox(-0.0, -0.0, 4, 2, -0.0), OrientedBox(0.0, 0.0, 2, 3, 0.0)),
+    "axis_aligned": (OrientedBox(3, -2, 4, 1.5, 0.0), OrientedBox(2, -1, 3, 2, 0.6)),
 }
 
 
@@ -684,23 +690,25 @@ class TestMcChunkedStream:
         """Extents at the ends of the accepted range overflow some samples'
         box-frame coordinates; those samples count as outside without a
         numpy warning, and the estimate keeps the single draw's bits."""
-        a = OrientedBox(0, 0, 1e100, 1e-100, 0.3)
-        b = OrientedBox(1, 1, 1e-100, 1e100, 1.0)
-        with np.errstate(all="ignore"):
-            want = reference_mc_iou(a, b, 10_000, 0, True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = mc_ellipse_iou(a, b, 10_000, 0)
-        assert got[0] == want[0] and got[1] == want[1]
+        for phi in (0.3, 0.0):
+            a = OrientedBox(0, 0, 1e100, 1e-100, phi)
+            b = OrientedBox(1, 1, 1e-100, 1e100, 1.0 if phi else 0.0)
+            with np.errstate(all="ignore"):
+                want = reference_mc_iou(a, b, 10_000, 0, True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = mc_ellipse_iou(a, b, 10_000, 0)
+            assert got[0] == want[0] and got[1] == want[1], phi
 
     @pytest.mark.parametrize("a, b", [
         (OrientedBox(0, 0, 1e100, 1e-100, 0.3), OrientedBox(1, 1, 1e-100, 1e100, 1.0)),
         (OrientedBox(1e300, -1e300, 1e100, 3, 0.3), OrientedBox(1e300, -1e300, 2, 1e99, 1.0)),
         (OrientedBox(0, 0, 1e150, 1e150, 0.7), OrientedBox(1e150, 0, 1e150, 1, 0.1)),
+        (OrientedBox(0, 0, 1e100, 1e-100, 0.0), OrientedBox(1, 1, 1e-100, 1e100, 0.0)),
     ])
     def test_mc_rect_extreme_extents_do_not_warn(self, a, b):
-        """mc_rect_iou's twin of the test above: the in-place absolute
-        values and comparisons raise no numpy warning either."""
+        """mc_rect_iou's twin of the test above: the absolute values and
+        comparisons raise no numpy warning either."""
         with np.errstate(all="ignore"):
             want = reference_mc_iou(a, b, 10_000, 0, False)
         with warnings.catch_warnings():
@@ -722,9 +730,9 @@ class TestMcChunkedStream:
         runs = []
         counts = polarjiou.oracle._mc_counts
 
-        def recorded(a, b, seed, start, stop, frame_box, contains):
+        def recorded(a, b, seed, start, stop, frame_box, contains, stopped):
             runs.append((start, stop, threading.current_thread()))
-            return counts(a, b, seed, start, stop, frame_box, contains)
+            return counts(a, b, seed, start, stop, frame_box, contains, stopped)
 
         monkeypatch.setattr(polarjiou.oracle, "_mc_counts", recorded)
         caller = threading.current_thread()
@@ -771,6 +779,34 @@ class TestMcChunkedStream:
         with pytest.raises(RuntimeError, match=f"{failing} run failed"):
             mc_ellipse_iou(a, b, 10_000, seed=0)
         assert threading.active_count() == alive
+
+    @pytest.mark.parametrize("failing", ("caller", "worker"))
+    def test_mc_error_in_any_run_stops_the_others(self, monkeypatch, failing):
+        """Once a run raises on its first chunk, the other runs stop before
+        their next chunk instead of testing their whole share."""
+        monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", 1000)
+        monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: 3)
+        caller = threading.get_ident()
+        contains = polarjiou.oracle._ellipse_contains
+        tested = []
+
+        def failing_contains(box, x, y, frame, out):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} run failed")
+            tested.append(box)
+            return contains(box, x, y, frame, out)
+
+        monkeypatch.setattr(polarjiou.oracle, "_ellipse_contains", failing_contains)
+        a, b = MC_STREAM_CASES["nested"]
+        samples = 2_000_000
+        with pytest.raises(RuntimeError, match=f"{failing} run failed"):
+            mc_ellipse_iou(a, b, samples, seed=0)
+        # Two containment tests per chunk.  The runs that did not fail hold a
+        # third (the caller's run) or two thirds (the workers') of the chunks;
+        # they test a few chunks while the failing run starts, never a
+        # quarter of their share.
+        share = samples // 1000 // 3 * (1 if failing == "worker" else 2)
+        assert len(tested) // 2 < share // 4
 
     def test_mc_pool_that_cannot_start_a_thread_raises_in_caller(self, monkeypatch):
         """When the pool cannot start its second thread, the error reaches the
@@ -894,7 +930,7 @@ class TestMcChunkedStream:
         """MAX_MC_SAMPLES itself is split into runs like any other count."""
         runs = []
 
-        def counted(a, b, seed, start, stop, frame_box, contains):
+        def counted(a, b, seed, start, stop, frame_box, contains, stopped):
             runs.append((start, stop))
             return 1, 1, 1
 
