@@ -5,13 +5,14 @@ against exact-rectangle and Monte-Carlo-ellipse references."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import HALF_PI, OrientedBox, canonicalize
 from .codec import smooth_l1
-from .errors import EmptyBatchError, check_count
+from .errors import EmptyBatchError, check_count, short_int
 from .loss import DEFAULT_N, jiou_bar, jiou_gradient
 from .oracle import exact_rect_iou, mc_ellipse_iou
 
@@ -93,8 +94,9 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
             g = jiou_gradient(box, target, n)
             return jiou_bar(box, target, n).loss, (g.d_phi, g.d_r1, g.d_r2)
         loss = smooth_l1(_pinned_tuple(box), pinned_target)
-        diff = (box.phi - target.phi, box.r1 - target.r1, box.r2 - target.r2)
-        return loss, tuple(min(max(d, -1.0), 1.0) for d in diff)
+        return loss, (min(max(box.phi - target.phi, -1.0), 1.0),
+                      min(max(box.r1 - target.r1, -1.0), 1.0),
+                      min(max(box.r2 - target.r2, -1.0), 1.0))
 
     state = canonicalize(OrientedBox(target.cx, target.cy, init.r1, init.r2, init.phi))
     loss, grad = evaluate(state)
@@ -105,10 +107,11 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
         steps.append(FitStep(it, state.phi, state.r1, state.r2, loss, iou))
         if iou >= CONVERGED_IOU or it == max_iters:
             break
+        g_phi, g_r1, g_r2 = grad
         for halvings in range(MAX_HALVINGS + 1):
             # Plain floats overflow to inf without a warning; OrientedBox rejects inf.
             step = math.ldexp(lr, -halvings)
-            phi, r1, r2 = (v - step * g for v, g in zip((state.phi, state.r1, state.r2), grad))
+            phi, r1, r2 = state.phi - step * g_phi, state.r1 - step * g_r1, state.r2 - step * g_r2
             cand_box = canonicalize(OrientedBox(
                 target.cx, target.cy,
                 max(r1, MIN_HALF_EXTENT), max(r2, MIN_HALF_EXTENT), phi,
@@ -130,9 +133,13 @@ def default_fit_suite(num_cases: int = 50, seed: int = DEFAULT_SEED):
 
     Targets have aspect ratio in [1.5, 5] and arbitrary orientation; the
     initial guess keeps the target's extents but is off in angle by up to
-    80 degrees either way.
+    80 degrees either way.  num_cases is a whole number from 0 to
+    sys.maxsize, the longest list CPython can hold; a larger count raises
+    ValueError before any case is drawn.
     """
     num_cases = check_count("num_cases", num_cases, 0)
+    if num_cases > sys.maxsize:
+        raise ValueError(f"num_cases must be at most {sys.maxsize}, got {short_int(num_cases)}")
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(num_cases):

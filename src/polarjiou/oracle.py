@@ -49,7 +49,10 @@ def _clip_halfplane(poly, a, b):
 
     Decoded corners wind so that the interior has non-negative cross product
     against every directed edge.  Each vertex's side is computed as the end
-    of one edge and carried to the next as its start.
+    of one edge and carried to the next as its start.  The output walks
+    poly's edges from poly[0], so it starts at poly[0] when that vertex is
+    kept: signed_area adds its shoelace terms in vertex order, and a cyclic
+    rotation of the same polygon can change the area's last bits.
     """
     ax, ay = a
     ex, ey = b[0] - ax, b[1] - ay
@@ -92,6 +95,10 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     OrientedBox(0, 0, 1, 1/ar, 0.3) reads 0.998 at ar = 1e14 and 0.0 from
     ar = 5e14, and OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.  The ratio
     is clamped at 1.
+
+    a's corners are clipped by b's four edges in decode_corners order,
+    corner 0 to 1, 1 to 2, 2 to 3 and 3 to 0, and clipping stops as soon
+    as the polygon is empty.
     """
     dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
@@ -102,12 +109,16 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
         return 0.0
     check_extents("exact clipping", a, b)
-    poly = corner_offsets(a)
-    clip = [(x + dx, y + dy) for x, y in corner_offsets(b)]
-    for i in range(4):
-        if not poly:
-            break
-        poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corner_offsets(b)
+    c0, c1, c2 = (x0 + dx, y0 + dy), (x1 + dx, y1 + dy), (x2 + dx, y2 + dy)
+    c3 = (x3 + dx, y3 + dy)
+    poly = _clip_halfplane(corner_offsets(a), c0, c1)
+    if poly:
+        poly = _clip_halfplane(poly, c1, c2)
+    if poly:
+        poly = _clip_halfplane(poly, c2, c3)
+    if poly:
+        poly = _clip_halfplane(poly, c3, c0)
     inter = abs(signed_area(poly))
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import helpers
 import polarjiou.fitting
 from helpers import dyadic, reference_fit_box
 from polarjiou import OrientedBox, fit_box, jiou_bar, smooth_l1
-from polarjiou.errors import EmptyBatchError, InvalidBoxError
+from polarjiou.errors import EmptyBatchError, InvalidBoxError, short_int
 from polarjiou.loss import RATIO_FLOOR, JiouValue
 from polarjiou.fitting import (
     CONVERGED_IOU,
@@ -209,6 +210,30 @@ class TestFitSuite:
     def test_whole_float_num_cases(self):
         assert default_fit_suite(3.0) == default_fit_suite(3)
         assert default_fit_suite(0) == []
+
+    @pytest.mark.parametrize("num_cases", (1e300, 2**63))
+    def test_count_no_list_can_hold_raises_before_drawing(self, monkeypatch, num_cases):
+        """A count above sys.maxsize, the longest list CPython can hold,
+        raises before any case is drawn."""
+        def drawn(seed):
+            raise AssertionError("drew cases for a count no list can hold")
+
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        with pytest.raises(ValueError) as info:
+            default_fit_suite(num_cases)
+        assert str(info.value) == (
+            f"num_cases must be at most {sys.maxsize}, got {short_int(int(num_cases))}")
+
+    def test_count_of_sys_maxsize_reaches_drawing(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawn(seed):
+            raise Drawn
+
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        with pytest.raises(Drawn):
+            default_fit_suite(sys.maxsize)
 
     def test_suite_shape(self):
         for init, target in default_fit_suite(num_cases=10):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polarjiou.fitting
 import polarjiou.oracle
 from helpers import (
     finite_floats,
@@ -28,8 +29,10 @@ from polarjiou import (
     Detection,
     OrientedBox,
     decode_corners,
+    default_fit_suite,
     deviation_sweep,
     exact_rect_iou,
+    fit_box,
     jiou_bar,
     mc_ellipse_iou,
     mc_rect_iou,
@@ -37,6 +40,7 @@ from polarjiou import (
 )
 from polarjiou.boxes import corner_offsets
 from polarjiou.errors import InsufficientSamplesError, InvalidBoxError
+from polarjiou.fitting import DEFAULT_ASPECT_RATIOS, default_angle_diffs
 from polarjiou.oracle import (
     CLIP_ROUNDING,
     MAX_MC_SAMPLES,
@@ -559,6 +563,32 @@ class TestClipHalfplane:
         a, b = (0.0, 2.0), (0.0, -2.0)
         assert vertex_bits(_clip_halfplane(poly, a, b)) == \
             vertex_bits(reference_clip_halfplane(poly, a, b))
+
+
+def test_concentric_fit_and_sweep_pairs_match_reference(monkeypatch):
+    """The concentric pairs that fit runs and the sweep send to the clipper
+    keep the frozen reference's bits: every (state, target) pair that
+    fit_box checks on the default 50-case suite under both losses, and the
+    95 default sweep cells (ar, 1, 0) against (ar, 1, dphi).  pruning_pairs
+    always offsets the centers, so it covers none of them."""
+    pairs = []
+
+    def recorded(a, b):
+        pairs.append((a, b))
+        return exact_rect_iou(a, b)
+
+    monkeypatch.setattr(polarjiou.fitting, "exact_rect_iou", recorded)
+    for loss_kind in ("jiou", "smooth_l1"):
+        for init, target in default_fit_suite(50, 42):
+            fit_box(init, target, loss_kind)
+    assert len(pairs) > 4000
+    for ar in DEFAULT_ASPECT_RATIOS:
+        for dphi in default_angle_diffs():
+            pairs.append((OrientedBox(0.0, 0.0, ar, 1.0, 0.0),
+                          OrientedBox(0.0, 0.0, ar, 1.0, dphi)))
+    for a, b in pairs:
+        assert (a.cx, a.cy) == (b.cx, b.cy), (a, b)
+        assert exact_rect_iou(a, b).hex() == reference_rect_iou(a, b).hex(), (a, b)
 
 
 class TestMonteCarloEllipse:
