@@ -125,6 +125,14 @@ def signed_area(corners) -> float:
     return 0.5 * float(acc)
 
 
+def _corner_array(quad) -> np.ndarray:
+    """quad as a (4, 2) float64 array; InvalidBoxError on any other shape."""
+    quad = np.asarray(quad, dtype=np.float64)
+    if quad.shape != (4, 2):
+        raise InvalidBoxError(f"corner array must have shape (4, 2), got {quad.shape}")
+    return quad
+
+
 def corners_to_box(quad) -> OrientedBox:
     """Fit an oriented box to a (near-)rectangular quad: any (4, 2) array-like.
 
@@ -135,9 +143,7 @@ def corners_to_box(quad) -> OrientedBox:
     orthogonal, raises on degenerate (zero-area or segment-like) quads and
     InvalidBoxError on a wrong shape or a non-finite corner.
     """
-    quad = np.asarray(quad, dtype=np.float64)
-    if quad.shape != (4, 2):
-        raise InvalidBoxError(f"corner array must have shape (4, 2), got {quad.shape}")
+    quad = _corner_array(quad)
     if not np.all(np.isfinite(quad)):
         raise InvalidBoxError("non-finite corner coordinates")
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.tolist()
@@ -168,21 +174,31 @@ def corners_to_box(quad) -> OrientedBox:
     return canonicalize(OrientedBox(cx, cy, r1, r2, math.atan2(ly, lx)))
 
 
-# Row orders of a quad's 4 cyclic shifts in both traversal directions:
-# row k is np.roll(order, k) for order 0123, then for 3210.
-_CORNER_ORDERS = np.array([np.roll(order, k) for order in ((0, 1, 2, 3), (3, 2, 1, 0))
-                           for k in range(4)])
+# A quad's 4 cyclic shifts in both traversal directions, as indices into its
+# 8 flattened coordinates: row k holds the x, y pairs of np.roll(order, k)
+# for order 0123, then for 3210.
+_CORNER_ORDERS = np.array([[2 * i + xy for i in np.roll(order, k) for xy in (0, 1)]
+                           for order in ((0, 1, 2, 3), (3, 2, 1, 0)) for k in range(4)])
 
 
 def corner_set_distance(a, b) -> float:
     """Max corner deviation between two quads, minimized over cyclic shifts.
 
     Both traversal directions are tried, so the comparison is insensitive to
-    starting corner and winding.
+    starting corner and winding.  a and b are (4, 2) array-likes; another
+    shape or a non-finite corner raises InvalidBoxError, and OverflowError
+    is raised when even the smallest deviation exceeds the float64 range.
     """
-    pa = np.asarray(a, dtype=np.float64).reshape(4, 2)
-    pb = np.asarray(b, dtype=np.float64).reshape(4, 2)
-    return float(np.abs(pb[_CORNER_ORDERS] - pa).max(axis=(1, 2)).min())
+    pa, pb = _corner_array(a), _corner_array(b)
+    # A non-finite corner makes every shift's deviation NaN or inf, so only
+    # a non-finite result needs the corners looked at.
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = float(np.abs(pb.ravel()[_CORNER_ORDERS] - pa.ravel()).max(axis=1).min())
+    if math.isfinite(distance):
+        return distance
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
+        raise InvalidBoxError("non-finite corner coordinates")
+    raise OverflowError("corner deviation exceeds the float64 range")
 
 
 def phi_distance(a: float, b: float) -> float:
@@ -224,10 +240,10 @@ def parse_dota_record(line: str, lineno: int | None = None):
 
 def iter_text_lines(path):
     """Yield (lineno, line) for each non-blank line of a UTF-8 file, stripped,
-    with 1-based line numbers counted over every line; AnnotationError if
-    the file cannot be opened or decoded."""
+    with 1-based line numbers counted over every line; a leading byte-order
+    mark is dropped.  AnnotationError if the file cannot be opened or decoded."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if line:

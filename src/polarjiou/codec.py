@@ -18,6 +18,7 @@ from .errors import (
     OutOfImageError,
     ShapeError,
     check_count,
+    short_int,
 )
 from .oracle import Detection
 
@@ -86,9 +87,8 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
             raise ShapeError(f"class {cls} outside [0, {num_classes}) or not a whole number")
         cell_x, cell_y, _, _ = encode_offset(box.cx, box.cy, stride)
         if cell_x >= width or cell_y >= height:
-            raise OutOfImageError(
-                f"center cell ({cell_x}, {cell_y}) outside {width}x{height} grid"
-            )
+            raise OutOfImageError(f"center cell ({short_int(cell_x)}, {short_int(cell_y)}) "
+                                  f"outside {width}x{height} grid")
         by_sigma.setdefault(gaussian_sigma(box, stride), []).append((int(cls), cell_x, cell_y))
     for sigma, group in by_sigma.items():
         # Capped at the grid size, which also keeps an infinite sigma finite.

@@ -104,7 +104,8 @@ class TestGroupSoftmax:
         assert np.array_equal(weights, [[1.0, 0.0]])
 
     def test_overflowing_logit_rejected(self):
-        """Finite inputs whose logit overflows raise instead of returning NaN."""
+        """Finite inputs whose logit overflows raise instead of returning NaN,
+        with no warning: np.errstate covers the matmul that forms the logits."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ShapeError, match="non-finite group logit"):

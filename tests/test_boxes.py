@@ -353,6 +353,31 @@ class TestCornerSetDistance:
                 pb = decode_corners(random_box(rng))
             assert corner_set_distance(pa, pb) == reference_corner_set_distance(pa, pb)
 
+    def test_wrong_shape_rejected(self):
+        pts = decode_corners(OrientedBox(0, 0, 3, 1, 0.4))
+        with pytest.raises(InvalidBoxError, match=re.escape(
+                "corner array must have shape (4, 2), got (3, 2)")):
+            corner_set_distance(pts, pts[:3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_corner_rejected(self, bad, side):
+        pts = decode_corners(OrientedBox(0, 0, 3, 1, 0.4))
+        other = np.array(pts)
+        other[2, 1] = bad
+        args = (other, pts) if side == "a" else (pts, other)
+        with pytest.raises(InvalidBoxError, match="non-finite corner coordinates"):
+            corner_set_distance(*args)
+
+    def test_overflowing_deviation_raises_without_warning(self):
+        """Finite quads near +1e308 and -1e308 differ by more than the
+        largest float under every shift."""
+        quad = np.array([[1.0, 1.0], [1.5, 1.0], [1.5, 1.5], [1.0, 1.5]]) * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="corner deviation exceeds the float64 range"):
+                corner_set_distance(quad, -quad)
+
 
 class TestPhiDistance:
     def test_modulo_pi(self):

@@ -129,6 +129,14 @@ class TestRenderHeatmap:
         with pytest.raises(OutOfImageError):
             render_heatmap([(box, 0)], 1, 32, 32, 4)
 
+    @pytest.mark.parametrize("encode", [render_heatmap, encode_targets, encode_decode_roundtrip])
+    def test_far_center_cell_text_is_short(self, encode):
+        """A cell index past 24 digits prints in short form, not 301 digits."""
+        box = OrientedBox(1e300, 5.5, 8, 4, 0)
+        with pytest.raises(OutOfImageError) as info:
+            encode([(box, 0)], 1, 4, 4, 1)
+        assert str(info.value) == "center cell (1e+300, 5) outside 4x4 grid"
+
     def test_class_out_of_range_rejected(self):
         box = OrientedBox(40, 40, 8, 4, 0)
         with pytest.raises(ShapeError):
@@ -198,7 +206,7 @@ class TestTargetGrid:
 
 class TestWindowedHeatmap:
     """render_heatmap stamps only where the Gaussian is non-zero; the values
-    must equal the full-grid evaluation bit for bit."""
+    must equal the full-grid evaluation bit for bit, centers included."""
 
     def test_exp_is_zero_past_the_bound(self):
         assert math.exp(-EXP_UNDERFLOW_ARG) == 0.0
@@ -415,7 +423,8 @@ class TestFocalLoss:
 
     @pytest.mark.parametrize("where, value", [("pred", math.nan), ("target", math.nan)])
     def test_non_finite_focal_loss_rejected_without_warning(self, where, value):
-        """A NaN cell makes the loss non-finite."""
+        """A NaN cell makes the loss non-finite.  Any warning fails, whatever
+        its wording, which differs between numpy versions."""
         pred = np.full((1, 4, 4), 0.2)
         target = np.zeros((1, 4, 4))
         target[0, 1, 1] = 1.0
@@ -482,7 +491,9 @@ class TestSmoothL1:
     def test_smooth_l1_rejects_anything_but_five_numbers(self):
         """One pair of 5-component tuples only: any 2-D array, a (1, 5) row
         and a (5, 1) column included, nested or ragged lists, four or six
-        components, strings and bytes raise ShapeError, with no warning."""
+        components, strings and bytes raise ShapeError, with no warning.
+        The (5, 1) column is refused by its shape: at numpy 1.24, float() of
+        a one-element array does not raise."""
         five = [0.5, 1.0, 2.0, 0.0, 0.25]
         bad = [np.zeros((0, 5)), np.zeros((1, 5)), np.zeros((2, 5)), np.zeros((5, 1)),
                [five], [[v] for v in five], [five, five], five[:4], five + [0.0],
@@ -503,7 +514,9 @@ class TestSmoothL1:
     @pytest.mark.parametrize("rows", [None])
     def test_smooth_l1_bits_match_frozen_reference(self, rows):
         """The bits of the numpy form, with component differences from 1e-6
-        to 1e6 on both sides of 1."""
+        to 1e6 on both sides of 1.  smooth_l1 sums five Python floats left to
+        right and reference_smooth_l1 sums them with numpy, so the bits hold
+        only while numpy sums five terms in the same order."""
         rng = np.random.default_rng(5)
         for _ in range(200):
             pred = rng.normal(size=5) * 10.0 ** rng.uniform(-6, 6, 5)
@@ -541,6 +554,8 @@ class TestSmoothL1:
         ((0.0, 1e308, 0.0, 0.0, 0.0), (0.0, -1e308, 0.0, 0.0, 0.0)),
     ], ids=["nan-component", "difference-overflows"])
     def test_non_finite_smooth_l1_rejected_without_warning(self, pred, target):
+        """Any warning fails, whatever its wording, which differs between
+        numpy versions."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidLossError, match="non-finite"):

@@ -1,13 +1,15 @@
 """Golden CLI outputs, replayed in process and compared byte for byte.
 
 The files under tests/golden/ were captured once from the CLI and are never
-edited: a change that alters any of them alters behaviour.  Each case names
+edited: a change that alters any of them alters behaviour.  They must replay
+byte for byte at every numpy that pyproject.toml allows.  Each case names
 its argv, its exit code, and whether it writes an --out CSV.  Every case is
 also replayed in a subprocess: through the installed polarjiou console script
 when it is on PATH, else through `python -m polarjiou.cli` with this
 checkout's src directory on PYTHONPATH.
 """
 
+import codecs
 import os
 import shutil
 import subprocess
@@ -72,6 +74,21 @@ def replay(name, tmp_path, run):
 def test_replay(name, tmp_path):
     def in_process(argv):
         code, stdout, _ = run_cli(argv)
+        return code, stdout.encode()
+
+    replay(name, tmp_path, in_process)
+
+
+@pytest.mark.parametrize("name", ["nms", "roundtrip"])
+def test_replay_input_with_byte_order_mark(name, tmp_path):
+    """The case's input file saved with a UTF-8 byte-order mark gives the
+    same golden outputs."""
+    source = Path(CASES[name][0][1])
+    copy = tmp_path / source.name
+    copy.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+
+    def in_process(argv):
+        code, stdout, _ = run_cli([argv[0], str(copy), *argv[2:]])
         return code, stdout.encode()
 
     replay(name, tmp_path, in_process)

@@ -193,7 +193,9 @@ def test_matches_frozen_reference():
     per-function min/max sums they replaced, on seeded pairs of every kind the
     profile code branches on: ellipses, equal and unequal circles, a circle
     against an ellipse, identical boxes (every angle a tie), and a copy turned
-    by pi (profiles equal up to rounding)."""
+    by pi (profiles equal up to rounding).  The gradient's rows are computed
+    in place and summed after np.compress, so it keeps these bits only while
+    numpy's reduction order matches the reference's."""
     rng = np.random.default_rng(11)
     for i in range(600):
         a = random_box(rng)
@@ -260,7 +262,9 @@ def longdouble_pairs(band, seed, count=200):
 class TestLongdoubleYardstick:
     """Today's float64 ratio and gradient against the same formulas in
     np.longdouble (a 64-bit mantissa on x86-64 Linux): the accuracy check
-    for any change of their low bits."""
+    for any change of their low bits.  The bounds were measured at numpy
+    2.4 and must hold at every numpy that pyproject.toml allows, whose
+    float64 trig may round differently."""
 
     def test_longdouble_closed_forms(self):
         """Concentric circles of radii r < R: ratio (r/R)^2, and the loss
@@ -342,7 +346,8 @@ class TestBatchJiou:
 
 
 class TestProfileCache:
-    """Each box's profile is built once per pair and once per fit evaluation."""
+    """Each box's profile is built once per pair and once per fit evaluation,
+    from the read-only profiles kept in polar's lru_cache."""
 
     def test_batch_builds_each_box_once(self):
         rng = np.random.default_rng(26)

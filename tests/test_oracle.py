@@ -525,7 +525,9 @@ def assert_clipper_matches_reference(a, b):
 class TestClipHalfplane:
     """The clipper keeps the frozen reference's vertices, bits and order at
     every stage; a cyclic rotation of its output would change the bits of
-    the shoelace sum."""
+    the shoelace sum.  The reference builds its corners with numpy arrays
+    and the library with Python floats, so these bits hold only while
+    numpy's float64 arithmetic rounds as Python's does."""
 
     def test_pruning_pairs(self):
         pairs = pruning_pairs(2000, seed=34)
@@ -670,7 +672,10 @@ MC_STREAM_CASES = {
 
 class TestMcChunkedStream:
     """The oracles stream their samples in MC_CHUNK rows; every estimate must
-    equal the one rng.uniform draw of all samples, bit for bit."""
+    equal the one rng.uniform draw of all samples, bit for bit.  Each chunk
+    is drawn with Generator.random(out=) and scaled as lo + span * u, which
+    must give Generator.uniform's bits at every numpy that pyproject.toml
+    allows (out= exists since numpy 1.17)."""
 
     @pytest.mark.parametrize("oracle, ellipse", MC_ORACLES)
     @pytest.mark.parametrize("case", sorted(MC_STREAM_CASES))
@@ -719,7 +724,8 @@ class TestMcChunkedStream:
     def test_mc_extreme_extents_do_not_warn(self):
         """Extents at the ends of the accepted range overflow some samples'
         box-frame coordinates; those samples count as outside without a
-        numpy warning, and the estimate keeps the single draw's bits."""
+        numpy warning, and the estimate keeps the single draw's bits, at an
+        angle of 0.0 too, where the frame's rotation is skipped."""
         for phi in (0.3, 0.0):
             a = OrientedBox(0, 0, 1e100, 1e-100, phi)
             b = OrientedBox(1, 1, 1e-100, 1e100, 1.0 if phi else 0.0)
@@ -752,9 +758,10 @@ class TestMcChunkedStream:
     def test_mc_estimate_does_not_depend_on_worker_count(self, monkeypatch, oracle, ellipse,
                                                          chunk, workers):
         """Each worker draws its own contiguous run of whole chunks from the
-        one seeded stream, so any worker count keeps the single draw's bits;
-        the calling thread runs the first run and pool threads the others,
-        and no thread is left alive."""
+        one seeded stream, its generator jumped ahead to the run's first
+        sample with PCG64.advance, so any worker count keeps the single
+        draw's bits; the calling thread runs the first run and pool threads
+        the others, and no thread is left alive."""
         monkeypatch.setattr(polarjiou.oracle, "MC_CHUNK", chunk)
         monkeypatch.setattr(polarjiou.oracle, "_mc_worker_limit", lambda: workers)
         runs = []

@@ -3,6 +3,7 @@ what importing the package pulls in, and what each module imports."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import polarjiou
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_every_exported_name_resolves():
@@ -76,3 +78,13 @@ def test_sources_parse_as_python_3_10():
     newer syntax; ast.parse checks each against that version's grammar."""
     for path in sorted(SRC.rglob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_ci_numpy_floor_follows_pyproject():
+    """The tier-1 matrix entry that installs the oldest numpy pins the
+    version that pyproject.toml names as the floor; both files are read as
+    text."""
+    floor = re.findall(r'"numpy>=(\d+\.\d+)"', (ROOT / "pyproject.toml").read_text())
+    pinned = re.findall(r'numpy: "numpy==(\d+\.\d+)\.\*"',
+                        (ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    assert len(floor) == 1 and pinned == floor

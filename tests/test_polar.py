@@ -47,8 +47,9 @@ class TestRadiusAt:
         assert np.array_equal(want[2], np.sin(thetas - 0.7))
 
     def test_profile_terms_match_frozen_reference(self):
-        """rho, cos, sin, both squared terms and their sum keep the bits of
-        the inline numpy formula, for ellipses and a circle."""
+        """rho, cos, sin, both squared terms and their sum, computed in
+        place, keep the bits of the inline numpy formula, for ellipses and a
+        circle."""
         rng = np.random.default_rng(11)
         for n in (64, 720):
             thetas = grid_angles(n)
