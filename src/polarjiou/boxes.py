@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError
+from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError, short_int
 
 HALF_PI = math.pi / 2
 
@@ -42,12 +42,17 @@ class OrientedBox:
 
     def __init__(self, cx: float, cy: float, r1: float, r2: float, phi: float):
         # The values are checked as given, then each field is set once, as a float.
-        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(r1)
-                and math.isfinite(r2) and math.isfinite(phi)):
-            vals = ", ".join(map(str, (cx, cy, r1, r2, phi)))
+        try:
+            finite = (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(r1)
+                      and math.isfinite(r2) and math.isfinite(phi))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            vals = ", ".join(map(short_int, (cx, cy, r1, r2, phi)))
             raise InvalidBoxError(f"non-finite box parameters ({vals})")
         if r1 <= 0 or r2 <= 0:
-            raise InvalidBoxError(f"half-extents must be positive, got r1={r1}, r2={r2}")
+            raise InvalidBoxError("half-extents must be positive, "
+                                  f"got r1={short_int(r1)}, r2={short_int(r2)}")
         object.__setattr__(self, "cx", float(cx))
         object.__setattr__(self, "cy", float(cy))
         object.__setattr__(self, "r1", float(r1))

@@ -6,6 +6,7 @@ back to detections."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ def target_grid(shape) -> np.ndarray:
 
 
 def _check_stride(stride) -> None:
-    if not 1 <= stride < math.inf:
-        raise ValueError(f"stride must be finite and >= 1, got {stride}")
+    # Compared with the largest float, not inf: a whole number past the float
+    # range is refused here rather than overflowing in the first division.
+    if not 1 <= stride <= sys.float_info.max:
+        raise ValueError(f"stride must be finite and >= 1, got {short_int(stride)}")
 
 
 def gaussian_sigma(box: OrientedBox, stride: int) -> float:
@@ -58,7 +61,9 @@ def gaussian_sigma(box: OrientedBox, stride: int) -> float:
     +-3 sigma at output stride, floored at one cell.  Raises ValueError unless
     the stride is finite and >= 1."""
     _check_stride(stride)
-    return max(1.0, min(2.0 * box.r1, 2.0 * box.r2) / (6.0 * stride))
+    # min(r1, r2) / (3 stride) has the bits of the short side over 6 strides,
+    # and stays finite where twice the half-extent would overflow.
+    return max(1.0, min(box.r1, box.r2) / (3.0 * stride))
 
 
 def render_heatmap(objects, num_classes: int, height: int, width: int, stride: int) -> np.ndarray:
@@ -69,14 +74,16 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     on its output-grid cell with the object-adaptive sigma; overlaps combine
     by pointwise max, so the result does not depend on object order.  Each
     center holds exactly 1 from its own stamp: its cell is inside the grid, so
-    its window holds offset 0, where any sigma, even inf, stamps exp(-0.0) = 1.
+    its window holds offset 0, where any sigma stamps exp(-0.0) = 1.
     Only the window where the Gaussian does not underflow to 0.0 is written.
     Objects are visited grouped by sigma: each group computes one stamp over
     the integer offsets its clipped windows span and writes a slice of it
     into each window, and only one stamp is alive at a time.  A single
     object's stamp is exactly its window.  num_classes, height and width
-    must be whole numbers >= 0, else ValueError naming the argument.
+    must be whole numbers >= 0, else ValueError naming the argument, and the
+    stride is checked as in gaussian_sigma even when there are no objects.
     """
+    _check_stride(stride)
     num_classes = check_count("num_classes", num_classes, 0)
     height = check_count("height", height, 0)
     width = check_count("width", width, 0)
@@ -84,14 +91,15 @@ def render_heatmap(objects, num_classes: int, height: int, width: int, stride: i
     by_sigma = {}
     for box, cls in objects:
         if not (0 <= cls < num_classes and cls == int(cls)):
-            raise ShapeError(f"class {cls} outside [0, {num_classes}) or not a whole number")
+            raise ShapeError(f"class {short_int(cls)} outside [0, {short_int(num_classes)}) "
+                             "or not a whole number")
         cell_x, cell_y, _, _ = encode_offset(box.cx, box.cy, stride)
         if cell_x >= width or cell_y >= height:
             raise OutOfImageError(f"center cell ({short_int(cell_x)}, {short_int(cell_y)}) "
                                   f"outside {width}x{height} grid")
         by_sigma.setdefault(gaussian_sigma(box, stride), []).append((int(cls), cell_x, cell_y))
     for sigma, group in by_sigma.items():
-        # Capped at the grid size, which also keeps an infinite sigma finite.
+        # Capped at the grid size, which also keeps a reach that overflows finite.
         reach = math.ceil(min(sigma * math.sqrt(2.0 * EXP_UNDERFLOW_ARG), max(height, width)))
         classes, cx, cy = np.array(group).T
         # Each window as offsets from its center, clipped to the grid.
@@ -162,8 +170,9 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     and >= 0 and every target value lies in [0, 1], and InvalidLossError
     when the loss is not finite (a NaN cell).
     """
-    if not (0.0 <= alpha < math.inf and 0.0 <= gamma < math.inf):
-        raise ValueError(f"alpha and gamma must be finite and >= 0, got {alpha}, {gamma}")
+    if not (0.0 <= alpha <= sys.float_info.max and 0.0 <= gamma <= sys.float_info.max):
+        raise ValueError("alpha and gamma must be finite and >= 0, "
+                         f"got {short_int(alpha)}, {short_int(gamma)}")
     pred = np.asarray(pred, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     if y.ndim != 3:
@@ -263,7 +272,7 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
         raise ShapeError(f"expected a (C, H, W) heatmap, got shape {heat.shape}")
     k = check_count("k", k, 1)
     if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+        raise ValueError(f"threshold must be in [0, 1), got {short_int(threshold)}")
     h, w = heat.shape[1:]
     flat = heat.reshape(-1)
     cells = np.flatnonzero(flat >= threshold)
@@ -324,7 +333,8 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
         if not (0 <= cell_x < w and 0 <= cell_y < h
                 and cell_x == int(cell_x) and cell_y == int(cell_y)):
             raise OutOfImageError(
-                f"peak cell ({cell_x}, {cell_y}) is not a whole cell of the {w}x{h} maps"
+                f"peak cell ({short_int(cell_x)}, {short_int(cell_y)}) "
+                f"is not a whole cell of the {w}x{h} maps"
             )
         x, y = int(cell_x), int(cell_y)
         dx, dy = off[:, y, x]

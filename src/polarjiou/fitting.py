@@ -83,8 +83,8 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")
-    if not 0.0 < lr < math.inf:
-        raise ValueError(f"lr must be finite and positive, got {lr}")
+    if not 0.0 < lr <= sys.float_info.max:
+        raise ValueError(f"lr must be finite and positive, got {short_int(lr)}")
     max_iters = check_count("max_iters", max_iters, 1)
     target = canonicalize(target)
     pinned_target = _pinned_tuple(target)

@@ -349,10 +349,10 @@ class Detection:
     def __post_init__(self):
         try:
             score_ok = math.isfinite(self.score) and 0.0 <= self.score <= 1.0
-        except TypeError:
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
             score_ok = False
         if not score_ok:
-            raise InvalidBoxError(f"score must be finite in [0, 1], got {self.score}")
+            raise InvalidBoxError(f"score must be finite in [0, 1], got {short_int(self.score)}")
         try:
             category = int(self.category)
         except (TypeError, ValueError, OverflowError):
@@ -374,7 +374,7 @@ def rotated_nms(detections, iou_threshold: float):
     score with the same stable tie-break.
     """
     if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+        raise ValueError(f"iou_threshold must be in (0, 1), got {short_int(iou_threshold)}")
     dets = list(detections)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     buckets = {}

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from polarjiou import (
@@ -34,6 +35,12 @@ from polarjiou.oracle import (
     _ellipse_aabb,
     _rect_aabb,
 )
+
+# Whole numbers just and far past the float range, with the texts that
+# errors.short_int gives them.
+PAST_FLOAT_RANGE = [pytest.param(2**1024, "1.79769e+308", id="2**1024"),
+                    pytest.param(10**400, "1e+400", id="10**400")]
+SIGNED_PAST_FLOAT_RANGE = [*PAST_FLOAT_RANGE, pytest.param(-(10**400), "-1e+400", id="-10**400")]
 
 
 def finite_floats(lo, hi):

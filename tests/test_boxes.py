@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from helpers import (
+    SIGNED_PAST_FLOAT_RANGE,
     boxes,
     random_box,
     reference_canonicalize,
@@ -56,6 +57,23 @@ class TestOrientedBox:
         with pytest.raises(InvalidBoxError) as exc:
             OrientedBox(0.0, np.float64(0.5), np.float64(1e308), np.float64(np.inf), 0.9)
         assert str(exc.value) == "non-finite box parameters (0.0, 0.5, 1e+308, inf, 0.9)"
+
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("value, text", SIGNED_PAST_FLOAT_RANGE)
+    def test_rejects_whole_numbers_past_the_float_range(self, field, value, text):
+        """A whole number math.isfinite cannot convert is refused like inf,
+        printed in short form."""
+        vals = [1, 2, 3, 1.5, 0.5]
+        vals[field] = value
+        with pytest.raises(InvalidBoxError) as exc:
+            OrientedBox(*vals)
+        shown = ", ".join(text if k == field else str(v) for k, v in enumerate(vals))
+        assert str(exc.value) == f"non-finite box parameters ({shown})"
+
+    def test_huge_negative_extent_text_is_short(self):
+        with pytest.raises(InvalidBoxError) as exc:
+            OrientedBox(0, 0, 2, -(10**30), 0)
+        assert str(exc.value) == "half-extents must be positive, got r1=2, r2=-1e+30"
 
     def test_coerces_to_float(self):
         """int, np.float32 and np.float64 in each field are stored as Python

@@ -3,6 +3,7 @@ and the peak-extraction decode path."""
 
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -26,7 +27,13 @@ from polarjiou import (
     smooth_l1,
     total_loss,
 )
-from helpers import boxes, reference_extract_peaks, reference_heatmap, reference_smooth_l1
+from helpers import (
+    PAST_FLOAT_RANGE,
+    boxes,
+    reference_extract_peaks,
+    reference_heatmap,
+    reference_smooth_l1,
+)
 from polarjiou.codec import DEFAULT_MU, EXP_UNDERFLOW_ARG, target_grid
 from polarjiou.errors import (
     GridAllocationError,
@@ -74,6 +81,43 @@ class TestGaussianSigma:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="stride must be finite and >= 1"):
                 gaussian_sigma(OrientedBox(0, 0, 48, 24, 0), stride)
+
+    def test_finite_for_the_largest_boxes(self):
+        """Twice a short side past about 9e307 would overflow; the sigma
+        does not."""
+        box = OrientedBox(0, 0, 1.7e308, 1.6e308, 0)
+        assert gaussian_sigma(box, 4) == 1.6e308 / 12.0
+
+    def test_bits_of_the_short_side_over_six_strides(self):
+        """Doubling both operands of the division keeps its rounding, so the
+        sigma has the bits of min(2 r1, 2 r2) / (6 stride) wherever those
+        stay finite."""
+        rng = np.random.default_rng(35)
+        for _ in range(2000):
+            r1, r2 = 10.0 ** rng.uniform(-100.0, 300.0, size=2)
+            stride = 10.0 ** rng.uniform(0, 300) if rng.random() < 0.5 else int(rng.integers(1, 64))
+            expected = max(1.0, min(2.0 * r1, 2.0 * r2) / (6.0 * stride))
+            assert gaussian_sigma(OrientedBox(0, 0, r1, r2, 0.3), stride) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda stride: encode_offset(1.0, 1.0, stride),
+    lambda stride: gaussian_sigma(OrientedBox(0, 0, 48, 24, 0), stride),
+    lambda stride: render_heatmap([(OrientedBox(5, 5, 2, 1, 0), 0)], 1, 4, 4, stride),
+    lambda stride: decode_detections([(0, 1, 1, 0.9)], np.zeros((2, 4, 4)),
+                                     np.ones((3, 4, 4)), stride),
+], ids=["encode_offset", "gaussian_sigma", "render_heatmap", "decode_detections"])
+@pytest.mark.parametrize("stride, text", PAST_FLOAT_RANGE)
+def test_stride_past_the_float_range_rejected(call, stride, text):
+    """A whole-number stride past the largest float is refused with the
+    stride's ValueError, not an OverflowError from the first division."""
+    with pytest.raises(ValueError) as info:
+        call(stride)
+    assert str(info.value) == f"stride must be finite and >= 1, got {text}"
+
+
+def test_largest_float_stride_accepted():
+    assert gaussian_sigma(OrientedBox(0, 0, 48, 24, 0), int(sys.float_info.max)) == 1.0
 
 
 class TestRenderHeatmap:
@@ -141,6 +185,19 @@ class TestRenderHeatmap:
         box = OrientedBox(40, 40, 8, 4, 0)
         with pytest.raises(ShapeError):
             render_heatmap([(box, 5)], 2, 32, 32, 4)
+
+    def test_huge_class_text_is_short(self):
+        with pytest.raises(ShapeError) as info:
+            render_heatmap([(OrientedBox(1, 1, 2, 1, 0), 10**400)], 2, 4, 4, 1)
+        assert str(info.value) == "class 1e+400 outside [0, 2) or not a whole number"
+
+    @pytest.mark.parametrize("encode", [render_heatmap, encode_targets])
+    @pytest.mark.parametrize("stride", [0, -3, math.nan, math.inf])
+    def test_bad_stride_rejected_without_objects(self, encode, stride):
+        """The stride is checked even when no object would use it, as
+        encode_decode_roundtrip checks it."""
+        with pytest.raises(ValueError, match="stride must be finite and >= 1"):
+            encode([], 1, 4, 4, stride)
 
     def test_fractional_class_rejected(self):
         """A class that is not a whole number is refused, not truncated
@@ -250,10 +307,10 @@ class TestWindowedHeatmap:
                          reference_heatmap(objs, 5, height, width, stride))
 
     def test_stamps_shared_across_sigmas(self, monkeypatch):
-        """One call mixing repeated sigmas, distinct sigmas, an infinite
-        sigma and objects on every grid corner: each stamp is computed once
-        per sigma and sliced per object, and the values are the full-grid
-        evaluation bit for bit."""
+        """One call mixing repeated sigmas, distinct sigmas, a sigma whose
+        reach overflows to inf and objects on every grid corner: each stamp
+        is computed once per sigma and sliced per object, and the values are
+        the full-grid evaluation bit for bit."""
         height, width, stride = 50, 70, 4
         fx, fy = width * stride - 0.5, height * stride - 0.5
         corners = [(0.0, 0.0), (fx, 0.0), (0.0, fy), (fx, fy)]
@@ -261,11 +318,12 @@ class TestWindowedHeatmap:
         objs += [(OrientedBox(x, y, 90.0, 60.0, -0.3), 2) for x, y in corners]
         objs += [(OrientedBox(100.0 + 9 * k, 80.0 + 5 * k, 5.0 * k, 4.0 * k, 0.1), k % 3)
                  for k in range(1, 12)]
-        # Infinite sigma on a corner: its stamp must reach the far side.
+        # The largest sigma on a corner: its stamp must reach the far side.
         objs.append((OrientedBox(0.5, fy, 1e308, 1e308, 0.0), 3))
         sigmas = [gaussian_sigma(box, stride) for box, _ in objs]
         assert sigmas.count(1.0) >= 4 and sigmas.count(sigmas[4]) == 4
-        assert math.isinf(sigmas[-1]) and len(set(sigmas)) > 8
+        assert sigmas[-1] == 1e308 / 12.0 and len(set(sigmas)) > 8
+        assert math.isinf(sigmas[-1] * math.sqrt(2.0 * EXP_UNDERFLOW_ARG))
         exp_calls = []
 
         def counted_exp(x, *args, **kwargs):
@@ -456,6 +514,17 @@ class TestFocalLoss:
                 with pytest.raises(ValueError, match="alpha and gamma must be finite and >= 0"):
                     focal_loss(pred, target, **{name: value})
         assert focal_loss(pred, target, 0.0, 0.0) == pytest.approx(math.log(2), abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma"])
+    @pytest.mark.parametrize("value, text", PAST_FLOAT_RANGE)
+    def test_focal_exponents_past_the_float_range(self, name, value, text):
+        """A whole number past the largest float is refused, not raised to."""
+        pred, target = np.full((1, 1, 1), 0.5), self.single_cell_target()
+        exponents = {"alpha": 4.0, "gamma": 2.0, name: value}
+        with pytest.raises(ValueError) as info:
+            focal_loss(pred, target, **exponents)
+        shown = ", ".join(text if k == name else str(v) for k, v in exponents.items())
+        assert str(info.value) == f"alpha and gamma must be finite and >= 0, got {shown}"
 
 
 class TestSmoothL1:
@@ -656,6 +725,11 @@ class TestExtractPeaks:
         with pytest.raises(ShapeError):
             extract_peaks(np.zeros((3, 3)))
 
+    def test_huge_threshold_text_is_short(self):
+        with pytest.raises(ValueError) as info:
+            extract_peaks(np.zeros((1, 3, 3)), threshold=10**400)
+        assert str(info.value) == "threshold must be in [0, 1), got 1e+400"
+
     def test_whole_float_k(self):
         heat = render_heatmap([(OrientedBox(9.0 + 20 * i, 9.0, 4.0, 2.0, 0.0), 0)
                                for i in range(4)], 1, 8, 24, 4)
@@ -804,6 +878,12 @@ class TestDecodeDetections:
         offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
         with pytest.raises(OutOfImageError, match=r"peak cell .* of the 5x4 maps"):
             decode_detections([(0, *cell, 0.9)], offset, params, 4)
+
+    def test_huge_peak_cell_text_is_short(self):
+        offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
+        with pytest.raises(OutOfImageError) as info:
+            decode_detections([(0, 2, -(10**400), 0.9)], offset, params, 4)
+        assert str(info.value) == "peak cell (2, -1e+400) is not a whole cell of the 5x4 maps"
 
     def test_whole_float_peak_cell_reads_that_cell(self):
         offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))

@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 import polarjiou.fitting
-from helpers import dyadic, reference_fit_box
+from helpers import PAST_FLOAT_RANGE, dyadic, reference_fit_box
 from polarjiou import OrientedBox, fit_box, jiou_bar, smooth_l1
 from polarjiou.errors import EmptyBatchError, InvalidBoxError, short_int
 from polarjiou.loss import RATIO_FLOOR, JiouValue
@@ -127,6 +127,13 @@ class TestFitBox:
             with pytest.raises(ValueError, match="lr"):
                 fit_box(OrientedBox(0, 0, 6, 2, 0.9), OrientedBox(0, 0, 6, 2, 0.1), "jiou",
                         lr=lr)
+
+    @pytest.mark.parametrize("lr, text", PAST_FLOAT_RANGE)
+    def test_lr_past_the_float_range_rejected(self, lr, text):
+        """Refused before the first step, which would overflow converting it."""
+        with pytest.raises(ValueError) as info:
+            fit_box(OrientedBox(0, 0, 6, 2, 0.9), OrientedBox(0, 0, 6, 2, 0.1), "jiou", lr=lr)
+        assert str(info.value) == f"lr must be finite and positive, got {text}"
 
     def test_whole_float_max_iters(self):
         init, target = OrientedBox(0, 0, 6, 2, 0.9), OrientedBox(0, 0, 6, 2, 0.1)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import polarjiou.fitting
 import polarjiou.oracle
 from helpers import (
+    SIGNED_PAST_FLOAT_RANGE,
     finite_floats,
     mc_agreement_pairs,
     random_box,
@@ -1008,6 +1009,13 @@ class TestDetection:
         det = Detection(box, np.float32(0.5), 0)
         assert type(det.score) is float and det.score == 0.5
 
+    @pytest.mark.parametrize("score, text", SIGNED_PAST_FLOAT_RANGE)
+    def test_score_past_the_float_range(self, score, text):
+        """A whole number math.isfinite cannot convert is refused like inf."""
+        with pytest.raises(InvalidBoxError) as info:
+            Detection(OrientedBox(0, 0, 1, 1, 0), score, 0)
+        assert str(info.value) == f"score must be finite in [0, 1], got {text}"
+
     def test_category_must_be_a_whole_number(self):
         """1.5 and -0.5 are not truncated to 1 and 0, so a category-1.5
         detection never meets a category-1.2 one in rotated_nms."""
@@ -1113,3 +1121,8 @@ class TestRotatedNms:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 rotated_nms([Detection(box, 0.5, 0)], bad)
+
+    def test_huge_threshold_text_is_short(self):
+        with pytest.raises(ValueError) as info:
+            rotated_nms([], 10**400)
+        assert str(info.value) == "iou_threshold must be in (0, 1), got 1e+400"
