@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError, short_int
+from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError, finite, short_int
 
 HALF_PI = math.pi / 2
 
@@ -41,23 +41,15 @@ class OrientedBox:
     phi: float
 
     def __init__(self, cx: float, cy: float, r1: float, r2: float, phi: float):
-        # The values are checked as given, then each field is set once, as a float.
-        try:
-            finite = (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(r1)
-                      and math.isfinite(r2) and math.isfinite(phi))
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
+        # The values are checked as given, then the fields are set at once, as floats.
+        if not finite(cx, cy, r1, r2, phi):
             vals = ", ".join(map(short_int, (cx, cy, r1, r2, phi)))
             raise InvalidBoxError(f"non-finite box parameters ({vals})")
         if r1 <= 0 or r2 <= 0:
             raise InvalidBoxError("half-extents must be positive, "
                                   f"got r1={short_int(r1)}, r2={short_int(r2)}")
-        object.__setattr__(self, "cx", float(cx))
-        object.__setattr__(self, "cy", float(cy))
-        object.__setattr__(self, "r1", float(r1))
-        object.__setattr__(self, "r2", float(r2))
-        object.__setattr__(self, "phi", float(phi))
+        self.__dict__.update(cx=float(cx), cy=float(cy), r1=float(r1), r2=float(r2),
+                             phi=float(phi))
 
 
 def canonicalize(box: OrientedBox) -> OrientedBox:
@@ -108,9 +100,7 @@ def decode_corners(box: OrientedBox) -> np.ndarray:
     x0, y0, x1, y1 = x0 + cx, y0 + cy, x1 + cx, y1 + cy
     x2, y2, x3, y3 = x2 + cx, y2 + cy, x3 + cx, y3 + cy
     # Corner by corner: a sum of the coordinates can overflow while every corner is finite.
-    fin = math.isfinite
-    if not (fin(x0) and fin(y0) and fin(x1) and fin(y1)
-            and fin(x2) and fin(y2) and fin(x3) and fin(y3)):
+    if not finite(x0, y0, x1, y1, x2, y2, x3, y3):
         raise InvalidBoxError("non-finite corner coordinates")
     quad = np.array([(x0, y0), (x1, y1), (x2, y2), (x3, y3)])
     quad.setflags(write=False)
@@ -131,8 +121,12 @@ def signed_area(corners) -> float:
 
 
 def _corner_array(quad) -> np.ndarray:
-    """quad as a (4, 2) float64 array; InvalidBoxError on any other shape."""
-    quad = np.asarray(quad, dtype=np.float64)
+    """quad as a (4, 2) float64 array; InvalidBoxError on any other shape,
+    and on a coordinate that is an int past the float range."""
+    try:
+        quad = np.asarray(quad, dtype=np.float64)
+    except OverflowError:
+        raise InvalidBoxError("non-finite corner coordinates") from None
     if quad.shape != (4, 2):
         raise InvalidBoxError(f"corner array must have shape (4, 2), got {quad.shape}")
     return quad
@@ -146,7 +140,8 @@ def corners_to_box(quad) -> OrientedBox:
     longer averaged edge becomes the r1 axis; for squares the first edge in
     annotation order wins.  Warns when adjacent edges are far from
     orthogonal, raises on degenerate (zero-area or segment-like) quads and
-    InvalidBoxError on a wrong shape or a non-finite corner.
+    InvalidBoxError on a wrong shape or a non-finite corner (an int past
+    the float range included).
     """
     quad = _corner_array(quad)
     if not np.all(np.isfinite(quad)):
@@ -191,15 +186,16 @@ def corner_set_distance(a, b) -> float:
 
     Both traversal directions are tried, so the comparison is insensitive to
     starting corner and winding.  a and b are (4, 2) array-likes; another
-    shape or a non-finite corner raises InvalidBoxError, and OverflowError
-    is raised when even the smallest deviation exceeds the float64 range.
+    shape or a non-finite corner (an int past the float range included)
+    raises InvalidBoxError, and OverflowError is raised when even the
+    smallest deviation exceeds the float64 range.
     """
     pa, pb = _corner_array(a), _corner_array(b)
     # A non-finite corner makes every shift's deviation NaN or inf, so only
     # a non-finite result needs the corners looked at.
     with np.errstate(over="ignore", invalid="ignore"):
         distance = float(np.abs(pb.ravel()[_CORNER_ORDERS] - pa.ravel()).max(axis=1).min())
-    if math.isfinite(distance):
+    if finite(distance):
         return distance
     if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
         raise InvalidBoxError("non-finite corner coordinates")
@@ -210,8 +206,8 @@ def phi_distance(a: float, b: float) -> float:
     """Angle distance modulo pi, in [0, pi/2], finite for any two finite angles:
     each is reduced modulo pi first, which keeps angles in [-pi/2, pi/2] as they are.
     ValueError naming both angles when either is not finite."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"angles must be finite, got a={a} and b={b}")
+    if not finite(a, b):
+        raise ValueError(f"angles must be finite, got a={short_int(a)} and b={short_int(b)}")
     return abs(math.remainder(math.remainder(a, math.pi) - math.remainder(b, math.pi), math.pi))
 
 
@@ -231,7 +227,7 @@ def parse_dota_record(line: str, lineno: int | None = None):
         coords = [float(tok) for tok in fields[:8]]
     except ValueError:
         raise AnnotationError(f"non-numeric corner coordinate in {line!r}", lineno) from None
-    if not all(math.isfinite(v) for v in coords):
+    if not finite(*coords):
         raise AnnotationError(f"non-finite corner coordinate in {line!r}", lineno)
     category = fields[8]
     try:

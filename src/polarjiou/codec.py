@@ -6,7 +6,6 @@ back to detections."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import (
     OutOfImageError,
     ShapeError,
     check_count,
+    finite,
     short_int,
 )
 from .oracle import Detection
@@ -40,8 +40,10 @@ EXP_UNDERFLOW_ARG = 750.0
 
 def target_grid(shape) -> np.ndarray:
     """A zero float64 grid; GridAllocationError when it cannot be allocated."""
-    # Past intp's byte range numpy raises ValueError, not MemoryError.
-    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+    # Past intp numpy raises ValueError, not MemoryError: for the byte count,
+    # and for one size past intp even when another size is 0.
+    limit = np.iinfo(np.intp).max
+    if max(shape) > limit or math.prod(shape) > limit // 8:
         raise GridAllocationError(shape)
     try:
         return np.zeros(shape)
@@ -50,9 +52,7 @@ def target_grid(shape) -> np.ndarray:
 
 
 def _check_stride(stride) -> None:
-    # Compared with the largest float, not inf: a whole number past the float
-    # range is refused here rather than overflowing in the first division.
-    if not 1 <= stride <= sys.float_info.max:
+    if not (finite(stride) and stride >= 1):
         raise ValueError(f"stride must be finite and >= 1, got {short_int(stride)}")
 
 
@@ -170,7 +170,7 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     and >= 0 and every target value lies in [0, 1], and InvalidLossError
     when the loss is not finite (a NaN cell).
     """
-    if not (0.0 <= alpha <= sys.float_info.max and 0.0 <= gamma <= sys.float_info.max):
+    if not (finite(alpha, gamma) and alpha >= 0.0 and gamma >= 0.0):
         raise ValueError("alpha and gamma must be finite and >= 0, "
                          f"got {short_int(alpha)}, {short_int(gamma)}")
     pred = np.asarray(pred, dtype=np.float64)
@@ -191,7 +191,7 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
         pos_term = np.sum((1.0 - pt[pos]) ** gamma * np.log(pt[pos]))
         neg_term = np.sum((1.0 - y[neg]) ** alpha * pt[neg] ** gamma * np.log1p(-pt[neg]))
     loss = float(-(pos_term + neg_term) / n_pos) + 0.0
-    if not math.isfinite(loss):
+    if not finite(loss):
         raise InvalidLossError(f"non-finite focal loss {loss}")
     return loss
 
@@ -211,7 +211,8 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
     each a tuple, list or 1-D array of five numbers: a component difference
     d costs 0.5*d^2 below 1 and |d| - 0.5 above, summed over the five.
     Raises ShapeError for anything else (a 2-D array, nested lists, four or
-    six components) and InvalidLossError when the sum is not finite."""
+    six components) and InvalidLossError when a component is an int past
+    the float range or the sum is not finite."""
     try:
         # A tuple (fit_box's form) is read as it is, anything else through
         # numpy: a str is one number there, and what is not 1-D becomes nested
@@ -223,10 +224,12 @@ def smooth_l1(pred_tuple, target_tuple) -> float:
         p, t = [*map(float, pred_tuple)], [*map(float, target_tuple)]
     except (TypeError, ValueError):
         p = t = ()
+    except OverflowError:  # an int past the float range
+        raise InvalidLossError("non-finite SmoothL1 component") from None
     if len(p) != 5 or len(t) != 5:
         raise ShapeError("smooth_l1 takes two tuples of five numbers")
     total = _row_sum(p, t)
-    if not math.isfinite(total):
+    if not finite(total):
         raise InvalidLossError(f"non-finite SmoothL1 loss {total}")
     return total
 
@@ -238,12 +241,13 @@ def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> f
     inputs overflow.
     """
     parts = (cla, jiou, reg, mu)
-    if not all(math.isfinite(v) for v in parts):
-        raise InvalidLossError(f"non-finite loss components {parts}")
+    if not finite(*parts):
+        raise InvalidLossError(f"non-finite loss components ({', '.join(map(short_int, parts))})")
     with np.errstate(over="ignore"):  # numpy scalars would warn before the raise
         total = float(cla + mu * jiou + reg) + 0.0
-    if not math.isfinite(total):
-        raise InvalidLossError(f"loss components {parts} overflow to {total}")
+    if not finite(total):
+        raise InvalidLossError(f"loss components ({', '.join(map(short_int, parts))}) "
+                               f"overflow to {total}")
     return total
 
 
@@ -299,10 +303,11 @@ def encode_offset(cx: float, cy: float, stride: int):
     Raises ValueError unless the stride is finite and >= 1.
     """
     _check_stride(stride)
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise InvalidBoxError(f"non-finite center ({cx}, {cy})")
+    if not finite(cx, cy):
+        raise InvalidBoxError(f"non-finite center ({short_int(cx)}, {short_int(cy)})")
     if cx < 0 or cy < 0:
-        raise OutOfImageError(f"center ({cx}, {cy}) has negative coordinates")
+        raise OutOfImageError(f"center ({short_int(cx)}, {short_int(cy)}) "
+                              "has negative coordinates")
     gx, gy = cx / stride, cy / stride
     cell_x, cell_y = math.floor(gx), math.floor(gy)
     return cell_x, cell_y, gx - cell_x, gy - cell_y

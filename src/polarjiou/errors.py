@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of count arguments."""
+"""Exception types shared across the package, and the count and finiteness checks."""
 
 import math
 
@@ -31,6 +31,16 @@ def check_count(name: str, value, minimum: int) -> int:
     if not (minimum <= value < math.inf and value == int(value)):
         raise ValueError(f"{name} must be a whole number >= {minimum}, got {short_int(value)}")
     return int(value)
+
+
+def finite(*values) -> bool:
+    """True when math.isfinite holds for every value.  An int past the float
+    range reads as not finite; a value that is not a real number (a str)
+    raises TypeError.  The one finiteness test for scalars in the package."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int past the float range
+        return False
 
 
 class InvalidBoxError(ValueError):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .boxes import HALF_PI, OrientedBox, canonicalize
 from .codec import smooth_l1
-from .errors import EmptyBatchError, check_count, short_int
+from .errors import EmptyBatchError, check_count, finite, short_int
 from .loss import DEFAULT_N, jiou_bar, jiou_gradient
 from .oracle import exact_rect_iou, mc_ellipse_iou
 
@@ -83,7 +83,7 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")
-    if not 0.0 < lr <= sys.float_info.max:
+    if not (finite(lr) and lr > 0.0):
         raise ValueError(f"lr must be finite and positive, got {short_int(lr)}")
     max_iters = check_count("max_iters", max_iters, 1)
     target = canonicalize(target)

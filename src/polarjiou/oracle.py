@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
-from .errors import InsufficientSamplesError, InvalidBoxError, check_count, short_int
+from .errors import InsufficientSamplesError, InvalidBoxError, check_count, finite, short_int
 from .polar import check_extents
 
 # An intersection counts as empty below this fraction of the two boxes'
@@ -263,7 +263,7 @@ def _mc_iou(a, b, samples, seed, contains, aabb):
     (bx0, by0), (bx1, by1) = aabb(b)
     x0, y0 = min(ax0, bx0), min(ay0, by0)
     w, h = max(ax1, bx1) - x0, max(ay1, by1) - y0
-    if not (math.isfinite(w) and math.isfinite(h)):
+    if not finite(w, h):
         raise OverflowError("Range exceeds valid bounds")
     chunks = -(-samples // MC_CHUNK)
     # A Generator or BitGenerator seed is one stream shared with the caller,
@@ -337,7 +337,7 @@ def mc_rect_iou(a: OrientedBox, b: OrientedBox, samples: int, seed: int):
     return _mc_iou(a, b, samples, seed, _rect_contains, _rect_aabb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Detection:
     """A scored, categorized oriented box: InvalidBoxError unless the score is
     finite in [0, 1] and the category a whole number (2.0 and True count)."""
@@ -346,21 +346,21 @@ class Detection:
     score: float
     category: int
 
-    def __post_init__(self):
+    def __init__(self, box: OrientedBox, score: float, category: int):
+        # The values are checked as given, then the fields are set at once.
         try:
-            score_ok = math.isfinite(self.score) and 0.0 <= self.score <= 1.0
-        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            score_ok = finite(score) and 0.0 <= score <= 1.0
+        except TypeError:  # not a number
             score_ok = False
         if not score_ok:
-            raise InvalidBoxError(f"score must be finite in [0, 1], got {short_int(self.score)}")
+            raise InvalidBoxError(f"score must be finite in [0, 1], got {short_int(score)}")
         try:
-            category = int(self.category)
+            whole = int(category)
         except (TypeError, ValueError, OverflowError):
-            category = None
-        if category is None or category != self.category:
-            raise InvalidBoxError(f"category must be a whole number, got {self.category!r}")
-        object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "category", category)
+            whole = None
+        if whole is None or whole != category:
+            raise InvalidBoxError(f"category must be a whole number, got {category!r}")
+        self.__dict__.update(box=box, score=float(score), category=whole)
 
 
 def rotated_nms(detections, iou_threshold: float):

@@ -96,11 +96,14 @@ def radius_at(box: OrientedBox, theta):
     r1 exactly, with no trig: the trig form would add phi-dependent rounding,
     so equal circles would get profiles that differ in the last bit.
     Accepts a scalar, which gives a float, or an array of angles, which
-    gives a new array.  ValueError naming theta when an angle is NaN or
-    infinite; InvalidBoxError when a half-extent lies outside
-    [MIN_EXTENT, MAX_EXTENT].
+    gives a new array.  ValueError naming theta when an angle is NaN,
+    infinite or an int past the float range; InvalidBoxError when a
+    half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    try:
+        theta = np.asarray(theta, dtype=np.float64)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"theta must be finite angles, got {short_int(theta)}") from None
     # The shared grid is finite by construction.
     if theta is not _shared_grid and not np.isfinite(theta).all():
         raise ValueError(f"theta must be finite angles, got {theta}")

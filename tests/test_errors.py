@@ -1,8 +1,35 @@
-"""The short form of huge integers in error texts."""
+"""The short form of huge integers in error texts, and the one finiteness
+rule: a whole number past the float range is not finite, and every public
+call that converts it raises a typed error instead of a bare OverflowError."""
 
+import math
+import sys
+import warnings
+
+import numpy as np
 import pytest
 
-from polarjiou.errors import MAX_PRINTED_DIGITS, check_count, short_int
+from helpers import SIGNED_PAST_FLOAT_RANGE
+from polarjiou import (
+    OrientedBox,
+    corner_set_distance,
+    corners_to_box,
+    encode_offset,
+    phi_distance,
+    radius_at,
+    render_heatmap,
+    smooth_l1,
+    total_loss,
+)
+from polarjiou.errors import (
+    MAX_PRINTED_DIGITS,
+    GridAllocationError,
+    InvalidBoxError,
+    InvalidLossError,
+    check_count,
+    finite,
+    short_int,
+)
 
 
 SHORT_FORMS = [
@@ -40,3 +67,83 @@ def test_check_count_text_is_short():
     with pytest.raises(ValueError) as info:
         check_count("num_cases", -(10**400), 0)
     assert str(info.value) == "num_cases must be a whole number >= 0, got -1e+400"
+
+
+FINITE_CASES = [
+    pytest.param((0, 1.5, -2), True, id="small"),
+    pytest.param((sys.float_info.max, -sys.float_info.max), True, id="largest-float"),
+    pytest.param((int(sys.float_info.max), 10**308), True, id="int-inside-range"),
+    pytest.param((np.float64(1.0), np.float32(2.5), np.int64(-3)), True, id="numpy-scalars"),
+    pytest.param((2**1024,), False, id="2**1024"),
+    pytest.param((10**400,), False, id="10**400"),
+    pytest.param((-(10**400),), False, id="-10**400"),
+    pytest.param((1.0, 10**400), False, id="one-past-range"),
+    pytest.param((math.nan,), False, id="nan"),
+    pytest.param((1.0, math.inf), False, id="inf"),
+    pytest.param((-math.inf,), False, id="-inf"),
+    pytest.param((np.float64(np.inf),), False, id="numpy-inf"),
+    pytest.param((np.float32(np.nan),), False, id="numpy-nan"),
+]
+
+
+@pytest.mark.parametrize("values, expected", FINITE_CASES)
+def test_finite(values, expected):
+    assert finite(*values) is expected
+
+
+def test_finite_refuses_a_str():
+    with pytest.raises(TypeError):
+        finite(1.0, "1.0")
+
+
+QUAD = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+
+
+def _quad_with(value):
+    return [[0.0, 0.0], [2.0, 0.0], [2.0, value], [0.0, 1.0]]
+
+
+# Each call with a whole number past the float range in one argument: the
+# error type it documents, and its text with the value as errors.short_int
+# prints it.
+PAST_RANGE_CALLS = {
+    "phi_distance": (lambda v: phi_distance(0.0, v), ValueError,
+                     "angles must be finite, got a=0.0 and b={}"),
+    "total_loss": (lambda v: total_loss(0.5, v, 0.0), InvalidLossError,
+                   "non-finite loss components (0.5, {}, 0.0, 5.0)"),
+    "encode_offset": (lambda v: encode_offset(3.0, v, 4), InvalidBoxError,
+                      "non-finite center (3.0, {})"),
+    "smooth_l1": (lambda v: smooth_l1((0.0, 1.0, 1.0, 0.0, v), [0.0, 1.0, 1.0, 0.0, 0.0]),
+                  InvalidLossError, "non-finite SmoothL1 component"),
+    "radius_at": (lambda v: radius_at(OrientedBox(0, 0, 2, 1, 0.3), v), ValueError,
+                  "theta must be finite angles, got {}"),
+    "corners_to_box": (lambda v: corners_to_box(_quad_with(v)), InvalidBoxError,
+                       "non-finite corner coordinates"),
+    "corner_set_distance": (lambda v: corner_set_distance(QUAD, _quad_with(v)),
+                            InvalidBoxError, "non-finite corner coordinates"),
+}
+
+
+@pytest.mark.parametrize("name", PAST_RANGE_CALLS)
+@pytest.mark.parametrize("value, text", SIGNED_PAST_FLOAT_RANGE)
+def test_whole_number_past_the_float_range_raises_typed_error(name, value, text):
+    """Not a bare OverflowError from the conversion to float, and no numpy warning."""
+    call, error, message = PAST_RANGE_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(text)
+
+
+@pytest.mark.parametrize("shape", [(2**63, 0, 4), (0, 2**63, 0), (10**400, 0, 0)],
+                         ids=["classes-2**63", "height-2**63", "classes-10**400"])
+def test_size_past_intp_is_a_grid_allocation_error(shape):
+    """One size past intp with another size 0 asks for no bytes, and numpy
+    still refuses the shape; it is refused as the docstring promises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridAllocationError) as info:
+            render_heatmap([], *shape, 1)
+    assert info.value.shape == shape

@@ -55,6 +55,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_errors_decides_what_is_finite():
+    """errors.finite is the one scalar finiteness test: no other module calls
+    math.isfinite (under any import form) or compares with sys.float_info, so
+    the rule for an int past the float range cannot split again.  numpy's
+    elementwise np.isfinite is not a scalar test and may appear anywhere."""
+    rule = re.compile(r"(?<!np\.)\bisfinite\b|\bfloat_info\b")
+    found = [f"{path.name}:{lineno}: {line.strip()}"
+             for path in sorted((SRC / "polarjiou").glob("*.py")) if path.name != "errors.py"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if rule.search(line)]
+    assert found == []
+
+
 def test_import_loads_only_numpy_beyond_the_standard_library():
     """The runtime is numpy-only: in a fresh interpreter, importing the
     package loads no other third-party top-level package.  Modules the
