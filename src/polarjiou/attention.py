@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GroupingError, ShapeError
+from .errors import GroupingError, ShapeError, float_array
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -24,15 +24,16 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
     Each of the m maps is a finite (c/m, c) matrix producing that group's
     logits from the finite length-c descriptor, c >= 1; the softmax is taken
     within the group.  Returns the (m, c/m) weights, each row summing to 1;
-    raises ShapeError when a logit overflows.
+    raises ShapeError when a value is not finite (an int past the float
+    range included) or a logit overflows.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = float_array(w, ShapeError, "non-finite descriptor values")
     if w.ndim != 1:
         raise ShapeError(f"descriptor must be a vector, got shape {w.shape}")
     if w.size == 0:
         raise ShapeError("descriptor is empty: need at least one channel")
     _finite(w, "descriptor")
-    maps = [np.asarray(mp, dtype=np.float64) for mp in per_group_maps]
+    maps = [float_array(mp, ShapeError, "non-finite group map values") for mp in per_group_maps]
     m = len(maps)
     if m < 1:
         raise GroupingError("need at least one group map")

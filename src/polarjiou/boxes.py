@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnnotationError, DegenerateQuadError, InvalidBoxError, finite, short_int
+from .errors import (AnnotationError, DegenerateQuadError, InvalidBoxError, finite, float_array,
+                     short_int)
 
 HALF_PI = math.pi / 2
 
@@ -111,22 +112,23 @@ def signed_area(corners) -> float:
     """Signed polygon area, positive for counterclockwise traversal on screen.
 
     On-screen means the image frame (y down), so corner quads decoded from a
-    box come out negative: they run clockwise.
+    box come out negative: they run clockwise.  InvalidBoxError when a
+    coordinate is an int past the float range.
     """
     pts = list(corners)
     acc = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-        acc += x1 * y0 - x0 * y1
-    return 0.5 * float(acc)
+    try:
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            acc += x1 * y0 - x0 * y1
+        return 0.5 * float(acc)
+    except OverflowError:  # only an int converts with this error; floats overflow to inf
+        raise InvalidBoxError("non-finite corner coordinates") from None
 
 
 def _corner_array(quad) -> np.ndarray:
     """quad as a (4, 2) float64 array; InvalidBoxError on any other shape,
     and on a coordinate that is an int past the float range."""
-    try:
-        quad = np.asarray(quad, dtype=np.float64)
-    except OverflowError:
-        raise InvalidBoxError("non-finite corner coordinates") from None
+    quad = float_array(quad, InvalidBoxError, "non-finite corner coordinates")
     if quad.shape != (4, 2):
         raise InvalidBoxError(f"corner array must have shape (4, 2), got {quad.shape}")
     return quad

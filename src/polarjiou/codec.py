@@ -19,6 +19,7 @@ from .errors import (
     ShapeError,
     check_count,
     finite,
+    float_array,
     short_int,
 )
 from .oracle import Detection
@@ -168,13 +169,14 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     divided by the positive count, floored at one; a loss whose terms all
     underflow is +0.0.  Raises ValueError unless alpha and gamma are finite
     and >= 0 and every target value lies in [0, 1], and InvalidLossError
-    when the loss is not finite (a NaN cell).
+    when a prediction is an int past the float range or the loss is not
+    finite (a NaN cell).
     """
     if not (finite(alpha, gamma) and alpha >= 0.0 and gamma >= 0.0):
         raise ValueError("alpha and gamma must be finite and >= 0, "
                          f"got {short_int(alpha)}, {short_int(gamma)}")
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
+    pred = float_array(pred, InvalidLossError, "non-finite heatmap prediction {}")
+    y = float_array(target, ValueError, "target values must lie in [0, 1], got {}")
     if y.ndim != 3:
         raise ShapeError(f"target must be a (C, H, W) heatmap, got shape {y.shape}")
     if pred.shape != y.shape:
@@ -270,8 +272,12 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
     grids.  A map where most cells pass is the worst case: 14 ms when all
     253 500 cells do (threshold 0), against 3.7 ms dense (Xeon VM core,
     numpy 2.4).
+
+    Raises ShapeError when the heatmap is not (C, H, W) or holds an int
+    past the float range, and ValueError for a k below 1 or a threshold
+    outside [0, 1).
     """
-    heat = np.asarray(heatmap, dtype=np.float64)
+    heat = float_array(heatmap, ShapeError, "heatmap value {} is past the float range")
     if heat.ndim != 3:
         raise ShapeError(f"expected a (C, H, W) heatmap, got shape {heat.shape}")
     k = check_count("k", k, 1)
@@ -319,12 +325,13 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
 
     The center is (cell + offset) * stride; (phi, r1, r2) are read at the
     peak cell and canonicalized.  Raises ValueError unless the stride is
-    finite and >= 1, and OutOfImageError when a peak cell is not a whole
-    number inside the maps' H x W.
+    finite and >= 1, OutOfImageError when a peak cell is not a whole
+    number inside the maps' H x W, and InvalidBoxError when a map value is
+    an int past the float range or a decoded box is not finite.
     """
     _check_stride(stride)
-    off = np.asarray(offset_map, dtype=np.float64)
-    par = np.asarray(param_map, dtype=np.float64)
+    off = float_array(offset_map, InvalidBoxError, "non-finite offset map value {}")
+    par = float_array(param_map, InvalidBoxError, "non-finite param map value {}")
     if off.ndim != 3 or off.shape[0] != 2:
         raise ShapeError(f"offset map must be (2, H, W), got shape {off.shape}")
     if par.ndim != 3 or par.shape[0] != 3 or par.shape[1:] != off.shape[1:]:

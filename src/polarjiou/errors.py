@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 # Error texts print an integer longer than this many digits in short form.
 # Every int64 or uint64 value (at most 20 digits) still prints in full.
 MAX_PRINTED_DIGITS = 24
@@ -41,6 +43,34 @@ def finite(*values) -> bool:
         return all(map(math.isfinite, values))
     except OverflowError:  # an int past the float range
         return False
+
+
+def float_array(values, error, message):
+    """np.asarray(values, dtype=np.float64), except that a whole number past
+    the float range raises error(message) instead of numpy's bare
+    OverflowError; a {} in message reads as that number in short form."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        entry = _past_float_range(values)
+        raise error(message.format(short_int(values if entry is None else entry))) from None
+
+
+def _past_float_range(values):
+    """The first int past the float range in a number or nested sequence, or None."""
+    if isinstance(values, int):
+        return None if finite(values) else values
+    if isinstance(values, (str, bytes)):  # each character is a str again
+        return None
+    try:
+        entries = iter(values)
+    except TypeError:
+        return None
+    for entry in entries:
+        found = _past_float_range(entry)
+        if found is not None:
+            return found
+    return None
 
 
 class InvalidBoxError(ValueError):

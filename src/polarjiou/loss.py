@@ -84,40 +84,47 @@ def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> Jiou
 def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouGradient:
     """Analytic gradient of the loss with respect to the predicted (phi, r1, r2).
 
-    Each grid angle routes its derivative through whichever of the min/max
-    sums the predicted radius lands in.  Where the profiles tie exactly, the
-    angle contributes to both sums, which makes identical profiles an exact
-    stationary point (zero gradient at the loss minimum).
+    The loss -log(s_min / s_max) moves with rho_p^2 at each grid angle, and
+    the closed-form radius derivatives turn that into one weight per angle,
+
+        w = 2 rho_p^2 ([rho_p >= rho_t] / s_max - [rho_p <= rho_t] / s_min) / denom,
+
+    with the division by denom last, so that no product leaves the float
+    range inside the supported extents (rho_p^2 / denom alone would, past
+    aspect ratios near 1e154).  Then
+
+        d_phi = (r1^2 - r2^2) * sum(w c s),  d_r1 = sum(w rc2) / r1,
+        d_r2 = sum(w rs2) / r2,
+
+    each sum numpy's own sum of a 1-D array, never a BLAS call, whose kernel
+    and so whose bits would depend on the CPU.  An angle where the profiles
+    tie exactly counts toward both sums, which makes identical profiles an
+    exact stationary point: every weight is +0.0, and so is the gradient.
+    d_phi is never -0.0, also for a circular prediction, where r1^2 - r2^2
+    is 0.
     """
     thetas = grid_angles(n)
     rho_t = radius_at(target, thetas)
     rho_p, c, s, rc2, rs2, denom = _profile_terms(pred, thetas)
     s_min, s_max = _sums(rho_p, rho_t)
 
-    # Rows: the closed-form derivatives of rho_p by phi, r1 and r2 at each
-    # angle, times the 2 rho_p that turns them into derivatives of rho_p^2.
-    # Each is built in place, left to right as the formula reads; the
-    # profile's arrays may be kept ones, so the divisors and the factor go
-    # through a buffer row of their own.
+    # 2 / s_max where rho_p is the larger, -2 / s_min where it is the
+    # smaller, and both where the two tie.  The profile's arrays may be kept
+    # ones, so every product goes into w or buf.
+    to_max, to_min = 2.0 / s_max, 2.0 / s_min
+    w = np.where(rho_p >= rho_t, to_max, -to_min)
+    np.copyto(w, to_max - to_min, where=rho_p == rho_t)
+    buf = np.multiply(rho_p, rho_p)
+    w *= buf
+    w /= denom
     r1, r2 = pred.r1, pred.r2
-    d = np.empty((3, rho_p.size))
-    d_phi, d_r1, d_r2 = d
-    buf = np.empty(rho_p.size)
-    np.multiply(rho_p, c, out=d_phi)
-    d_phi *= s
-    d_phi *= r1 * r1 - r2 * r2
-    d_phi /= denom
-    np.multiply(rho_p, rc2, out=d_r1)
-    d_r1 /= np.multiply(denom, r1, out=buf)
-    np.multiply(rho_p, rs2, out=d_r2)
-    d_r2 /= np.multiply(denom, r2, out=buf)
-    d *= np.multiply(rho_p, 2.0, out=buf)
-
-    # np.compress keeps the rows contiguous; d[:, mask] would not, and its
-    # row sums would round differently.
-    ds_min = np.compress(rho_p <= rho_t, d, axis=1).sum(axis=1)
-    ds_max = np.compress(rho_p >= rho_t, d, axis=1).sum(axis=1)
-    return JiouGradient(*(ds_max / s_max - ds_min / s_min).tolist())
+    np.multiply(w, c, out=buf)
+    buf *= s
+    # + 0.0 turns the -0.0 of a circle (r1^2 - r2^2 == 0) into 0.0.
+    d_phi = (r1 * r1 - r2 * r2) * float(buf.sum()) + 0.0
+    d_r1 = float(np.multiply(w, rc2, out=buf).sum()) / r1
+    d_r2 = float(np.multiply(w, rs2, out=buf).sum()) / r2
+    return JiouGradient(d_phi, d_r1, d_r2)
 
 
 def batch_jiou(preds, targets, n: int = DEFAULT_N):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .boxes import OrientedBox
-from .errors import DiscretizationError, InvalidBoxError, short_int
+from .errors import DiscretizationError, InvalidBoxError, float_array, short_int
 
 MIN_GRID_ANGLES = 4
 # Past intp's byte range numpy gives ValueError or an empty array, not MemoryError.
@@ -96,14 +96,11 @@ def radius_at(box: OrientedBox, theta):
     r1 exactly, with no trig: the trig form would add phi-dependent rounding,
     so equal circles would get profiles that differ in the last bit.
     Accepts a scalar, which gives a float, or an array of angles, which
-    gives a new array.  ValueError naming theta when an angle is NaN,
-    infinite or an int past the float range; InvalidBoxError when a
-    half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
+    gives a new array.  ValueError naming theta when an angle is NaN or
+    infinite, and naming the angle when it is an int past the float range;
+    InvalidBoxError when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
     """
-    try:
-        theta = np.asarray(theta, dtype=np.float64)
-    except OverflowError:  # an int past the float range
-        raise ValueError(f"theta must be finite angles, got {short_int(theta)}") from None
+    theta = float_array(theta, ValueError, "theta must be finite angles, got {}")
     # The shared grid is finite by construction.
     if theta is not _shared_grid and not np.isfinite(theta).all():
         raise ValueError(f"theta must be finite angles, got {theta}")

@@ -320,6 +320,23 @@ def reference_jiou(pred, target, n):
     return ratio, loss, grad
 
 
+def reference_weight_gradient(pred, target, n):
+    """(d_phi, d_r1, d_r2) in the weight form, on reference_profile: one
+    weight per angle, w = 2 rho_p^2 ([rho_p >= rho_t] / s_max - [rho_p <=
+    rho_t] / s_min) / denom, then numpy's sums of w c s, w (r2 c)^2 and
+    w (r1 s)^2, scaled by r1^2 - r2^2, 1 / r1 and 1 / r2."""
+    thetas = grid_angles(n)
+    rho_p, c, s, denom = reference_profile(pred, thetas)
+    rho_t = reference_profile(target, thetas)[0]
+    s_min = float(np.sum(np.minimum(rho_p, rho_t) ** 2))
+    s_max = float(np.sum(np.maximum(rho_p, rho_t) ** 2))
+    w = 2 * rho_p ** 2 * ((rho_p >= rho_t) / s_max - (rho_p <= rho_t) / s_min) / denom
+    r1, r2 = pred.r1, pred.r2
+    return ((r1 * r1 - r2 * r2) * float(np.sum(w * c * s)) + 0.0,
+            float(np.sum(w * (r2 * c) ** 2)) / r1,
+            float(np.sum(w * (r1 * s) ** 2)) / r2)
+
+
 # pi to 50 digits: np.pi is a float64 and would cap the grid at double precision.
 LONGDOUBLE_PI = np.longdouble("3.14159265358979323846264338327950288419716939937510")
 

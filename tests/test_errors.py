@@ -14,10 +14,15 @@ from polarjiou import (
     OrientedBox,
     corner_set_distance,
     corners_to_box,
+    decode_detections,
     encode_offset,
+    extract_peaks,
+    focal_loss,
+    group_softmax,
     phi_distance,
     radius_at,
     render_heatmap,
+    signed_area,
     smooth_l1,
     total_loss,
 )
@@ -26,6 +31,7 @@ from polarjiou.errors import (
     GridAllocationError,
     InvalidBoxError,
     InvalidLossError,
+    ShapeError,
     check_count,
     finite,
     short_int,
@@ -117,10 +123,32 @@ PAST_RANGE_CALLS = {
                   InvalidLossError, "non-finite SmoothL1 component"),
     "radius_at": (lambda v: radius_at(OrientedBox(0, 0, 2, 1, 0.3), v), ValueError,
                   "theta must be finite angles, got {}"),
+    # A nested list names only its bad entry, not the whole list; a numeric str
+    # in it converts as numpy converts it.
+    "radius_at-list": (lambda v: radius_at(OrientedBox(0, 0, 2, 1, 0.3), [["0.0", 1.0], [2.0, v]]),
+                       ValueError, "theta must be finite angles, got {}"),
     "corners_to_box": (lambda v: corners_to_box(_quad_with(v)), InvalidBoxError,
                        "non-finite corner coordinates"),
     "corner_set_distance": (lambda v: corner_set_distance(QUAD, _quad_with(v)),
                             InvalidBoxError, "non-finite corner coordinates"),
+    "signed_area": (lambda v: signed_area(_quad_with(v)), InvalidBoxError,
+                    "non-finite corner coordinates"),
+    "extract_peaks": (lambda v: extract_peaks([[[0.5, v], [0.1, 0.2]]]), ShapeError,
+                      "heatmap value {} is past the float range"),
+    "focal_loss-pred": (lambda v: focal_loss([[[0.5, v]]], [[[1.0, 0.0]]]), InvalidLossError,
+                        "non-finite heatmap prediction {}"),
+    "focal_loss-target": (lambda v: focal_loss([[[0.5, 0.2]]], [[[1.0, v]]]), ValueError,
+                          "target values must lie in [0, 1], got {}"),
+    "decode_detections-offset": (lambda v: decode_detections(
+        [(0, 0, 0, 0.9)], [[[v]], [[0.0]]], [[[0.1]], [[2.0]], [[1.0]]], 4),
+        InvalidBoxError, "non-finite offset map value {}"),
+    "decode_detections-param": (lambda v: decode_detections(
+        [(0, 0, 0, 0.9)], [[[0.0]], [[0.0]]], [[[0.1]], [[v]], [[1.0]]], 4),
+        InvalidBoxError, "non-finite param map value {}"),
+    "group_softmax-descriptor": (lambda v: group_softmax([1.0, v], [[[1.0, 0.0]]]), ShapeError,
+                                 "non-finite descriptor values"),
+    "group_softmax-map": (lambda v: group_softmax([1.0, 1.0], [[[1.0, v]]]), ShapeError,
+                          "non-finite group map values"),
 }
 
 
