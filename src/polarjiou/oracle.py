@@ -1,5 +1,6 @@
-"""Ground-truth geometry: exact rotated-rectangle IoU via polygon clipping,
-Monte-Carlo IoU estimates for ellipses and rectangles, and greedy rotated NMS."""
+"""Ground-truth geometry: exact rotated-rectangle IoU (a closed form for boxes
+that share a center, polygon clipping otherwise), Monte-Carlo IoU estimates
+for ellipses and rectangles, and greedy rotated NMS."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox, corner_offsets, decode_corners, signed_area
+from .boxes import HALF_PI, OrientedBox, corner_offsets, decode_corners, signed_area
 from .errors import InsufficientSamplesError, InvalidBoxError, check_count, finite, short_int
 from .polar import check_extents
 
@@ -29,6 +30,8 @@ PRUNE_REACH_SLACK = 1e-9
 # corner can overflow: each corner coordinate is at most |center| plus
 # sqrt(2) times the box's circumradius, under the largest float.
 PRUNE_EXTENT_LIMIT = 1e308
+# _concentric_overlap turns b by pi/2 the other way above this relative angle.
+QUARTER_PI = math.pi / 4
 
 MIN_MC_SAMPLES = 10_000
 # Above 2**53 a float sample count no longer holds every whole number, and
@@ -75,30 +78,99 @@ def _clip_halfplane(poly, a, b):
     return out
 
 
+def _concentric_overlap(a1, a2, b1, b2, phi_a, phi_b):
+    """Overlap area of two rectangles with one center, half-extents (a1, a2)
+    and (b1, b2) at angles phi_a and phi_b, in closed form.
+
+    The overlap is a convex polygon, symmetric about the center, whose
+    edges lie on a's lines x = +-a1, y = +-a2 and on b's lines u = +-b1,
+    v = +-b2.  Its area is the sum over edges of (distance from the center)
+    x (edge length) / 2, so a1 L(x=a1) + a2 L(y=a2) + b1 L(u=b1) + b2 L(v=b2),
+    where L is the length of the overlap's boundary on that line: a chord
+    clamped with min and max by the other lines' crossings.
+
+    phi_b - phi_a is reduced to delta = |remainder(phi_b - phi_a, pi)| in
+    [0, pi/2], the period and mirror of a rectangle, as canonicalize reduces
+    an angle; when the difference overflows, each angle is reduced first.
+    The period is the float math.pi, about 1.2e-16 below pi, so a
+    difference of n half turns puts b about n * 1.2e-16 rad from where
+    math.cos and math.sin of its own angle put it.
+    Above pi/4 b turns by pi/2 the other way, as (b2, b1) at pi/2 - delta,
+    so that delta ends in [0, pi/4] with cos delta >= sin delta.  At
+    delta = 0 the area is exactly 4 min(a1, b1) min(a2, b2).
+
+    Each crossing of one of a's lines with one of b's is divided out once,
+    as a coordinate on a's line, and carried to b's line by one
+    multiply-add.  Both chords then end at the same rounded point, and the
+    area's rounding stays of order eps * extent**2 near parallel edges,
+    where two independent divisions would not cancel.  The extents are put
+    in one canonical order, the largest of the four orders that swap the
+    roles of a and b or the x and y axes and give the same area, so that
+    (a, b) and (b, a) compute the same bits."""
+    try:
+        delta = abs(math.remainder(phi_b - phi_a, math.pi))
+    except ValueError:  # phi_b - phi_a overflowed to an infinity
+        delta = abs(math.remainder(math.remainder(phi_b, math.pi)
+                                   - math.remainder(phi_a, math.pi), math.pi))
+    if delta > QUARTER_PI:
+        delta = HALF_PI - delta
+        b1, b2 = b2, b1
+    a1, a2, b1, b2 = max((a1, a2, b1, b2), (b1, b2, a1, a2), (a2, a1, b2, b1), (b2, b1, a2, a1))
+    if delta == 0.0:
+        return 4.0 * min(a1, b1) * min(a2, b2)
+    c, s = math.cos(delta), math.sin(delta)
+    ca1, sa1, ca2, sa2 = c * a1, s * a1, c * a2, s * a2
+    # Where b's lines u = +-b1, v = +-b2 cross x = a1 (as y) and y = a2 (as x).
+    # The crossings with x = -a1 and y = -a2 are their mirrors in the center.
+    yu_p, yu_m = (b1 - ca1) / s, (-b1 - ca1) / s
+    yv_p, yv_m = (b2 + sa1) / c, (sa1 - b2) / c
+    xu_p, xu_m = (b1 - sa2) / c, (-b1 - sa2) / c
+    xv_p, xv_m = (ca2 - b2) / s, (ca2 + b2) / s
+    # Chords on x = a1 and y = a2 in y and x, on u = b1 in v and on v = b2 in u.
+    la1 = min(a2, yu_p, yv_p) - max(-a2, yu_m, yv_m)
+    la2 = min(a1, xu_p, xv_m) - max(-a1, xu_m, xv_p)
+    lb1 = min(b2, sa1 - c * yu_m, ca2 - s * xu_p) - max(-b2, c * yu_p - sa1, s * xu_m - ca2)
+    lb2 = min(b1, ca1 + s * yv_p, c * xv_p + sa2) - max(-b1, -(ca1 + s * yv_m), -(c * xv_m + sa2))
+    return (a1 * max(la1, 0.0) + a2 * max(la2, 0.0) + b1 * max(lb1, 0.0)
+            + b2 * max(lb2, 0.0))
+
+
 def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact IoU of two rotated rectangles (half-plane clipping + shoelace area).
+    """Exact IoU of two rotated rectangles.
 
     Corner overflow is checked only from PRUNE_EXTENT_LIMIT on, where
     decode_corners raises InvalidBoxError for either box, pruned or not.
-    Pairs whose circumcircles are disjoint then return 0.0 before clipping,
-    and a pair that reaches clipping raises InvalidBoxError when a
-    half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
+    Pairs whose circumcircles are disjoint then return 0.0 before any
+    overlap is computed, and a pair that reaches that point raises
+    InvalidBoxError when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
 
-    Clipping runs in a's frame, a's corner offsets against b's shifted by
-    the center difference, so its rounding follows the boxes' size, not
-    their position.  An intersection below MIN_OVERLAP_FRACTION times the
-    summed box areas plus CLIP_ROUNDING * extent * reach reads as empty:
-    reach is the summed circumradii, extent the largest center coordinate
-    plus reach, and the term covers the eps * extent rounding that the
-    centers themselves carry.  That floor grows with the square of the long
-    side, so a thin enough box reads 0.0 against itself:
-    OrientedBox(0, 0, 1, 1/ar, 0.3) reads 0.998 at ar = 1e14 and 0.0 from
-    ar = 5e14, and OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.  The ratio
-    is clamped at 1.
+    The overlap area comes from one of two paths, chosen by the center
+    difference alone:
+    - concentric pairs (b.cx - a.cx == 0.0 and b.cy - a.cy == 0.0), every
+      pair of a fit run and of the sweep, take the closed form of
+      _concentric_overlap.  It is exactly symmetric in a and b, reads
+      exactly 1.0 for a box against itself, against itself turned by pi,
+      and against its axis swap turned by pi/2, and keeps its bits when
+      all four half-extents scale by a power of two.  It agrees with the
+      clipper within 16 eps on the fit suite's pairs (at most 8.5 eps over
+      the fit-suite benchmark's 8000 traces at seeds 42 and 7), and with
+      the exact rational IoU of corner_offsets' float corners within 8 eps
+      times the larger aspect ratio of the two boxes;
+    - any other pair clips a's corner offsets by b's four edges, shifted by
+      the center difference, in decode_corners order (corner 0 to 1, 1 to
+      2, 2 to 3 and 3 to 0), stopping as soon as the polygon is empty, and
+      takes the shoelace area.  Clipping in a's frame makes its rounding
+      follow the boxes' size, not their position.
 
-    a's corners are clipped by b's four edges in decode_corners order,
-    corner 0 to 1, 1 to 2, 2 to 3 and 3 to 0, and clipping stops as soon
-    as the polygon is empty.
+    Both paths share one empty-overlap floor: an intersection below
+    MIN_OVERLAP_FRACTION times the summed box areas plus CLIP_ROUNDING *
+    extent * reach reads as empty.  reach is the summed circumradii, extent
+    the largest center coordinate plus reach, and the term covers the
+    eps * extent rounding that the centers themselves carry.  That floor
+    grows with the square of the long side, so a thin enough box reads 0.0
+    against itself: OrientedBox(0, 0, 1, 1/ar, 0.3) reads exactly 1.0 up
+    to ar = 4.9e14 and 0.0 from ar = 5e14, and
+    OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.  The ratio is clamped at 1.
     """
     dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
@@ -109,17 +181,20 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
         return 0.0
     check_extents("exact clipping", a, b)
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corner_offsets(b)
-    c0, c1, c2 = (x0 + dx, y0 + dy), (x1 + dx, y1 + dy), (x2 + dx, y2 + dy)
-    c3 = (x3 + dx, y3 + dy)
-    poly = _clip_halfplane(corner_offsets(a), c0, c1)
-    if poly:
-        poly = _clip_halfplane(poly, c1, c2)
-    if poly:
-        poly = _clip_halfplane(poly, c2, c3)
-    if poly:
-        poly = _clip_halfplane(poly, c3, c0)
-    inter = abs(signed_area(poly))
+    if dx == 0.0 and dy == 0.0:
+        inter = _concentric_overlap(a.r1, a.r2, b.r1, b.r2, a.phi, b.phi)
+    else:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corner_offsets(b)
+        c0, c1, c2 = (x0 + dx, y0 + dy), (x1 + dx, y1 + dy), (x2 + dx, y2 + dy)
+        c3 = (x3 + dx, y3 + dy)
+        poly = _clip_halfplane(corner_offsets(a), c0, c1)
+        if poly:
+            poly = _clip_halfplane(poly, c1, c2)
+        if poly:
+            poly = _clip_halfplane(poly, c2, c3)
+        if poly:
+            poly = _clip_halfplane(poly, c3, c0)
+        inter = abs(signed_area(poly))
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
     if inter < MIN_OVERLAP_FRACTION * (area_a + area_b) + CLIP_ROUNDING * extent * reach:

@@ -17,10 +17,10 @@ MIN_GRID_ANGLES = 4
 # Past intp's byte range numpy gives ValueError or an empty array, not MemoryError.
 _MAX_GRID_ANGLES = np.iinfo(np.intp).max // 8
 
-# Half-extents a profile, and a pair that exact_rect_iou clips, accept.
-# Inside the range the gradient's products of three extents and clipping's
-# products of two stay normal floats; past it jiou_gradient turns NaN or a
-# silent 0.0, and clipping drifts, reads 0 or 1, or divides by zero.
+# Half-extents a profile, and a pair whose overlap exact_rect_iou computes,
+# accept.  Inside the range the gradient's products of three extents and the
+# overlap's products of two stay normal floats; past it jiou_gradient turns
+# NaN or a silent 0.0, and the overlap drifts, reads 0 or 1, or divides by zero.
 MIN_EXTENT = 1e-100
 MAX_EXTENT = 1e100
 

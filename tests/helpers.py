@@ -1,6 +1,7 @@
 """Shared test fixtures: box strategies, finite-difference oracle, frozen suites."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from polarjiou.fitting import (
     FitTrace,
 )
 from polarjiou import polar
+from polarjiou.boxes import corner_offsets
 from polarjiou.loss import DEFAULT_N, RATIO_FLOOR
 from polarjiou.oracle import (
     CLIP_ROUNDING,
@@ -243,6 +245,46 @@ def reference_rect_iou(a, b):
     if inter < MIN_OVERLAP_FRACTION * (area_a + area_b) + CLIP_ROUNDING * extent * reach:
         return 0.0
     return min(1.0, float(inter / (area_a + area_b - inter)))
+
+
+def _fraction_clip(poly, a, b):
+    """Sutherland-Hodgman in exact rationals: the part of poly on the side
+    of edge a->b where the cross product is >= 0, as _clip_halfplane keeps."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    sides = [ex * (y - a[1]) - ey * (x - a[0]) for x, y in poly]
+    out = []
+    for i, (p, dp) in enumerate(zip(poly, sides)):
+        q, dq = poly[(i + 1) % len(poly)], sides[(i + 1) % len(poly)]
+        if dp >= 0:
+            out.append(p)
+        if (dp >= 0) != (dq >= 0):
+            t = dp / (dp - dq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _fraction_area(poly):
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                   in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def fraction_rect_iou(a, b):
+    """The exact IoU of the quads that corner_offsets gives a and b, b's
+    shifted by the exact center difference, as a Fraction: every float
+    corner converts exactly, a's quad is clipped by b's four edges with no
+    rounding, and the three areas are exact shoelace sums.  It has no
+    empty-overlap floor and no clamp, so it shows what the float corners
+    themselves imply, whichever path exact_rect_iou takes."""
+    dx, dy = Fraction(b.cx) - Fraction(a.cx), Fraction(b.cy) - Fraction(a.cy)
+    quad_a = [(Fraction(x), Fraction(y)) for x, y in corner_offsets(a)]
+    quad_b = [(Fraction(x) + dx, Fraction(y) + dy) for x, y in corner_offsets(b)]
+    poly = quad_a
+    for i in range(4):
+        if not poly:
+            return Fraction(0)
+        poly = _fraction_clip(poly, quad_b[i], quad_b[(i + 1) % 4])
+    inter = _fraction_area(poly)
+    return inter / (_fraction_area(quad_a) + _fraction_area(quad_b) - inter)
 
 
 def reference_mc_iou(a, b, samples, seed, ellipse):

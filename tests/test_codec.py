@@ -481,15 +481,17 @@ class TestFocalLoss:
 
     @pytest.mark.parametrize("where, value", [("pred", math.nan), ("target", math.nan)])
     def test_non_finite_focal_loss_rejected_without_warning(self, where, value):
-        """A NaN cell makes the loss non-finite.  Any warning fails, whatever
+        """A NaN prediction is refused before the loss is computed; a NaN
+        target cell makes the loss non-finite.  Any warning fails, whatever
         its wording, which differs between numpy versions."""
         pred = np.full((1, 4, 4), 0.2)
         target = np.zeros((1, 4, 4))
         target[0, 1, 1] = 1.0
         (pred if where == "pred" else target)[0, 0, 0] = value
+        message = "non-finite heatmap prediction nan" if where == "pred" else "non-finite focal loss"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidLossError, match="non-finite focal loss"):
+            with pytest.raises(InvalidLossError, match=message):
                 focal_loss(pred, target, alpha=2.5)
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
@@ -766,15 +768,17 @@ class TestSparsePeaks:
         self.agree(heat, k=3)
 
     def test_nan_and_infinite_cells(self):
+        """A map holding a NaN or an infinity is refused at every threshold
+        and k, whether or not the cell could be a peak."""
         rng = np.random.default_rng(8)
-        heat = rng.uniform(0.0, 1.0, (3, 12, 15))
+        clean = rng.uniform(0.0, 1.0, (3, 12, 15))
+        self.agree(clean)
         for value in (np.nan, np.inf, -np.inf):
+            heat = clean.copy()
             heat[rng.integers(0, 3, 12), rng.integers(0, 12, 12), rng.integers(0, 15, 12)] = value
-        heat[0, 0, :] = np.inf
-        heat[2, 5, 5] = np.nan
-        heat[2, 4:7, 4:7] = np.where(np.isnan(heat[2, 4:7, 4:7]), np.nan, 0.9)
-        self.agree(heat)
-        self.agree(heat, k=5)
+            for threshold, k in ((0.0, 10**6), (0.3, 5), (0.99, 1)):
+                with pytest.raises(ShapeError, match=f"heatmap value {value} is not finite"):
+                    extract_peaks(heat, k=k, threshold=threshold)
 
     def test_peaks_on_every_border(self):
         heat = np.zeros((2, 6, 9))

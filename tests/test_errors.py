@@ -165,6 +165,31 @@ def test_whole_number_past_the_float_range_raises_typed_error(name, value, text)
     assert str(info.value) == message.format(text)
 
 
+# Each call with a NaN or a float infinity where the calls above take an int
+# past the float range: the same error type, and its text for that value.
+NON_FINITE_FLOAT_CALLS = {
+    "extract_peaks": (lambda v: extract_peaks([[[0.5, v], [0.1, 0.2]]]), ShapeError,
+                      "heatmap value {} is not finite"),
+    "focal_loss-pred": (lambda v: focal_loss([[[0.5, v]]], [[[1.0, 0.0]]]), InvalidLossError,
+                        "non-finite heatmap prediction {}"),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FLOAT_CALLS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_float_nan_or_infinity_raises_typed_error(name, value):
+    """Not a peak at inf, an ignored cell at -inf or NaN, nor a focal loss
+    that the clip of an infinite prediction keeps finite; and no numpy
+    warning."""
+    call, error, message = NON_FINITE_FLOAT_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
+
+
 @pytest.mark.parametrize("shape", [(2**63, 0, 4), (0, 2**63, 0), (10**400, 0, 0)],
                          ids=["classes-2**63", "height-2**63", "classes-10**400"])
 def test_size_past_intp_is_a_grid_allocation_error(shape):
