@@ -1,6 +1,6 @@
-"""Ground-truth geometry: exact rotated-rectangle IoU (a closed form for boxes
-that share a center, polygon clipping otherwise), Monte-Carlo IoU estimates
-for ellipses and rectangles, and greedy rotated NMS."""
+"""Ground-truth geometry: exact rotated-rectangle IoU in closed form,
+Monte-Carlo IoU estimates for ellipses and rectangles, and greedy rotated
+NMS."""
 
 from __future__ import annotations
 
@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import HALF_PI, OrientedBox, corner_offsets, decode_corners, signed_area
+from .boxes import HALF_PI, OrientedBox, decode_corners
 from .errors import InsufficientSamplesError, InvalidBoxError, check_count, finite, short_int
 from .polar import check_extents
 
 # An intersection counts as empty below this fraction of the two boxes'
 # summed areas, plus CLIP_ROUNDING times the coordinate extent times the
-# boxes' reach (see exact_rect_iou).  It keeps touching boxes and clipping
+# boxes' reach (see exact_rect_iou).  It keeps touching boxes and rounding
 # slivers from producing noise IoU at any box scale and position.
 MIN_OVERLAP_FRACTION = 1e-12
 CLIP_ROUNDING = 2e-15
@@ -30,7 +30,7 @@ PRUNE_REACH_SLACK = 1e-9
 # corner can overflow: each corner coordinate is at most |center| plus
 # sqrt(2) times the box's circumradius, under the largest float.
 PRUNE_EXTENT_LIMIT = 1e308
-# _concentric_overlap turns b by pi/2 the other way above this relative angle.
+# _overlap turns b by pi/2 the other way above this relative angle.
 QUARTER_PI = math.pi / 4
 
 MIN_MC_SAMPLES = 10_000
@@ -47,92 +47,103 @@ MC_CHUNK = 1 << 15
 MC_MAX_WORKERS = 3
 
 
-def _clip_halfplane(poly, a, b):
-    """Keep the part of a convex polygon on the interior side of edge a->b.
+def _overlap(a1, a2, b1, b2, phi_a, phi_b, dx, dy):
+    """Overlap area of a rectangle with half-extents (a1, a2) at angle phi_a
+    and one with (b1, b2) at phi_b whose center lies (dx, dy) from a's.
 
-    Decoded corners wind so that the interior has non-negative cross product
-    against every directed edge.  Each vertex's side is computed as the end
-    of one edge and carried to the next as its start.  The output walks
-    poly's edges from poly[0], so it starts at poly[0] when that vertex is
-    kept: signed_area adds its shoelace terms in vertex order, and a cyclic
-    rotation of the same polygon can change the area's last bits.
-    """
-    ax, ay = a
-    ex, ey = b[0] - ax, b[1] - ay
-    out = []
-    p = poly[0]
-    px, py = p
-    dp = ex * (py - ay) - ey * (px - ax)
-    for q in poly[1:] + poly[:1]:
-        qx, qy = q
-        dq = ex * (qy - ay) - ey * (qx - ax)
-        if dp >= 0.0:
-            out.append(p)
-            if dq < 0.0:
-                t = dp / (dp - dq)
-                out.append((px + t * (qx - px), py + t * (qy - py)))
-        elif dq >= 0.0:
-            t = dp / (dp - dq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-        p, px, py, dp = q, qx, qy, dq
-    return out
+    In a's frame the overlap is a convex polygon with edges on a's lines
+    x = +-a1, y = +-a2 and on b's four lines.  Its area is half the sum
+    over the 8 lines of (signed distance from a's center) x (length of the
+    overlap's boundary on that line), a chord clamped with min and max by
+    the other lines' crossings.
 
+    phi_b - phi_a is reduced by remainder(., pi), each angle first when the
+    difference overflows.  The period is the float math.pi, about 1.2e-16
+    below pi, so a difference of n half turns puts b about n * 1.2e-16 rad
+    from where math.cos and math.sin of its own angle put it.  A mirror in
+    a's x axis makes the angle delta >= 0, and above pi/4 b turns by pi/2
+    the other way, as (b2, b1) at pi/2 - delta, mirrored again; neither
+    moves a.  At delta = 0 the area is the product of the two clamped
+    interval overlaps.
 
-def _concentric_overlap(a1, a2, b1, b2, phi_a, phi_b):
-    """Overlap area of two rectangles with one center, half-extents (a1, a2)
-    and (b1, b2) at angles phi_a and phi_b, in closed form.
-
-    The overlap is a convex polygon, symmetric about the center, whose
-    edges lie on a's lines x = +-a1, y = +-a2 and on b's lines u = +-b1,
-    v = +-b2.  Its area is the sum over edges of (distance from the center)
-    x (edge length) / 2, so a1 L(x=a1) + a2 L(y=a2) + b1 L(u=b1) + b2 L(v=b2),
-    where L is the length of the overlap's boundary on that line: a chord
-    clamped with min and max by the other lines' crossings.
-
-    phi_b - phi_a is reduced to delta = |remainder(phi_b - phi_a, pi)| in
-    [0, pi/2], the period and mirror of a rectangle, as canonicalize reduces
-    an angle; when the difference overflows, each angle is reduced first.
-    The period is the float math.pi, about 1.2e-16 below pi, so a
-    difference of n half turns puts b about n * 1.2e-16 rad from where
-    math.cos and math.sin of its own angle put it.
-    Above pi/4 b turns by pi/2 the other way, as (b2, b1) at pi/2 - delta,
-    so that delta ends in [0, pi/4] with cos delta >= sin delta.  At
-    delta = 0 the area is exactly 4 min(a1, b1) min(a2, b2).
-
-    Each crossing of one of a's lines with one of b's is divided out once,
-    as a coordinate on a's line, and carried to b's line by one
-    multiply-add.  Both chords then end at the same rounded point, and the
-    area's rounding stays of order eps * extent**2 near parallel edges,
-    where two independent divisions would not cancel.  The extents are put
-    in one canonical order, the largest of the four orders that swap the
-    roles of a and b or the x and y axes and give the same area, so that
-    (a, b) and (b, a) compute the same bits."""
+    Each crossing of one of b's lines with x = a1 or y = a2 is divided out
+    once, as a coordinate on a's line, and carried to b's line by one
+    multiply-add, so that both chords end at the same rounded point; two
+    independent divisions would not cancel near parallel edges.  The lines
+    x = -a1 and y = -a2 are x = a1 and y = a2 of the pair mirrored in a's
+    center, so the area is the mean of two such half sums, each taking the
+    other's crossings for the chords on b's lines.  A concentric pair is
+    its own mirror: it sums one half, with its extents in the largest of
+    the four orders that swap the roles of a and b or the x and y axes and
+    give the same area, so that (a, b) and (b, a) compute the same bits.
+    The halves are written out, not looped over, to keep a concentric
+    call's cost."""
     try:
-        delta = abs(math.remainder(phi_b - phi_a, math.pi))
+        r = math.remainder(phi_b - phi_a, math.pi)
     except ValueError:  # phi_b - phi_a overflowed to an infinity
-        delta = abs(math.remainder(math.remainder(phi_b, math.pi)
-                                   - math.remainder(phi_a, math.pi), math.pi))
+        r = math.remainder(math.remainder(phi_b, math.pi) - math.remainder(phi_a, math.pi),
+                           math.pi)
+    delta = abs(r)
+    concentric = dx == 0.0 and dy == 0.0
+    if concentric:
+        ox = oy = 0.0
+    else:
+        c, s = math.cos(phi_a), math.sin(phi_a)
+        ox, oy = c * dx + s * dy, c * dy - s * dx
+        if r < 0.0:
+            oy = -oy
     if delta > QUARTER_PI:
         delta = HALF_PI - delta
         b1, b2 = b2, b1
-    a1, a2, b1, b2 = max((a1, a2, b1, b2), (b1, b2, a1, a2), (a2, a1, b2, b1), (b2, b1, a2, a1))
+        oy = -oy
     if delta == 0.0:
-        return 4.0 * min(a1, b1) * min(a2, b2)
+        return (max(min(a1, ox + b1) - max(-a1, ox - b1), 0.0)
+                * max(min(a2, oy + b2) - max(-a2, oy - b2), 0.0))
     c, s = math.cos(delta), math.sin(delta)
+    # b's lines u = bu_p, u = bu_m, v = bv_p and v = bv_m.
+    if concentric:
+        a1, a2, b1, b2 = max((a1, a2, b1, b2), (b1, b2, a1, a2), (a2, a1, b2, b1),
+                             (b2, b1, a2, a1))
+        bu_p, bu_m, bv_p, bv_m = b1, -b1, b2, -b2
+    else:
+        u0, v0 = c * ox + s * oy, c * oy - s * ox
+        bu_p, bu_m, bv_p, bv_m = u0 + b1, u0 - b1, v0 + b2, v0 - b2
     ca1, sa1, ca2, sa2 = c * a1, s * a1, c * a2, s * a2
-    # Where b's lines u = +-b1, v = +-b2 cross x = a1 (as y) and y = a2 (as x).
-    # The crossings with x = -a1 and y = -a2 are their mirrors in the center.
-    yu_p, yu_m = (b1 - ca1) / s, (-b1 - ca1) / s
-    yv_p, yv_m = (b2 + sa1) / c, (sa1 - b2) / c
-    xu_p, xu_m = (b1 - sa2) / c, (-b1 - sa2) / c
-    xv_p, xv_m = (ca2 - b2) / s, (ca2 + b2) / s
-    # Chords on x = a1 and y = a2 in y and x, on u = b1 in v and on v = b2 in u.
+    # Where b's lines cross x = a1 (as y) and y = a2 (as x), and where the
+    # mirrored pair's lines, u = -bu_m, u = -bu_p, v = -bv_m and v = -bv_p,
+    # do (prefix m).
+    yu_p, yu_m = (bu_p - ca1) / s, (bu_m - ca1) / s
+    yv_p, yv_m = (bv_p + sa1) / c, (bv_m + sa1) / c
+    xu_p, xu_m = (bu_p - sa2) / c, (bu_m - sa2) / c
+    xv_p, xv_m = (ca2 - bv_p) / s, (ca2 - bv_m) / s
+    if concentric:
+        myu_m, myv_m, mxu_m, mxv_m = yu_m, yv_m, xu_m, xv_m
+    else:
+        myu_p, myu_m = (-bu_m - ca1) / s, (-bu_p - ca1) / s
+        myv_p, myv_m = (-bv_m + sa1) / c, (-bv_p + sa1) / c
+        mxu_p, mxu_m = (-bu_m - sa2) / c, (-bu_p - sa2) / c
+        mxv_p, mxv_m = (ca2 + bv_m) / s, (ca2 + bv_p) / s
+    # Chords on x = a1 and y = a2 in y and x, on u = bu_p in v and on
+    # v = bv_p in u, each line's distance from a's center times its chord.
     la1 = min(a2, yu_p, yv_p) - max(-a2, yu_m, yv_m)
     la2 = min(a1, xu_p, xv_m) - max(-a1, xu_m, xv_p)
-    lb1 = min(b2, sa1 - c * yu_m, ca2 - s * xu_p) - max(-b2, c * yu_p - sa1, s * xu_m - ca2)
-    lb2 = min(b1, ca1 + s * yv_p, c * xv_p + sa2) - max(-b1, -(ca1 + s * yv_m), -(c * xv_m + sa2))
-    return (a1 * max(la1, 0.0) + a2 * max(la2, 0.0) + b1 * max(lb1, 0.0)
-            + b2 * max(lb2, 0.0))
+    lb1 = min(bv_p, sa1 - c * myu_m, ca2 - s * xu_p) - max(bv_m, c * yu_p - sa1, s * mxu_m - ca2)
+    lb2 = (min(bu_p, ca1 + s * yv_p, c * xv_p + sa2)
+           - max(bu_m, -(ca1 + s * myv_m), -(c * mxv_m + sa2)))
+    half = (a1 * max(la1, 0.0) + a2 * max(la2, 0.0) + bu_p * max(lb1, 0.0)
+            + bv_p * max(lb2, 0.0))
+    if concentric:
+        return half
+    # The same sum for the mirrored pair.
+    la1 = min(a2, myu_p, myv_p) - max(-a2, myu_m, myv_m)
+    la2 = min(a1, mxu_p, mxv_m) - max(-a1, mxu_m, mxv_p)
+    lb1 = (min(-bv_m, sa1 - c * yu_m, ca2 - s * mxu_p)
+           - max(-bv_p, c * myu_p - sa1, s * xu_m - ca2))
+    lb2 = (min(-bu_m, ca1 + s * myv_p, c * mxv_p + sa2)
+           - max(-bu_p, -(ca1 + s * yv_m), -(c * xv_m + sa2)))
+    mirrored = (a1 * max(la1, 0.0) + a2 * max(la2, 0.0) - bu_m * max(lb1, 0.0)
+                - bv_m * max(lb2, 0.0))
+    return 0.5 * (half + mirrored)
 
 
 def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
@@ -144,33 +155,27 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     overlap is computed, and a pair that reaches that point raises
     InvalidBoxError when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
 
-    The overlap area comes from one of two paths, chosen by the center
-    difference alone:
-    - concentric pairs (b.cx - a.cx == 0.0 and b.cy - a.cy == 0.0), every
-      pair of a fit run and of the sweep, take the closed form of
-      _concentric_overlap.  It is exactly symmetric in a and b, reads
-      exactly 1.0 for a box against itself, against itself turned by pi,
-      and against its axis swap turned by pi/2, and keeps its bits when
-      all four half-extents scale by a power of two.  It agrees with the
-      clipper within 16 eps on the fit suite's pairs (at most 8.5 eps over
-      the fit-suite benchmark's 8000 traces at seeds 42 and 7), and with
-      the exact rational IoU of corner_offsets' float corners within 8 eps
-      times the larger aspect ratio of the two boxes;
-    - any other pair clips a's corner offsets by b's four edges, shifted by
-      the center difference, in decode_corners order (corner 0 to 1, 1 to
-      2, 2 to 3 and 3 to 0), stopping as soon as the polygon is empty, and
-      takes the shoelace area.  Clipping in a's frame makes its rounding
-      follow the boxes' size, not their position.
+    Every other pair takes its overlap area from one closed form,
+    _overlap, worked out in a's frame: only b's center offset and the
+    relative angle go through trig, so the rounding follows the boxes'
+    size, not their position.  It reads within 8 eps times the larger
+    aspect ratio of the two boxes of the exact rational IoU of
+    corner_offsets' float corners.  A concentric pair, as every pair of a
+    fit run and of the sweep is, reads the same bits for (a, b) and
+    (b, a), exactly 1.0 for a box against itself, against itself turned by
+    pi and against its axis swap turned by pi/2, and keeps its bits when
+    all four half-extents scale by a power of two.
 
-    Both paths share one empty-overlap floor: an intersection below
-    MIN_OVERLAP_FRACTION times the summed box areas plus CLIP_ROUNDING *
-    extent * reach reads as empty.  reach is the summed circumradii, extent
-    the largest center coordinate plus reach, and the term covers the
-    eps * extent rounding that the centers themselves carry.  That floor
-    grows with the square of the long side, so a thin enough box reads 0.0
-    against itself: OrientedBox(0, 0, 1, 1/ar, 0.3) reads exactly 1.0 up
-    to ar = 4.9e14 and 0.0 from ar = 5e14, and
-    OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0.  The ratio is clamped at 1.
+    An intersection below MIN_OVERLAP_FRACTION times the summed box areas
+    plus CLIP_ROUNDING * extent * reach reads as empty.  reach is the
+    summed circumradii, extent the largest center coordinate plus reach,
+    and the term covers the eps * extent rounding that the centers
+    themselves carry.  That floor grows with the square of the long side,
+    so a thin enough box reads 0.0: OrientedBox(0, 0, 1, 1/ar, 0.3) reads
+    exactly 1.0 against itself up to ar = 4.9e14 and 0.0 from 5e14, and
+    0.6 within 2 ulp against itself moved by 0.5 along its long axis up to
+    ar = 1e14 and 0.0 at 1e15; OrientedBox(0, 0, 1e100, 1, 0.3) reads 0.0
+    against itself.  The ratio is clamped at 1.
     """
     dx, dy = b.cx - a.cx, b.cy - a.cy
     reach = math.hypot(a.r1, a.r2) + math.hypot(b.r1, b.r2)
@@ -181,20 +186,7 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
     if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
         return 0.0
     check_extents("exact clipping", a, b)
-    if dx == 0.0 and dy == 0.0:
-        inter = _concentric_overlap(a.r1, a.r2, b.r1, b.r2, a.phi, b.phi)
-    else:
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = corner_offsets(b)
-        c0, c1, c2 = (x0 + dx, y0 + dy), (x1 + dx, y1 + dy), (x2 + dx, y2 + dy)
-        c3 = (x3 + dx, y3 + dy)
-        poly = _clip_halfplane(corner_offsets(a), c0, c1)
-        if poly:
-            poly = _clip_halfplane(poly, c1, c2)
-        if poly:
-            poly = _clip_halfplane(poly, c2, c3)
-        if poly:
-            poly = _clip_halfplane(poly, c3, c0)
-        inter = abs(signed_area(poly))
+    inter = _overlap(a.r1, a.r2, b.r1, b.r2, a.phi, b.phi, dx, dy)
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2
     if inter < MIN_OVERLAP_FRACTION * (area_a + area_b) + CLIP_ROUNDING * extent * reach:

@@ -209,7 +209,7 @@ def _intersect(p, q, dp, dq):
 def reference_clip_halfplane(poly, a, b):
     """A frozen copy of the half-plane clipper that computed each vertex's
     side twice, once as p and once as q: the vertices, values and order
-    oracle._clip_halfplane must reproduce bit for bit."""
+    the oracle's clipper reproduced bit for bit while it had one."""
     out = []
     m = len(poly)
     for i in range(m):
@@ -226,10 +226,10 @@ def reference_clip_halfplane(poly, a, b):
 
 
 def reference_rect_iou(a, b):
-    """exact_rect_iou without the circumcircle early return: a's
-    reference_corner_offsets clipped by reference_clip_halfplane against
-    b's shifted by the center difference, with a frozen copy of the
-    empty-overlap floor."""
+    """exact_rect_iou as it was while it clipped polygons, without the
+    circumcircle early return: a's reference_corner_offsets clipped by
+    reference_clip_halfplane against b's shifted by the center difference,
+    with a frozen copy of the empty-overlap floor."""
     dx, dy = b.cx - a.cx, b.cy - a.cy
     poly = [tuple(p) for p in reference_corner_offsets(a)]
     clip = [(x + dx, y + dy) for x, y in reference_corner_offsets(b)]
@@ -247,9 +247,41 @@ def reference_rect_iou(a, b):
     return min(1.0, float(inter / (area_a + area_b - inter)))
 
 
+def reference_concentric_overlap(a1, a2, b1, b2, phi_a, phi_b):
+    """A frozen copy of the closed form that exact_rect_iou took for
+    concentric pairs before one form served every pair: the overlap area
+    of two rectangles with one center, half-extents (a1, a2) and (b1, b2)
+    at angles phi_a and phi_b.  oracle._overlap must reproduce its bits
+    for every concentric pair."""
+    try:
+        delta = abs(math.remainder(phi_b - phi_a, math.pi))
+    except ValueError:  # phi_b - phi_a overflowed to an infinity
+        delta = abs(math.remainder(math.remainder(phi_b, math.pi)
+                                   - math.remainder(phi_a, math.pi), math.pi))
+    if delta > math.pi / 4:
+        delta = math.pi / 2 - delta
+        b1, b2 = b2, b1
+    a1, a2, b1, b2 = max((a1, a2, b1, b2), (b1, b2, a1, a2), (a2, a1, b2, b1), (b2, b1, a2, a1))
+    if delta == 0.0:
+        return 4.0 * min(a1, b1) * min(a2, b2)
+    c, s = math.cos(delta), math.sin(delta)
+    ca1, sa1, ca2, sa2 = c * a1, s * a1, c * a2, s * a2
+    yu_p, yu_m = (b1 - ca1) / s, (-b1 - ca1) / s
+    yv_p, yv_m = (b2 + sa1) / c, (sa1 - b2) / c
+    xu_p, xu_m = (b1 - sa2) / c, (-b1 - sa2) / c
+    xv_p, xv_m = (ca2 - b2) / s, (ca2 + b2) / s
+    la1 = min(a2, yu_p, yv_p) - max(-a2, yu_m, yv_m)
+    la2 = min(a1, xu_p, xv_m) - max(-a1, xu_m, xv_p)
+    lb1 = min(b2, sa1 - c * yu_m, ca2 - s * xu_p) - max(-b2, c * yu_p - sa1, s * xu_m - ca2)
+    lb2 = min(b1, ca1 + s * yv_p, c * xv_p + sa2) - max(-b1, -(ca1 + s * yv_m), -(c * xv_m + sa2))
+    return (a1 * max(la1, 0.0) + a2 * max(la2, 0.0) + b1 * max(lb1, 0.0)
+            + b2 * max(lb2, 0.0))
+
+
 def _fraction_clip(poly, a, b):
     """Sutherland-Hodgman in exact rationals: the part of poly on the side
-    of edge a->b where the cross product is >= 0, as _clip_halfplane keeps."""
+    of edge a->b where the cross product is >= 0, as
+    reference_clip_halfplane keeps."""
     ex, ey = b[0] - a[0], b[1] - a[1]
     sides = [ex * (y - a[1]) - ey * (x - a[0]) for x, y in poly]
     out = []
@@ -274,7 +306,7 @@ def fraction_rect_iou(a, b):
     corner converts exactly, a's quad is clipped by b's four edges with no
     rounding, and the three areas are exact shoelace sums.  It has no
     empty-overlap floor and no clamp, so it shows what the float corners
-    themselves imply, whichever path exact_rect_iou takes."""
+    themselves imply."""
     dx, dy = Fraction(b.cx) - Fraction(a.cx), Fraction(b.cy) - Fraction(a.cy)
     quad_a = [(Fraction(x), Fraction(y)) for x, y in corner_offsets(a)]
     quad_b = [(Fraction(x) + dx, Fraction(y) + dy) for x, y in corner_offsets(b)]

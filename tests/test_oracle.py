@@ -21,7 +21,7 @@ from helpers import (
     fraction_rect_iou,
     mc_agreement_pairs,
     random_box,
-    reference_clip_halfplane,
+    reference_concentric_overlap,
     reference_corner_offsets,
     reference_corners,
     reference_mc_iou,
@@ -49,9 +49,10 @@ from polarjiou.oracle import (
     MAX_MC_SAMPLES,
     MC_CHUNK,
     MIN_MC_SAMPLES,
+    MIN_OVERLAP_FRACTION,
     PRUNE_EXTENT_LIMIT,
     PRUNE_REACH_SLACK,
-    _clip_halfplane,
+    _overlap,
 )
 from polarjiou.polar import MAX_EXTENT, MIN_EXTENT
 
@@ -156,6 +157,15 @@ def circumradius(box):
     return math.hypot(box.r1, box.r2)
 
 
+def aspect_ratio(*boxes):
+    """The largest aspect ratio among the boxes."""
+    return max(max(box.r1 / box.r2, box.r2 / box.r1) for box in boxes)
+
+
+def no_overlap(*args):
+    raise AssertionError("computed the overlap of a pair with disjoint circumcircles")
+
+
 def pruning_pairs(count, seed):
     """Seeded pairs around the pruning boundary and the clipping's hard cases:
     circumcircle contact x (1 +- 1e-3) in random orientations and corner to
@@ -194,12 +204,17 @@ def pruning_pairs(count, seed):
 
 class TestPruningEquivalence:
     def test_pruning_and_scalar_corners_change_no_bit(self):
-        """The early return and the float-tuple corners give exactly the
-        value of clipping the decode_corners quads, on both sides of the
-        circumcircle test."""
+        """On both sides of the circumcircle test, the early return and the
+        closed form read exactly 0.0 where the frozen clipper of the
+        decode_corners quads reads 0.0, and within 4 EPS times the larger
+        aspect ratio of the two boxes of it elsewhere (about 0.8 measured)."""
         far = 0
         for a, b in pruning_pairs(4000, seed=31):
-            assert exact_rect_iou(a, b) == reference_rect_iou(a, b), (a, b)
+            expected, iou = reference_rect_iou(a, b), exact_rect_iou(a, b)
+            if expected == 0.0:
+                assert iou == 0.0, (a, b)
+            else:
+                assert abs(iou - expected) <= 4 * EPS * aspect_ratio(a, b), (a, b)
             far += math.hypot(b.cx - a.cx, b.cy - a.cy) > circumradius(a) + circumradius(b)
         assert 1000 < far < 3000
 
@@ -245,14 +260,11 @@ class TestPruningEquivalence:
         assert np.isfinite(decode_corners(box)).all()
 
     def test_far_pairs_skip_corner_building(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("built corners for a pruned pair")
-
         far = [(a, b) for a, b in pruning_pairs(2000, seed=33)
                if math.hypot(b.cx - a.cx, b.cy - a.cy)
                > (circumradius(a) + circumradius(b)) * (1.0 + PRUNE_REACH_SLACK)]
         assert len(far) > 500
-        monkeypatch.setattr(polarjiou.oracle, "corner_offsets", fail)
+        monkeypatch.setattr(polarjiou.oracle, "_overlap", no_overlap)
         for a, b in far:
             assert exact_rect_iou(a, b) == 0.0, (a, b)
 
@@ -265,28 +277,22 @@ class TestPruningEquivalence:
         """From PRUNE_EXTENT_LIMIT on a pruned pair checks its corners with
         decode_corners, which finds them finite here, and still reads 0.0;
         just below the limit it checks none.  At any extent a pruned pair
-        builds no corner offsets for clipping."""
-        checked, built = [], []
+        computes no overlap."""
+        checked = []
 
-        def counted(calls, fn):
-            def wrapper(box):
-                calls.append(box)
-                return fn(box)
-            return wrapper
+        def counted(box):
+            checked.append(box)
+            return decode_corners(box)
 
-        monkeypatch.setattr(polarjiou.oracle, "decode_corners", counted(checked, decode_corners))
-        monkeypatch.setattr(polarjiou.oracle, "corner_offsets", counted(built, corner_offsets))
+        monkeypatch.setattr(polarjiou.oracle, "decode_corners", counted)
+        monkeypatch.setattr(polarjiou.oracle, "_overlap", no_overlap)
         a, b = OrientedBox(cx, 0.0, 2.0, 1.0, 0.3), OrientedBox(0.0, 0.0, 2.0, 1.0, 0.3)
         assert exact_rect_iou(a, b) == 0.0
         assert exact_rect_iou(b, a) == 0.0
         assert len(checked) == corners_checked
-        assert built == []
 
     def test_disjoint_circumcircles_skip_clipping(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("clipped a pair with disjoint circumcircles")
-
-        monkeypatch.setattr(polarjiou.oracle, "_clip_halfplane", fail)
+        monkeypatch.setattr(polarjiou.oracle, "_overlap", no_overlap)
         a = OrientedBox(0, 0, 3, 1, 0.4)
         reach = circumradius(a) * 2
         for t in np.linspace(0.0, 2.0 * math.pi, 12):
@@ -501,78 +507,6 @@ class TestDegenerateGeometry:
             checked += 1
 
 
-def clip_stages(a, b):
-    """The four half-plane stages of exact_rect_iou's clip of a against b,
-    each as (input polygon, edge start, edge end), with the library's
-    clipper feeding each stage's output to the next."""
-    dx, dy = b.cx - a.cx, b.cy - a.cy
-    poly = corner_offsets(a)
-    clip = [(x + dx, y + dy) for x, y in corner_offsets(b)]
-    for i in range(4):
-        if not poly:
-            return
-        yield poly, clip[i], clip[(i + 1) % 4]
-        poly = _clip_halfplane(poly, clip[i], clip[(i + 1) % 4])
-
-
-def vertex_bits(poly):
-    return [(float(x).hex(), float(y).hex()) for x, y in poly]
-
-
-def assert_clipper_matches_reference(a, b):
-    stages = 0
-    for poly, p, q in clip_stages(a, b):
-        assert vertex_bits(_clip_halfplane(poly, p, q)) == \
-            vertex_bits(reference_clip_halfplane(poly, p, q)), (a, b, poly, p, q)
-        stages += 1
-    return stages
-
-
-class TestClipHalfplane:
-    """The clipper keeps the frozen reference's vertices, bits and order at
-    every stage; a cyclic rotation of its output would change the bits of
-    the shoelace sum.  The reference builds its corners with numpy arrays
-    and the library with Python floats, so these bits hold only while
-    numpy's float64 arithmetic rounds as Python's does."""
-
-    def test_pruning_pairs(self):
-        pairs = pruning_pairs(2000, seed=34)
-        assert sum(assert_clipper_matches_reference(a, b) for a, b in pairs) > 4000
-
-    @settings(max_examples=300, deadline=None)
-    @given(anchors, anchors)
-    def test_anchor_pairs(self, a, b):
-        assert_clipper_matches_reference(a, b)
-
-    @settings(max_examples=300, deadline=None)
-    @given(anchors, st.integers(0, 3), unit_fractions, ratios, ratios,
-           st.sampled_from([0.0, 1e-12, -1e-12, 0.3]))
-    @example(a=OrientedBox(129.0, 0.0, 1.0, 0.001, 1.0), side=1, slide=0.0, k1=1.0,
-             k2=0.25, dphi=0.0)
-    def test_touching_and_nested_pairs(self, a, side, slide, k1, k2, dphi):
-        """b shares part of an edge of a from outside, or sits inside a, or
-        is a itself: the sides that land on 0.0 exactly."""
-        r1, r2 = k1 * a.r1, k2 * a.r2
-        u, v = (a.r1 + r1, slide * (a.r2 + r2)) if side % 2 == 0 else \
-            (slide * (a.r1 + r1), a.r2 + r2)
-        if side >= 2:
-            u, v = -u, -v
-        inner = placed(a, 0.5 * slide * a.r1, 0.25 * slide * a.r2, 0.4 * a.r1, 0.4 * a.r2, dphi)
-        for b in (placed(a, u, v, r1, r2, dphi), inner, a):
-            assert_clipper_matches_reference(a, b)
-            assert_clipper_matches_reference(b, a)
-
-    @pytest.mark.parametrize("k", range(3))
-    def test_nan_side_is_not_inside(self, k):
-        """A vertex whose side is NaN clips as the reference clips it, with
-        the other vertices inside."""
-        poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
-        poly[k] = (math.nan, 0.5)
-        a, b = (0.0, 2.0), (0.0, -2.0)
-        assert vertex_bits(_clip_halfplane(poly, a, b)) == \
-            vertex_bits(reference_clip_halfplane(poly, a, b))
-
-
 def test_concentric_fit_and_sweep_pairs_match_reference(monkeypatch):
     """The concentric pairs that fit runs and the sweep send to
     exact_rect_iou read within 16 EPS of the frozen clipper reference:
@@ -670,15 +604,19 @@ class TestConcentricOverlap:
                 turned = replaced(a, phi=a.phi + t), replaced(b, phi=b.phi + t)
                 assert exact_rect_iou(*turned) == value, (a, b, t)
 
-    def test_concentric_pairs_skip_the_clipper(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("clipped a concentric pair")
-
-        monkeypatch.setattr(polarjiou.oracle, "_clip_halfplane", fail)
-        for a, b in concentric_pairs(200, seed=75):
-            assert 0.0 < exact_rect_iou(a, b) <= 1.0
-        with pytest.raises(AssertionError, match="clipped a concentric pair"):
-            exact_rect_iou(OrientedBox(0, 0, 3, 1, 0.4), OrientedBox(0.5, 0.25, 2, 1, -0.2))
+    def test_keeps_the_frozen_closed_form_bits(self):
+        """A concentric pair sums one half of the closed form and keeps the
+        bits of the frozen concentric-only form, on random angles, equal
+        angles and turns by pi/2, pi and +-1e-13."""
+        rng = np.random.default_rng(76)
+        turns = (None, 0.0, HALF_PI, -HALF_PI, math.pi, 1e-13, -1e-13)
+        for k in range(50_000):
+            a1, a2, b1, b2 = 10.0 ** rng.uniform(-1.0, 1.5, 4)
+            phi_a, phi_b = rng.uniform(-7.0, 7.0, 2)
+            if turns[k % 7] is not None:
+                phi_b = phi_a + turns[k % 7]
+            assert _overlap(a1, a2, b1, b2, phi_a, phi_b, 0.0, 0.0) == \
+                reference_concentric_overlap(a1, a2, b1, b2, phi_a, phi_b), (a1, a2, b1, b2, k)
 
     @settings(max_examples=300, deadline=None)
     @given(finite_floats(-100.0, 100.0), finite_floats(-100.0, 100.0),
@@ -708,6 +646,126 @@ class TestConcentricOverlap:
         """The overlap is exact, so only the shared empty-overlap floor,
         which grows with the square of the long side, ends the run of 1.0."""
         assert exact_rect_iou(box, box) == expected
+
+
+def floor_iou(a, b):
+    """The IoU that an overlap of exactly the empty-overlap floor would read."""
+    area = 4.0 * (a.r1 * a.r2 + b.r1 * b.r2)
+    reach = circumradius(a) + circumradius(b)
+    extent = max(abs(a.cx), abs(a.cy), abs(b.cx), abs(b.cy)) + reach
+    floor = MIN_OVERLAP_FRACTION * area + CLIP_ROUNDING * extent * reach
+    return floor / (area - floor)
+
+
+def on_grid(box, bits=6):
+    """box with its center and half-extents rounded onto a 2**-bits grid,
+    each half-extent at least one step."""
+    step = 2.0 ** -bits
+    return replaced(box, cx=dyadic(box.cx, bits), cy=dyadic(box.cy, bits),
+                    r1=max(dyadic(box.r1, bits), step), r2=max(dyadic(box.r2, bits), step))
+
+
+# Angles of b relative to a: any, or parallel, near-parallel, a quarter or
+# a half turn.
+relative_angles = st.one_of(
+    st.sampled_from([0.0, 1e-12, -1e-12, HALF_PI, -HALF_PI, math.pi, HALF_PI + 1e-12]),
+    st.floats(-3.5, 3.5),
+)
+
+
+class TestOffCenterOverlap:
+    """The same closed form for pairs whose centers differ."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_floats(-1e3, 1e3), finite_floats(-1e3, 1e3),
+           st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           st.floats(-3.5, 3.5), relative_angles, unit_fractions, unit_fractions)
+    @example(cx=3.0, cy=-1.0, exponents=[1.0, 0.0, 0.5, 0.0], phi_a=0.3, dphi=0.0,
+             fu=0.2, fv=-0.1)
+    @example(cx=0.0, cy=0.0, exponents=[2.0, -2.0, 2.0, -2.0], phi_a=-1.2, dphi=1e-12,
+             fu=0.3, fv=0.0)
+    @example(cx=0.0, cy=0.0, exponents=[1.0, -1.0, 1.0, -1.0], phi_a=0.7, dphi=HALF_PI,
+             fu=0.05, fv=0.02)
+    def test_matches_rational_reference(self, cx, cy, exponents, phi_a, dphi, fu, fv):
+        """Within 8 EPS times the larger aspect ratio of the exact IoU of
+        corner_offsets' float corners, or 0.0 for an overlap that the
+        empty-overlap floor covers.  The centers lie on a 2**-20 grid, so
+        that b.cx - a.cx is exact, and every angle within +-7."""
+        r = [10.0 ** e for e in exponents]
+        reach = math.hypot(r[0], r[1]) + math.hypot(r[2], r[3])
+        a = OrientedBox(dyadic(cx), dyadic(cy), r[0], r[1], phi_a)
+        du, dv = dyadic(0.5 * fu * reach), dyadic(0.5 * fv * reach)
+        b = OrientedBox(a.cx + du, a.cy + dv, r[2], r[3], phi_a + dphi)
+        iou, exact = exact_rect_iou(a, b), float(fraction_rect_iou(a, b))
+        tol = 8 * EPS * aspect_ratio(a, b)
+        if iou == 0.0:
+            assert exact <= floor_iou(a, b) + tol
+        else:
+            assert abs(iou - exact) <= tol
+
+    @pytest.mark.parametrize("ar, expected", [(1e4, 0.6), (1e6, 0.6), (1e8, 0.6), (1e10, 0.6),
+                                              (1e11, 0.6), (1e12, 0.6), (1e13, 0.6),
+                                              (1e14, 0.6), (1e15, 0.0)])
+    def test_thin_box_moved_along_its_axis(self, ar, expected):
+        """A box moved by half its half-length along its long axis keeps
+        three quarters of its length in the overlap: IoU 1.5 / 2.5 = 0.6,
+        read within 2 ulp however thin the box, where the clipper drifted
+        by 3.9e-14 at ar = 1e4 and by 3.2e-4 at 1e14.  At 1e15 the overlap
+        of 3e-15 lies under the shared empty-overlap floor."""
+        a = OrientedBox(0.0, 0.0, 1.0, 1.0 / ar, 0.3)
+        b = OrientedBox(0.5 * math.cos(0.3), 0.5 * math.sin(0.3), 1.0, 1.0 / ar, 0.3)
+        for iou in (exact_rect_iou(a, b), exact_rect_iou(b, a)):
+            assert abs(iou - expected) <= 2 * math.ulp(expected), iou
+
+    @pytest.mark.parametrize("turn", [5e-324, -5e-324, 1e-300, -1e-300])
+    def test_relative_angle_near_zero_reads_as_parallel(self, turn):
+        """Dividing by the sine of such an angle sends crossings to +-inf
+        (5e-324) or near it (1e-300); the pair still reads as the parallel
+        pair, with warnings as errors: the same value for pairs on a 2**-6
+        grid, whose overlap is exact either way, and within 4 EPS for any
+        pair (2 EPS measured)."""
+        rng = np.random.default_rng(77)
+        overlapping = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(400):
+                a, b = (random_box(rng, max_center=3.0) for _ in range(2))
+                if k % 2:
+                    a, b = on_grid(a), on_grid(b)
+                parallel = exact_rect_iou(replaced(a, phi=0.0), replaced(b, phi=0.0))
+                for pair in ((replaced(a, phi=0.0), replaced(b, phi=turn)),
+                             (replaced(a, phi=turn), replaced(b, phi=0.0))):
+                    iou = exact_rect_iou(*pair)
+                    if k % 2:
+                        overlapping += parallel > 0.0
+                        assert iou == parallel, pair
+                    else:
+                        assert abs(iou - parallel) <= 4 * EPS, pair
+        assert overlapping > 100
+
+    @pytest.mark.parametrize("phi_a, phi_b", [(1e308, -1e308), (-1e308, 1e308),
+                                              (1.5e308, -1.7e308)])
+    def test_angles_whose_difference_overflows(self, phi_a, phi_b):
+        """phi_b - phi_a is infinite, so each angle is reduced by pi first:
+        the pair reads as b's pose in a's frame, a's own angle turning the
+        center difference and the reduced angle turning b."""
+        a = OrientedBox(1.0, 2.0, 3.0, 1.0, phi_a)
+        b = OrientedBox(1.5, 2.5, 2.0, 1.5, phi_b)
+        c, s = math.cos(a.phi), math.sin(a.phi)
+        dx, dy = b.cx - a.cx, b.cy - a.cy
+        r = math.remainder(math.remainder(b.phi, math.pi) - math.remainder(a.phi, math.pi),
+                           math.pi)
+        in_frame = (OrientedBox(0.0, 0.0, a.r1, a.r2, 0.0),
+                    OrientedBox(c * dx + s * dy, c * dy - s * dx, b.r1, b.r2, r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < exact_rect_iou(a, b) == exact_rect_iou(*in_frame) < 1.0
+
+    def test_mirrored_pair_keeps_its_bits(self):
+        """b mirrored through a's center swaps the two halves of the sum."""
+        for a, b in near_pairs(300, seed=78):
+            a, b = replaced(a, cx=0.0, cy=0.0), replaced(b, cx=b.cx - a.cx, cy=b.cy - a.cy)
+            assert exact_rect_iou(a, b) == exact_rect_iou(a, replaced(b, cx=-b.cx, cy=-b.cy))
 
 
 class TestMonteCarloEllipse:
