@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GroupingError, ShapeError, float_array
-
-
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError(f"non-finite {what} values")
-    return arr
+from .errors import GroupingError, ShapeError, finite_array
 
 
 def group_softmax(w, per_group_maps) -> np.ndarray:
@@ -27,13 +21,12 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
     raises ShapeError when a value is not finite (an int past the float
     range included) or a logit overflows.
     """
-    w = float_array(w, ShapeError, "non-finite descriptor values")
+    w = finite_array(w, ShapeError, "non-finite descriptor values")
     if w.ndim != 1:
         raise ShapeError(f"descriptor must be a vector, got shape {w.shape}")
     if w.size == 0:
         raise ShapeError("descriptor is empty: need at least one channel")
-    _finite(w, "descriptor")
-    maps = [float_array(mp, ShapeError, "non-finite group map values") for mp in per_group_maps]
+    maps = [finite_array(mp, ShapeError, "non-finite group map values") for mp in per_group_maps]
     m = len(maps)
     if m < 1:
         raise GroupingError("need at least one group map")
@@ -45,9 +38,8 @@ def group_softmax(w, per_group_maps) -> np.ndarray:
     for mp in maps:
         if mp.shape != (g, c):
             raise ShapeError(f"group map must be ({g}, {c}), got shape {mp.shape}")
-        _finite(mp, "group map")
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = _finite(mp @ w, "group logit")
+            logits = finite_array(mp @ w, ShapeError, "non-finite group logit values")
             # Shift by the max so exp cannot overflow; a spread past the float
             # range shifts to -inf, whose exp is the exact 0.
             logits = logits - logits.max()

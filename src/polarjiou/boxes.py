@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AnnotationError, DegenerateQuadError, InvalidBoxError, finite, float_array,
-                     short_int)
+from .errors import (AnnotationError, DegenerateQuadError, InvalidBoxError, finite, finite_array,
+                     float_array, short_int)
 
 HALF_PI = math.pi / 2
 
@@ -112,23 +112,22 @@ def signed_area(corners) -> float:
     """Signed polygon area, positive for counterclockwise traversal on screen.
 
     On-screen means the image frame (y down), so corner quads decoded from a
-    box come out negative: they run clockwise.  InvalidBoxError when a
-    coordinate is an int past the float range.
+    box come out negative: they run clockwise.  corners is any iterable of
+    (x, y) pairs, each coordinate taken as a float64; InvalidBoxError when
+    one is NaN, infinite or an int past the float range.
     """
-    pts = list(corners)
+    pts = finite_array(list(corners), InvalidBoxError, "non-finite corner coordinates").tolist()
     acc = 0.0
-    try:
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-            acc += x1 * y0 - x0 * y1
-        return 0.5 * float(acc)
-    except OverflowError:  # only an int converts with this error; floats overflow to inf
-        raise InvalidBoxError("non-finite corner coordinates") from None
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        acc += x1 * y0 - x0 * y1
+    return 0.5 * acc
 
 
-def _corner_array(quad) -> np.ndarray:
+def _corner_array(quad, convert=float_array) -> np.ndarray:
     """quad as a (4, 2) float64 array; InvalidBoxError on any other shape,
-    and on a coordinate that is an int past the float range."""
-    quad = float_array(quad, InvalidBoxError, "non-finite corner coordinates")
+    and on a coordinate that convert refuses: an int past the float range
+    for float_array, also a NaN or an infinity for finite_array."""
+    quad = convert(quad, InvalidBoxError, "non-finite corner coordinates")
     if quad.shape != (4, 2):
         raise InvalidBoxError(f"corner array must have shape (4, 2), got {quad.shape}")
     return quad
@@ -145,9 +144,7 @@ def corners_to_box(quad) -> OrientedBox:
     InvalidBoxError on a wrong shape or a non-finite corner (an int past
     the float range included).
     """
-    quad = _corner_array(quad)
-    if not np.all(np.isfinite(quad)):
-        raise InvalidBoxError("non-finite corner coordinates")
+    quad = _corner_array(quad, finite_array)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.tolist()
     # Opposite edges point opposite ways, so e0 - e2 and e1 - e3 are the
     # doubled averaged axis vectors.
@@ -199,8 +196,7 @@ def corner_set_distance(a, b) -> float:
         distance = float(np.abs(pb.ravel()[_CORNER_ORDERS] - pa.ravel()).max(axis=1).min())
     if finite(distance):
         return distance
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
-        raise InvalidBoxError("non-finite corner coordinates")
+    finite_array([pa, pb], InvalidBoxError, "non-finite corner coordinates")
     raise OverflowError("corner deviation exceeds the float64 range")
 
 

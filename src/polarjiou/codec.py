@@ -19,6 +19,7 @@ from .errors import (
     ShapeError,
     check_count,
     finite,
+    finite_array,
     float_array,
     short_int,
 )
@@ -158,11 +159,6 @@ def encode_targets(objects, num_classes: int, height: int, width: int, stride: i
     return EncodedTargets(heatmap, offset_map, param_map, tuple(positives))
 
 
-def _first_non_finite(values: np.ndarray) -> float:
-    """The first NaN or infinity of a float64 array that holds one."""
-    return float(values[~np.isfinite(values)][0])
-
-
 def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
                gamma: float = DEFAULT_GAMMA) -> float:
     """Center-heatmap focal loss of a predicted (C, H, W) heatmap against
@@ -173,18 +169,17 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     down-weighted near peaks by the soft target y.  The sum is negated and
     divided by the positive count, floored at one; a loss whose terms all
     underflow is +0.0.  Raises ValueError unless alpha and gamma are finite
-    and >= 0 and every target value lies in [0, 1], and InvalidLossError
-    when a prediction is not finite (NaN, an infinity or an int past the
-    float range; the clip into [PT_CLAMP, 1 - PT_CLAMP] would hide an
-    infinity) or the loss is not finite (a NaN target cell).
+    and >= 0 and every target value lies in [0, 1] (a NaN target cell
+    included, named as nan), and InvalidLossError when a prediction is not
+    finite (NaN, an infinity or an int past the float range; the clip into
+    [PT_CLAMP, 1 - PT_CLAMP] would hide an infinity) or the loss is not
+    finite.
     """
     if not (finite(alpha, gamma) and alpha >= 0.0 and gamma >= 0.0):
         raise ValueError("alpha and gamma must be finite and >= 0, "
                          f"got {short_int(alpha)}, {short_int(gamma)}")
-    pred = float_array(pred, InvalidLossError, "non-finite heatmap prediction {}")
-    if not np.isfinite(pred).all():
-        raise InvalidLossError(f"non-finite heatmap prediction {_first_non_finite(pred)}")
-    y = float_array(target, ValueError, "target values must lie in [0, 1], got {}")
+    pred = finite_array(pred, InvalidLossError, "non-finite heatmap prediction {}")
+    y = finite_array(target, ValueError, "target values must lie in [0, 1], got {}")
     if y.ndim != 3:
         raise ShapeError(f"target must be a (C, H, W) heatmap, got shape {y.shape}")
     if pred.shape != y.shape:
@@ -282,14 +277,13 @@ def extract_peaks(heatmap, k: int = DEFAULT_PEAK_K,
     numpy 2.4).
 
     Raises ShapeError when the heatmap is not (C, H, W) or holds a value
-    that is not finite (NaN, an infinity or an int past the float range),
-    and ValueError for a k below 1 or a threshold outside [0, 1).  The
+    that is not finite: "heatmap value nan is not finite" names the first
+    NaN, infinity or int past the float range (in short form, 1e+400).
+    ValueError for a k below 1 or a threshold outside [0, 1).  The
     finiteness test reads the whole map: about 80 us on a 15x130x130
     map (Xeon VM core, numpy 2.4).
     """
-    heat = float_array(heatmap, ShapeError, "heatmap value {} is past the float range")
-    if not np.isfinite(heat).all():
-        raise ShapeError(f"heatmap value {_first_non_finite(heat)} is not finite")
+    heat = finite_array(heatmap, ShapeError, "heatmap value {} is not finite")
     if heat.ndim != 3:
         raise ShapeError(f"expected a (C, H, W) heatmap, got shape {heat.shape}")
     k = check_count("k", k, 1)

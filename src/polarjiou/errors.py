@@ -56,6 +56,17 @@ def float_array(values, error, message):
         raise error(message.format(short_int(values if entry is None else entry))) from None
 
 
+def finite_array(values, error, message):
+    """float_array(values, error, message), except that a NaN or an infinity
+    raises error(message) as well; a {} in message reads as the first
+    entry that is not finite.  The one finiteness test for arrays in the
+    package."""
+    array = float_array(values, error, message)
+    if not np.isfinite(array).all():
+        raise error(message.format(float(array[~np.isfinite(array)][0])))
+    return array
+
+
 def _past_float_range(values):
     """The first int past the float range in a number or nested sequence, or None."""
     if isinstance(values, int):

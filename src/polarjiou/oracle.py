@@ -185,7 +185,7 @@ def exact_rect_iou(a: OrientedBox, b: OrientedBox) -> float:
         decode_corners(b)
     if math.hypot(dx, dy) > reach * (1.0 + PRUNE_REACH_SLACK):
         return 0.0
-    check_extents("exact clipping", a, b)
+    check_extents("an exact overlap", a, b)
     inter = _overlap(a.r1, a.r2, b.r1, b.r2, a.phi, b.phi, dx, dy)
     area_a = 4.0 * a.r1 * a.r2
     area_b = 4.0 * b.r1 * b.r2

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .boxes import OrientedBox
-from .errors import DiscretizationError, InvalidBoxError, float_array, short_int
+from .errors import DiscretizationError, InvalidBoxError, finite_array, short_int
 
 MIN_GRID_ANGLES = 4
 # Past intp's byte range numpy gives ValueError or an empty array, not MemoryError.
@@ -39,8 +39,9 @@ def check_extents(use: str, *boxes: OrientedBox) -> None:
 # never asks for an earlier state's profile again.
 PROFILE_SLOTS = 2
 
-# The grid that _grid built last, the one _profile_terms looks profiles up for.
-_shared_grid = None
+# The grid that _grid built last, the one _profile_terms looks profiles up for;
+# before the first grid, a placeholder that no caller can pass as theta.
+_shared_grid = object()
 
 
 def _profile_terms(box: OrientedBox, theta):
@@ -96,14 +97,13 @@ def radius_at(box: OrientedBox, theta):
     r1 exactly, with no trig: the trig form would add phi-dependent rounding,
     so equal circles would get profiles that differ in the last bit.
     Accepts a scalar, which gives a float, or an array of angles, which
-    gives a new array.  ValueError naming theta when an angle is NaN or
-    infinite, and naming the angle when it is an int past the float range;
-    InvalidBoxError when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
+    gives a new array.  ValueError naming the first angle that is NaN,
+    infinite or an int past the float range (in short form); InvalidBoxError
+    when a half-extent lies outside [MIN_EXTENT, MAX_EXTENT].
     """
-    theta = float_array(theta, ValueError, "theta must be finite angles, got {}")
-    # The shared grid is finite by construction.
-    if theta is not _shared_grid and not np.isfinite(theta).all():
-        raise ValueError(f"theta must be finite angles, got {theta}")
+    # The shared grid is float64 and finite by construction.
+    if theta is not _shared_grid:
+        theta = finite_array(theta, ValueError, "theta must be finite angles, got {}")
     if box.r1 == box.r2:
         check_extents("a radial profile", box)
         rho = np.full(theta.shape, box.r1)

@@ -231,6 +231,16 @@ class TestSignedArea:
     def test_reversed_is_positive(self):
         assert signed_area([(8, 11), (12, 11), (12, 9), (8, 9)]) == 8.0
 
+    def test_any_iterable_of_pairs_keeps_float_bits(self):
+        """A generator or an array of pairs reads like the list, and float
+        coordinates keep their bits through the check."""
+        pts = [(0.1, 0.7), (3.3, 0.2), (2.9, 5.1), (-0.4, 4.4), (0.3, 2.0)]
+        acc = 0.0
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            acc += x1 * y0 - x0 * y1
+        for corners in (pts, (p for p in pts), np.array(pts)):
+            assert signed_area(corners) == 0.5 * acc
+
     @pytest.mark.parametrize("pts", [[], [(3.5, -2.0)], [(1e8, 3.3), (-7.1, 2e-5)]])
     def test_fewer_than_three_points_is_zero(self, pts):
         # Clipping can leave such polygons; their terms cancel exactly.

@@ -504,7 +504,7 @@ class TestNmsCommand:
         code, out, err = run_cli(["nms", str(src), "--nms-iou", "0.5"])
         assert code == 2 and out == ""
         assert err.startswith(
-            "error: half-extents must lie in [1e-100, 1e+100] for exact clipping, got ")
+            "error: half-extents must lie in [1e-100, 1e+100] for an exact overlap, got ")
 
     @pytest.mark.parametrize("rows, message", [
         (["0,0,1,1,0,0.9"], "error: line 2: expected 7 fields, got 6"),

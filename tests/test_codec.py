@@ -481,18 +481,20 @@ class TestFocalLoss:
 
     @pytest.mark.parametrize("where, value", [("pred", math.nan), ("target", math.nan)])
     def test_non_finite_focal_loss_rejected_without_warning(self, where, value):
-        """A NaN prediction is refused before the loss is computed; a NaN
-        target cell makes the loss non-finite.  Any warning fails, whatever
-        its wording, which differs between numpy versions."""
+        """A NaN prediction or target cell is refused before the loss is
+        computed, the target as a value outside [0, 1].  Any warning fails,
+        whatever its wording, which differs between numpy versions."""
         pred = np.full((1, 4, 4), 0.2)
         target = np.zeros((1, 4, 4))
         target[0, 1, 1] = 1.0
         (pred if where == "pred" else target)[0, 0, 0] = value
-        message = "non-finite heatmap prediction nan" if where == "pred" else "non-finite focal loss"
+        error, message = ((InvalidLossError, "non-finite heatmap prediction nan") if where == "pred"
+                          else (ValueError, r"target values must lie in \[0, 1\], got nan"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidLossError, match=message):
+            with pytest.raises(error, match=message) as info:
                 focal_loss(pred, target, alpha=2.5)
+        assert type(info.value) is error
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     @pytest.mark.parametrize("value", [math.inf, 3.0, -2.0])

@@ -134,7 +134,7 @@ PAST_RANGE_CALLS = {
     "signed_area": (lambda v: signed_area(_quad_with(v)), InvalidBoxError,
                     "non-finite corner coordinates"),
     "extract_peaks": (lambda v: extract_peaks([[[0.5, v], [0.1, 0.2]]]), ShapeError,
-                      "heatmap value {} is past the float range"),
+                      "heatmap value {} is not finite"),
     "focal_loss-pred": (lambda v: focal_loss([[[0.5, v]]], [[[1.0, 0.0]]]), InvalidLossError,
                         "non-finite heatmap prediction {}"),
     "focal_loss-target": (lambda v: focal_loss([[[0.5, 0.2]]], [[[1.0, v]]]), ValueError,
@@ -166,21 +166,46 @@ def test_whole_number_past_the_float_range_raises_typed_error(name, value, text)
 
 
 # Each call with a NaN or a float infinity where the calls above take an int
-# past the float range: the same error type, and its text for that value.
+# past the float range: the same error type and text template, with the
+# float in place of the int.
 NON_FINITE_FLOAT_CALLS = {
+    "radius_at": (lambda v: radius_at(OrientedBox(0, 0, 2, 1, 0.3), v), ValueError,
+                  "theta must be finite angles, got {}"),
+    "radius_at-list": (lambda v: radius_at(OrientedBox(0, 0, 2, 1, 0.3), [["0.0", 1.0], [2.0, v]]),
+                       ValueError, "theta must be finite angles, got {}"),
+    "corners_to_box": (lambda v: corners_to_box(_quad_with(v)), InvalidBoxError,
+                       "non-finite corner coordinates"),
+    "corner_set_distance": (lambda v: corner_set_distance(QUAD, _quad_with(v)),
+                            InvalidBoxError, "non-finite corner coordinates"),
+    "signed_area": (lambda v: signed_area(_quad_with(v)), InvalidBoxError,
+                    "non-finite corner coordinates"),
     "extract_peaks": (lambda v: extract_peaks([[[0.5, v], [0.1, 0.2]]]), ShapeError,
                       "heatmap value {} is not finite"),
     "focal_loss-pred": (lambda v: focal_loss([[[0.5, v]]], [[[1.0, 0.0]]]), InvalidLossError,
                         "non-finite heatmap prediction {}"),
+    "focal_loss-target": (lambda v: focal_loss([[[0.5, 0.2]]], [[[1.0, v]]]), ValueError,
+                          "target values must lie in [0, 1], got {}"),
+    "group_softmax-descriptor": (lambda v: group_softmax([1.0, v], [[[1.0, 0.0]]]), ShapeError,
+                                 "non-finite descriptor values"),
+    "group_softmax-map": (lambda v: group_softmax([1.0, 1.0], [[[1.0, v]]]), ShapeError,
+                          "non-finite group map values"),
 }
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FLOAT_CALLS)
+def test_non_finite_float_and_past_range_int_share_error_and_text(name):
+    """One rule for every kind of value that is not finite: a NaN, an
+    infinity and an int past the float range get one error type and one
+    text template."""
+    assert NON_FINITE_FLOAT_CALLS[name][1:] == PAST_RANGE_CALLS[name][1:]
 
 
 @pytest.mark.parametrize("name", NON_FINITE_FLOAT_CALLS)
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_float_nan_or_infinity_raises_typed_error(name, value):
-    """Not a peak at inf, an ignored cell at -inf or NaN, nor a focal loss
-    that the clip of an infinite prediction keeps finite; and no numpy
-    warning."""
+    """Not a peak at inf, an ignored cell at -inf or NaN, a focal loss
+    that the clip of an infinite prediction keeps finite, nor an area or
+    a profile that is NaN; and no numpy warning."""
     call, error, message = NON_FINITE_FLOAT_CALLS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,4 +1,4 @@
-"""Ground-truth IoU oracles (exact clipping, Monte-Carlo) and rotated NMS."""
+"""Ground-truth IoU oracles (exact overlap, Monte-Carlo) and rotated NMS."""
 
 import math
 import sys
@@ -356,7 +356,7 @@ class TestExtentRange:
     def test_overlapping_pairs_out_of_range_raise(self, j):
         for a, b in near_pairs(20):
             if exact_rect_iou(a, b) > 0.0:
-                with pytest.raises(InvalidBoxError, match="for exact clipping"):
+                with pytest.raises(InvalidBoxError, match="for an exact overlap"):
                     exact_rect_iou(scaled(a, j), scaled(b, j))
 
     @pytest.mark.parametrize("inside, outside", [
@@ -368,7 +368,7 @@ class TestExtentRange:
         assert exact_rect_iou(inside, inside) == 1.0
         outside = OrientedBox(0.0, 0.0, *outside, 0.3)
         for a, b in ((outside, inside), (inside, outside)):
-            with pytest.raises(InvalidBoxError, match="for exact clipping"):
+            with pytest.raises(InvalidBoxError, match="for an exact overlap"):
                 exact_rect_iou(a, b)
 
     def test_disjoint_pairs_out_of_range_read_zero(self):
