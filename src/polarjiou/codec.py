@@ -334,6 +334,10 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
     finite and >= 1, OutOfImageError when a peak cell is not a whole
     number inside the maps' H x W, and InvalidBoxError when a map value is
     an int past the float range or a decoded box is not finite.
+
+    Only the peak cells are read, so the maps are not scanned whole: a NaN
+    or an infinity elsewhere in them passes, while one at a peak cell
+    makes that box non-finite and raises InvalidBoxError.
     """
     _check_stride(stride)
     off = float_array(offset_map, InvalidBoxError, "non-finite offset map value {}")

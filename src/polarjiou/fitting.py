@@ -79,7 +79,10 @@ def fit_box(init: OrientedBox, target: OrientedBox, loss_kind: str,
     recorded step including the initial state.  Fully deterministic.
     The SmoothL1 target tuple is built once per run.  A JIoU evaluation
     asks only for the target's and the candidate's profiles, so with
-    polar.PROFILE_SLOTS kept the target's is built once per run.
+    polar.PROFILE_SLOTS kept the target's is built once per run.  It sums
+    the pair once: jiou_gradient keeps the pair's sums and ratio, keyed on
+    both boxes' (r1, r2, phi) and n and swapped as one tuple, and the
+    jiou_bar after it reads the ratio from there and builds no profile.
     """
     if loss_kind not in ("jiou", "smooth_l1"):
         raise ValueError(f"loss_kind must be 'jiou' or 'smooth_l1', got {loss_kind!r}")

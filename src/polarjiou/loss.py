@@ -63,22 +63,50 @@ def _sums(rho_p, rho_t):
     return float(lo.sum()), float(hi.sum())
 
 
-def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouValue:
-    """Discrete radial IoU ratio of two boxes and its -log loss.
+# The last pair's sums, as (key, s_min, s_max, ratio) with the key
+# (pred.r1, pred.r2, pred.phi, target.r1, target.r2, target.phi, n) and the
+# tie rule already applied to ratio.  A batch pair and a fit evaluation each
+# ask jiou_bar and jiou_gradient for one pair: whichever comes first sums,
+# and the other reads.  The tuple is swapped whole, so a thread never reads
+# one pair's key with another pair's sums.
+_kept_pair = (None, 0.0, 0.0, 0.0)
 
-    Symmetric in the two arguments and independent of both centers; the
-    ratio is 1 exactly when the two profiles coincide on the grid.
-    """
-    thetas = grid_angles(n)
-    rho_p = radius_at(pred, thetas)
-    rho_t = radius_at(target, thetas)
+
+def _pair_sums(pred: OrientedBox, target: OrientedBox, n, thetas, rho_p=None, rho_t=None):
+    """The kept (key, s_min, s_max, ratio) of the pair on the grid thetas of n,
+    summed from the profiles rho_p and rho_t (radius_at's when not given)
+    unless the last pair was this one."""
+    global _kept_pair
+    key = (pred.r1, pred.r2, pred.phi, target.r1, target.r2, target.phi, n)
+    kept = _kept_pair
+    if kept[0] == key:
+        return kept
+    if rho_p is None:
+        rho_p = radius_at(pred, thetas)
+        rho_t = radius_at(target, thetas)
     s_min, s_max = _sums(rho_p, rho_t)
     ratio = s_min / s_max
     if ratio == 1.0 and not np.array_equal(rho_p, rho_t):
         # Distinct profiles have a true ratio below 1 even when the two sums
         # round to the same float.
         ratio = math.nextafter(1.0, 0.0)
-    return JiouValue(ratio)
+    _kept_pair = kept = (key, s_min, s_max, ratio)
+    return kept
+
+
+def jiou_bar(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouValue:
+    """Discrete radial IoU ratio of two boxes and its -log loss.
+
+    Symmetric in the two arguments and independent of both centers; the
+    ratio is 1 exactly when the two profiles coincide on the grid.
+
+    The last pair's sums and ratio are kept, keyed on (pred.r1, pred.r2,
+    pred.phi, target.r1, target.r2, target.phi, n) and swapped as one
+    tuple, so a thread never reads one pair's key with another's sums.
+    Right after jiou_gradient of the same pair, the ratio is read from
+    there and no profile is asked for.
+    """
+    return JiouValue(_pair_sums(pred, target, n, grid_angles(n))[3])
 
 
 def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) -> JiouGradient:
@@ -102,11 +130,14 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
     exact stationary point: every weight is +0.0, and so is the gradient.
     d_phi is never -0.0, also for a circular prediction, where r1^2 - r2^2
     is 0.
+
+    s_min and s_max come from the kept pair of jiou_bar when the last pair
+    summed was this one (same key), and are summed and kept here otherwise.
     """
     thetas = grid_angles(n)
     rho_t = radius_at(target, thetas)
     rho_p, c, s, rc2, rs2, denom = _profile_terms(pred, thetas)
-    s_min, s_max = _sums(rho_p, rho_t)
+    _, s_min, s_max, _ = _pair_sums(pred, target, n, thetas, rho_p, rho_t)
 
     # 2 / s_max where rho_p is the larger, -2 / s_min where it is the
     # smaller, and both where the two tie.  The profile's arrays may be kept
@@ -130,7 +161,8 @@ def jiou_gradient(pred: OrientedBox, target: OrientedBox, n: int = DEFAULT_N) ->
 def batch_jiou(preds, targets, n: int = DEFAULT_N):
     """Values and gradients for paired boxes plus the batch-mean loss.
 
-    Returns (mean_loss, [JiouValue, ...], [JiouGradient, ...]).
+    Returns (mean_loss, [JiouValue, ...], [JiouGradient, ...]).  Each pair
+    is summed once: its jiou_gradient reads the sums its jiou_bar kept.
     """
     preds = list(preds)
     targets = list(targets)
@@ -139,7 +171,8 @@ def batch_jiou(preds, targets, n: int = DEFAULT_N):
     if not preds:
         raise EmptyBatchError("batch_jiou needs at least one pair")
     # Each pair's value and gradient in turn, so the gradient finds both
-    # profiles that jiou_bar just built among the PROFILE_SLOTS kept ones.
+    # profiles that jiou_bar just built among the PROFILE_SLOTS kept ones,
+    # and the pair's sums in the kept pair.
     values, grads = [], []
     for p, t in zip(preds, targets):
         values.append(jiou_bar(p, t, n))

@@ -891,6 +891,25 @@ class TestDecodeDetections:
             decode_detections([(0, 2, -(10**400), 0.9)], offset, params, 4)
         assert str(info.value) == "peak cell (2, -1e+400) is not a whole cell of the 5x4 maps"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("channel", range(5))
+    def test_non_finite_value_read_only_at_a_peak_cell(self, channel, value):
+        """A NaN or an infinity off the peak cells passes unread, and the
+        same value at a peak cell raises InvalidBoxError."""
+        offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
+        params[:, 3, 4] = (0.1, 8.0, 4.0)
+        # Channels 0-1 are the offset map's dx, dy; 2-4 the param map's phi, r1, r2.
+        channels = np.concatenate([offset, params])
+        channels[channel, 1, 2] = value
+        offset, params = channels[:2], channels[2:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (det,) = decode_detections([(0, 4, 3, 0.9)], offset, params, 4)
+            assert (det.box.cx, det.box.cy, det.box.r1, det.box.r2, det.box.phi) == (
+                16.0, 12.0, 8.0, 4.0, 0.1)
+            with pytest.raises(InvalidBoxError, match="^non-finite box parameters "):
+                decode_detections([(0, 4, 3, 0.9), (0, 2, 1, 0.8)], offset, params, 4)
+
     def test_whole_float_peak_cell_reads_that_cell(self):
         offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
         params[:, 3, 4] = (0.1, 8.0, 4.0)

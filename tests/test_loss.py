@@ -3,6 +3,8 @@
 import math
 import platform
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from polarjiou import (
     radius_at,
 )
 import polarjiou.fitting
-from polarjiou import fit_box, polar
+from polarjiou import fit_box, loss, polar
 from polarjiou.errors import DiscretizationError, EmptyBatchError, InvalidBoxError, ShapeError
 
 
@@ -402,7 +404,8 @@ class TestProfileCache:
 
     def test_fit_builds_each_box_once(self, monkeypatch):
         """A JIoU fit of E evaluations builds E + 1 profiles: the target's
-        once, and each evaluated box's once."""
+        once, and each evaluated box's once.  jiou_bar reads the pair that
+        jiou_gradient just summed and asks for no profile."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -416,5 +419,120 @@ class TestProfileCache:
                         lr=5.0)
         evaluations = len(calls)
         assert evaluations > len(trace.steps) > 2
-        # Each evaluation asks for the target twice and its box twice.
-        assert kept_counts() == (hits + 3 * evaluations - 1, misses + evaluations + 1)
+        # Each evaluation's jiou_gradient asks for the target once and its box once.
+        assert kept_counts() == (hits + evaluations - 1, misses + evaluations + 1)
+
+
+NO_PAIR = (None, 0.0, 0.0, 0.0)
+
+
+class TestKeptPair:
+    """jiou_bar and jiou_gradient share the sums of the last pair."""
+
+    @pytest.fixture
+    def sums_calls(self, monkeypatch):
+        """Starts with no pair kept; lists the pairs of profiles that loss._sums gets."""
+        calls = []
+
+        def counted(rho_p, rho_t):
+            calls.append((rho_p, rho_t))
+            return sums(rho_p, rho_t)
+
+        sums = loss._sums
+        monkeypatch.setattr(loss, "_sums", counted)
+        monkeypatch.setattr(loss, "_kept_pair", NO_PAIR)
+        return calls
+
+    def test_batch_sums_each_pair_once(self, sums_calls):
+        rng = np.random.default_rng(41)
+        k = 12
+        preds = [random_box(rng) for _ in range(k)]
+        targets = [random_box(rng) for _ in range(k)]
+        batch_jiou(preds, targets, 720)
+        assert len(sums_calls) == k
+
+    def test_fit_sums_each_evaluation_once(self, sums_calls, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jiou_bar(*args, **kwargs)
+
+        monkeypatch.setattr(polarjiou.fitting, "jiou_bar", counted)
+        trace = fit_box(OrientedBox(0, 0, 12, 3, 0.9), OrientedBox(0, 0, 10, 4, 0.2), "jiou",
+                        lr=5.0)
+        assert len(calls) > len(trace.steps) > 2
+        assert len(sums_calls) == len(calls)
+
+    @pytest.mark.parametrize("changed", [
+        "pred r1", "pred r2", "pred phi", "target r1", "target r2", "target phi", "n"])
+    def test_pair_differing_in_one_key_field_is_summed_again(
+            self, sums_calls, monkeypatch, changed):
+        """Each of the seven key fields tells two pairs apart, and what the
+        new pair reads equals what it reads with no pair kept."""
+        fields = {"pred": [5.0, 2.0, 0.3], "target": [4.0, 3.0, -0.2]}
+        n = 64
+
+        def pair():
+            return OrientedBox(0, 0, *fields["pred"]), OrientedBox(0, 0, *fields["target"])
+
+        first = jiou_bar(*pair(), n)
+        jiou_gradient(*pair(), n)
+        assert len(sums_calls) == 1
+        if changed == "n":
+            n = 128
+        else:
+            box, name = changed.split()
+            fields[box][("r1", "r2", "phi").index(name)] += 0.5
+        value, grad = jiou_bar(*pair(), n), jiou_gradient(*pair(), n)
+        assert len(sums_calls) == 2 and value != first
+        monkeypatch.setattr(loss, "_kept_pair", NO_PAIR)
+        assert jiou_gradient(*pair(), n) == grad and jiou_bar(*pair(), n) == value
+
+    def test_threads_read_only_their_own_pairs_sums(self):
+        """Four threads alternate their own pairs, an identical pair among
+        them, through jiou_bar and jiou_gradient in both orders; each gets
+        the bits of a single-threaded run.
+
+        Threads take turns often only while the host runs them side by
+        side, so each goes on past 600 rounds, up to 6000, until the pairs
+        have changed hands 2000 times."""
+        rng = np.random.default_rng(41)
+        same = OrientedBox(0, 0, 5, 2, 0.3)
+        pairs = [[(random_box(rng), random_box(rng)) for _ in range(2)] for _ in range(4)]
+        pairs[0][0] = (same, same)
+        want = {(p, t): (jiou_bar(p, t), jiou_gradient(p, t)) for own in pairs for p, t in own}
+        failures, finished = [], []
+        turns = {"count": 0, "last": None}
+        start = threading.Barrier(len(pairs))
+
+        def work(own):
+            start.wait(timeout=60)
+            for i in range(6000):
+                if i >= 600 and turns["count"] >= 2000:
+                    break
+                for p, t in own:
+                    if turns["last"] is not own:
+                        turns["count"] += 1
+                        turns["last"] = own
+                    if i % 2:
+                        grad = jiou_gradient(p, t)
+                        got = jiou_bar(p, t), grad
+                    else:
+                        got = jiou_bar(p, t), jiou_gradient(p, t)
+                    if got != want[p, t]:
+                        failures.append((p, t))
+            finished.append(own)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(own,)) for own in pairs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == len(pairs) and not failures
