@@ -353,14 +353,24 @@ def reference_mc_iou(a, b, samples, seed, ellipse):
 
 
 def reference_profile(box, thetas):
-    """rho, cos, sin and denominator of the ellipse radius, derived inline as
-    jiou_gradient did before polar owned the formula."""
-    t = thetas - box.phi
-    c = np.cos(t)
-    s = np.sin(t)
+    """rho, cos, sin and denominator of the ellipse radius, written inline:
+    on the grid of n = len(thetas) angles, polar's cos/sin table of n turned
+    by phi (a phi whose |sin| is below 2**-511 turns nothing); at any other
+    angles, np.cos and np.sin of theta - phi.  rho is r1 * (r2 / sqrt(denom))."""
+    n = len(thetas)
+    if n >= 4 and np.array_equal(thetas, np.arange(n) * (2.0 * math.pi / n)):
+        cos_t, sin_t = polar._table(n)
+        cos_phi, sin_phi = math.cos(box.phi), math.sin(box.phi)
+        if abs(sin_phi) < 2.0 ** -511:
+            sin_phi = 0.0
+        c = cos_t * cos_phi + sin_t * sin_phi
+        s = sin_t * cos_phi - cos_t * sin_phi
+    else:
+        c = np.cos(thetas - box.phi)
+        s = np.sin(thetas - box.phi)
     r1, r2 = box.r1, box.r2
     denom = (r2 * c) ** 2 + (r1 * s) ** 2
-    rho = np.full(len(thetas), r1) if r1 == r2 else r1 * r2 / np.sqrt(denom)
+    rho = np.full(n, r1) if r1 == r2 else r1 * (r2 / np.sqrt(denom))
     return rho, c, s, denom
 
 
@@ -413,6 +423,20 @@ def reference_weight_gradient(pred, target, n):
 
 # pi to 50 digits: np.pi is a float64 and would cap the grid at double precision.
 LONGDOUBLE_PI = np.longdouble("3.14159265358979323846264338327950288419716939937510")
+
+
+def longdouble_grid_trig(n):
+    """cos and sin of the grid angles 2*pi*i/n in np.longdouble, each from
+    its offset in (-pi/4, pi/4] from the nearest quarter turn: the naive
+    longdouble grid is off by up to about 2*pi*2**-64 near 2*pi, a relative
+    error of about EPS on a cos of 1e-3 near a quarter turn."""
+    quarter, r = np.divmod(4 * np.arange(n), n)
+    up = 2 * r > n
+    quarter = (quarter + up) % 4
+    d = (r - n * up).astype(np.longdouble) * (LONGDOUBLE_PI / 2) / n
+    cd, sd = np.cos(d), np.sin(d)
+    turns = [quarter == q for q in range(4)]
+    return (np.select(turns, [cd, -sd, -cd, sd]), np.select(turns, [sd, cd, -sd, -cd]))
 
 
 def _longdouble_profile(box, n):

@@ -414,7 +414,7 @@ class TestFitCommand:
                                   "--target", "0,0,60,2,0.1", "--lr", "1e308"])
         assert code == 2 and out == ""
         assert err.splitlines() == [
-            "error: non-finite box parameters (0.0, 0.0, 1e+308, inf, 1.0928757898653886e+292)",
+            "error: non-finite box parameters (0.0, 0.0, 1e+308, inf, -6.245004513516506e+291)",
             "usage: polarjiou [-h] {jiou,sweep,roundtrip,fit,nms,heatmap-demo} ...",
         ]
 

@@ -4,6 +4,7 @@ A box's discrete radial profile is radius_at(box, grid_angles(n)).
 Half-extents outside [MIN_EXTENT, MAX_EXTENT] are rejected.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -13,11 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import boxes, finite_floats, kept_counts, random_box, reference_profile
+from helpers import (
+    boxes, finite_floats, kept_counts, longdouble_grid_trig, random_box, reference_profile)
 from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
 from polarjiou.polar import (
-    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, _grid, _kept_profile, _profile_terms)
+    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, _grid, _kept_profile, _profile_terms, _table)
+
+# Grid sizes for the table: 8 divides n or not, odd n, and one past the
+# reductions' blocking.
+TABLE_SIZES = [4, 5, 16, 720, 1001, 8192]
 
 
 class TestRadiusAt:
@@ -28,7 +34,8 @@ class TestRadiusAt:
 
     def test_circle_profile_needs_no_trig(self, monkeypatch):
         """A circle's profile is r1 exactly, with no cos or sin evaluated;
-        the gradient's terms still come with their trig."""
+        the gradient's terms still come with their trig, the grid's table
+        turned by phi."""
         box = OrientedBox(0, 0, 3, 3, 0.7)
         thetas = grid_angles(64)
         want = _profile_terms(box, thetas)
@@ -43,17 +50,19 @@ class TestRadiusAt:
         assert radius_at(box, 1.0) == 3.0
         monkeypatch.undo()
         assert np.array_equal(want[0], rho)
-        assert np.array_equal(want[1], np.cos(thetas - 0.7))
-        assert np.array_equal(want[2], np.sin(thetas - 0.7))
+        _, c, s, _ = reference_profile(box, thetas)
+        assert np.array_equal(want[1], c) and np.array_equal(want[2], s)
 
     def test_profile_terms_match_frozen_reference(self):
         """rho, cos, sin, both squared terms and their sum, computed in
         place, keep the bits of the inline numpy formula, for ellipses and a
-        circle."""
+        circle: on the grid the table turned by phi, elsewhere np.cos and
+        np.sin of theta - phi."""
         rng = np.random.default_rng(11)
+        boxes_ = [random_box(rng) for _ in range(100)] + [OrientedBox(0, 0, 3, 3, 0.7)]
         for n in (64, 720):
-            thetas = grid_angles(n)
-            for box in [random_box(rng) for _ in range(100)] + [OrientedBox(0, 0, 3, 3, 0.7)]:
+            for thetas, box in itertools.product(
+                    (grid_angles(n), np.linspace(-7.0, 7.0, n)), boxes_):
                 rho, c, s, rc2, rs2, denom = _profile_terms(box, thetas)
                 ref_rho, ref_c, ref_s, ref_denom = reference_profile(box, thetas)
                 pairs = ((rho, ref_rho), (c, ref_c), (s, ref_s), (denom, ref_denom),
@@ -322,27 +331,45 @@ class TestKeptProfiles:
         terms = _profile_terms(circle, grid)
         assert _profile_terms(circle, grid) is terms
         assert _kept_profile.cache_info() == (1, 1, PROFILE_SLOTS, 1)
-        assert np.array_equal(terms[1], np.cos(grid - 0.7)) and np.array_equal(terms[0], rho)
+        assert np.array_equal(terms[1], reference_profile(circle, grid)[1])
+        assert np.array_equal(terms[0], rho)
 
     def test_threads_switching_grids_get_their_own_grid_profiles(self):
-        """Four threads alternate n; every profile each one gets is the one
-        built on the grid it passed, bit for bit."""
-        box = OrientedBox(0, 0, 5, 2, 0.3)
-        want = {n: _profile_terms(box, np.array(grid_angles(n))) for n in (16, 720)}
-        failures = []
+        """Four threads alternate n and cycle through more boxes than there
+        are PROFILE_SLOTS, so profiles are built anew on grids and tables
+        that the other threads replace; every profile each one gets is the
+        one built on the grid it passed, bit for bit.
+
+        Threads take turns often only while the host runs them side by
+        side, so each goes on past 150 rounds, up to 3000, until the
+        profiles have changed hands 2000 times."""
+        boxes_ = [OrientedBox(0, 0, 5, 2, 0.3 * k) for k in range(PROFILE_SLOTS + 1)]
+        want = {(box, n): _profile_terms(box, np.array(grid_angles(n)))
+                for box in boxes_ for n in (16, 720)}
+        failures, finished = [], []
+        turns = {"count": 0, "last": None}
+        start = threading.Barrier(4)
 
         def work(ns):
-            for _ in range(150):
+            start.wait(timeout=60)
+            for i in range(3000):
+                if i >= 150 and turns["count"] >= 2000:
+                    break
                 for n in ns:
-                    grid = grid_angles(n)
-                    got = _profile_terms(box, grid)
-                    if any(g.tobytes() != w.tobytes() for g, w in zip(got, want[n])):
-                        failures.append(n)
+                    if turns["last"] is not ns:
+                        turns["count"] += 1
+                        turns["last"] = ns
+                    box = boxes_[i % len(boxes_)]
+                    got = _profile_terms(box, grid_angles(n))
+                    if any(g.tobytes() != w.tobytes() for g, w in zip(got, want[box, n])):
+                        failures.append((box, n))
+            finished.append(ns)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(ns,))
+            # Four distinct lists, so each thread can tell its own turn.
+            threads = [threading.Thread(target=work, args=(list(ns),))
                        for ns in ((16, 720), (720, 16)) * 2]
             for thread in threads:
                 thread.start()
@@ -351,7 +378,72 @@ class TestKeptProfiles:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert not failures
+        assert len(finished) == len(threads) and not failures
+
+
+class TestTable:
+    """The cos/sin table of the grid angles 2 pi i / n that profiles on the
+    grid turn by phi."""
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_exact_symmetries(self, n):
+        """Exactly 1 and 0 at angle 0, and the circle's symmetries hold bit
+        for bit: a reflection about the x axis, a half turn and a quarter
+        turn where n allows them, and a reflection about the diagonal when 8
+        divides n."""
+        cos, sin = _table(n)
+        i = np.arange(n)
+        assert (cos[0], sin[0]) == (1.0, 0.0)
+        assert np.array_equal(cos[-i], cos) and np.array_equal(sin[-i], -sin + 0.0)
+        if n % 2 == 0:
+            assert np.array_equal(cos[i - n // 2], -cos) and np.array_equal(sin[i - n // 2], -sin)
+        if n % 4 == 0:
+            assert np.array_equal(cos[i - n // 4], sin) and np.array_equal(sin[i - n // 4], -cos)
+            quarter_turns = i[:: n // 4]
+            assert cos[quarter_turns].tolist() == [1.0, 0.0, -1.0, 0.0]
+            assert sin[quarter_turns].tolist() == [0.0, 1.0, 0.0, -1.0]
+        if n % 8 == 0:
+            assert np.array_equal(cos[n // 4 - i], sin[i])
+        # No -0.0: a zero entry has a positive sign.
+        for array in (cos, sin):
+            assert not np.any(np.signbit(array[array == 0.0]))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    def test_within_one_ulp_of_longdouble(self, n):
+        """Each entry lies within one ulp of the np.longdouble value.  A
+        table of np.cos and np.sin of the float grid is off by about 200 ulp
+        next to the quarter turns at n = 720 and 5000 at n = 8192, where the
+        grid angle's rounding is large against the small cos or sin."""
+        for got, ref in zip(_table(n), longdouble_grid_trig(n)):
+            ulp = np.spacing(np.abs(ref.astype(np.float64))).astype(np.longdouble)
+            assert np.all(np.abs(got - ref) <= ulp), n
+
+    def test_read_only(self):
+        for array in _table(720):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_equal_copy_at_an_n_not_kept(self):
+        """An equal copy of the grid of an n that no grid is kept for gets the
+        grid's profile bit for bit, and looks up, builds and drops no grid."""
+        box = OrientedBox(0, 0, 5, 2, 0.3)
+        grid = grid_angles(720)
+        copy = np.arange(1001) * (2.0 * math.pi / 1001)
+        info = _grid.cache_info()
+        from_copy = _profile_terms(box, copy)
+        assert _grid.cache_info() == info and grid_angles(720) is grid
+        for got, want in zip(from_copy, _profile_terms(box, grid_angles(1001))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_other_angles_take_array_trig(self):
+        """A grid shifted by one ulp at one angle is not the grid: its cos
+        is np.cos of theta - phi."""
+        box = OrientedBox(0, 0, 5, 2, 0.3)
+        theta = np.array(grid_angles(64))
+        theta[5] = np.nextafter(theta[5], 10.0)
+        assert np.array_equal(_profile_terms(box, theta)[1], np.cos(theta - 0.3))
 
 
 class TestDiscretize:
