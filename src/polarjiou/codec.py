@@ -248,8 +248,7 @@ def total_loss(cla: float, jiou: float, reg: float, mu: float = DEFAULT_MU) -> f
     parts = (cla, jiou, reg, mu)
     if not finite(*parts):
         raise InvalidLossError(f"non-finite loss components ({', '.join(map(short_int, parts))})")
-    with np.errstate(over="ignore"):  # numpy scalars would warn before the raise
-        total = float(cla + mu * jiou + reg) + 0.0
+    total = float(cla) + float(mu) * float(jiou) + float(reg) + 0.0
     if not finite(total):
         raise InvalidLossError(f"loss components ({', '.join(map(short_int, parts))}) "
                                f"overflow to {total}")
@@ -359,10 +358,12 @@ def decode_detections(peaks, offset_map, param_map, stride: int):
                 f"is not a whole cell of the {w}x{h} maps"
             )
         x, y = int(cell_x), int(cell_y)
-        dx, dy = off[:, y, x]
-        phi, r1, r2 = par[:, y, x]
+        # Python floats with numpy's bits: a center that overflows is left
+        # to OrientedBox to reject, with no numpy warning first.
+        dx, dy = off[:, y, x].tolist()
+        phi, r1, r2 = par[:, y, x].tolist()
         box = canonicalize(OrientedBox(
-            (cell_x + dx) * stride, (cell_y + dy) * stride, r1, r2, phi,
+            (x + dx) * float(stride), (y + dy) * float(stride), r1, r2, phi,
         ))
         detections.append(Detection(box=box, score=score, category=category))
     return detections

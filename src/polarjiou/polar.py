@@ -2,22 +2,22 @@
 
 A box's discrete radial profile is radius_at(box, grid_angles(n)).
 
-On the grid, and on any array equal to it, a profile takes no array trig:
-cos and sin of theta_i - phi come from a table of cos theta_i and sin
-theta_i, built once per n, turned by phi,
+A profile is the box turned over a cos/sin table of its angles theta,
 
     cos(theta - phi) = cos theta cos phi + sin theta sin phi,
     sin(theta - phi) = sin theta cos phi - cos theta sin phi,
 
-with math.cos and math.sin of phi taken once per box.  Each table entry is
-the cos and sin of an angle in the first octant, placed by the exact
-symmetries of the circle, so the table is exactly symmetric and within
-about an ulp of the true values.  A phi with |sin phi| < TINY_SIN turns
-nothing (sin phi reads as 0): a subnormal turn of the table's exact zeros
-would put subnormal products into the gradient, where scaling a pair by
-2^k no longer scales them exactly.  Any other theta takes np.cos and np.sin
-of theta - phi.  Either way rho = r1 * (r2 / sqrt(denom)): the product
-r1 * r2 would round once for the whole profile, a systematic error.
+with math.cos and math.sin of phi taken once per box, and then rho = r1 *
+(r2 / sqrt(denom)): the product r1 * r2 would round once for the whole
+profile, a systematic error.  On the grid, and on any array equal to it,
+the table is built once per n from first-octant angles placed by the
+circle's exact symmetries, so it is exactly symmetric and within about an
+ulp of the true values.  Any other theta's table is np.cos and np.sin of
+theta, so theta - phi, which may pass the float range, is never formed.
+A phi with |sin phi| < TINY_SIN turns nothing (sin phi reads as 0): a
+subnormal turn of the grid table's exact zeros would put subnormal
+products into the gradient, where scaling a pair by 2^k no longer scales
+them exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ _PI_LO = 1.2246467991473532e-16
 # never asks for an earlier state's profile again.
 PROFILE_SLOTS = 2
 
+# The grid tables of the last sizes asked for: a sweep cell asks for each of
+# fitting.DEFAULT_N_VALUES in turn (all six tables take about 0.16 MB).
+TABLE_SLOTS = 6
+
 # The grid that _grid built last, the one _profile_terms looks profiles up for;
 # before the first grid, a placeholder that no caller can pass as theta.
 _shared_grid = object()
@@ -76,43 +80,36 @@ def _profile_terms(box: OrientedBox, theta):
     theta is a float64 array with at least one dimension.  On the shared
     grid of grid_angles the profile comes from _kept_profile, as read-only
     arrays; for any other theta every returned array is new, so the caller
-    may write into it.  cos(t) and sin(t) are the grid's table turned by
-    phi on the grid and on any array equal to it, with the tiny-phi rule of
-    the module docstring, and np.cos and np.sin of theta - phi elsewhere;
-    rho is r1 * (r2 / sqrt(denom)).
+    may write into it.  cos(t) and sin(t) are theta's table (_grid_table)
+    turned by phi, with the tiny-phi rule of the module docstring; rho is
+    r1 * (r2 / sqrt(denom)).
     """
     check_extents("a radial profile", box)
     if theta is _shared_grid:
         return _kept_profile(box.r1, box.r2, box.phi, theta.size)
-    return _build_profile(box.r1, box.r2, box.phi, theta)
+    return _build_profile(box.r1, box.r2, box.phi, _grid_table(theta))
 
 
 # Keyed on n, not on the grid object: a profile is always built on a grid of
 # its own n, with the same bits, so switching n needs no emptying.
 @functools.lru_cache(maxsize=PROFILE_SLOTS)
 def _kept_profile(r1: float, r2: float, phi: float, n: int):
-    profile = _build_profile(r1, r2, phi, _grid(n))
+    profile = _build_profile(r1, r2, phi, _table(n))
     for array in profile:
         array.setflags(write=False)
     return profile
 
 
-def _build_profile(r1: float, r2: float, phi: float, theta):
-    table = _grid_table(theta)
-    if table is None:
-        buf = theta - phi
-        c = np.cos(buf)
-        s = np.sin(buf)
-    else:
-        cos_t, sin_t = table
-        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-        if abs(sin_phi) < TINY_SIN:
-            sin_phi = 0.0
-        c = np.multiply(cos_t, cos_phi)
-        buf = np.multiply(sin_t, sin_phi)
-        c += buf
-        s = np.multiply(sin_t, cos_phi)
-        s -= np.multiply(cos_t, sin_phi, out=buf)
+def _build_profile(r1: float, r2: float, phi: float, table):
+    cos_t, sin_t = table
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    if abs(sin_phi) < TINY_SIN:
+        sin_phi = 0.0
+    c = np.multiply(cos_t, cos_phi)
+    buf = np.multiply(sin_t, sin_phi)
+    c += buf
+    s = np.multiply(sin_t, cos_phi)
+    s -= np.multiply(cos_t, sin_phi, out=buf)
     # Squared in place: (r2 c)^2 and (r1 s)^2 with no temporary.
     rc2 = np.multiply(c, r2)
     rc2 *= rc2
@@ -135,13 +132,11 @@ def radius_at(box: OrientedBox, theta):
     rho(theta) = r1*r2 / sqrt(r2^2 cos^2(theta - phi) + r1^2 sin^2(theta - phi)),
     so the point (rho cos theta, rho sin theta) relative to the center lies on
     the ellipse with semi-axes (r1, r2) rotated by phi.  It is computed as
-    r1 * (r2 / sqrt(...)).  On the grid of grid_angles, and on an array
-    equal to it, cos and sin of theta - phi come from the grid's cos/sin
-    table turned by phi, with no array trig; a phi with |sin phi| <
-    TINY_SIN turns nothing.  Other angles take np.cos and np.sin of
-    theta - phi.  A circle's radius is r1 exactly, with no trig: the trig
-    form would add phi-dependent rounding, so equal circles would get
-    profiles that differ in the last bit.
+    r1 * (r2 / sqrt(...)) from theta's cos/sin table turned by phi (see the
+    module docstring), so any finite theta and phi give a finite radius.
+    A circle's radius is r1 exactly, with no trig: the trig form would add
+    phi-dependent rounding, so equal circles would get profiles that differ
+    in the last bit.
     Accepts a scalar, which gives a float, or an array of angles, which
     gives a new array.  ValueError naming the first angle that is NaN,
     infinite or an int past the float range (in short form); InvalidBoxError
@@ -170,7 +165,8 @@ def grid_angles(n: int) -> np.ndarray:
     call with the same n (720.0 counts as 720) returns that same array.
     Copy it to modify it.  The last PROFILE_SLOTS profiles built on it are
     kept until newer ones push them out (see _kept_profile).  Its cos/sin
-    table is built at the first profile on it, and kept likewise.
+    table is built at the first profile on it; the tables of the last
+    TABLE_SLOTS sizes are kept.
     """
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
@@ -197,22 +193,20 @@ def _grid(n: int) -> np.ndarray:
 
 
 def _grid_table(theta):
-    """_table(n) when theta is or equals grid_angles(n) for n = theta.size,
-    else None.  An equal array is told by its values: no grid is looked up,
+    """The cos and sin of theta that a profile turns by phi: _table(n) when
+    theta equals grid_angles(n) for n = theta.size, else np.cos and np.sin
+    of theta.  An equal array is told by its values: no grid is looked up,
     built or dropped for it."""
     n = theta.size
-    if theta is not _shared_grid:
-        if theta.ndim != 1 or n < MIN_GRID_ANGLES:
-            return None
+    if theta.ndim == 1 and n >= MIN_GRID_ANGLES:
         step = 2.0 * math.pi / n
         # The last angle rules out almost any other array before a full compare.
-        if theta[-1] != (n - 1) * step or not np.array_equal(theta, np.arange(n) * step):
-            return None
-    return _table(n)
+        if theta[-1] == (n - 1) * step and np.array_equal(theta, np.arange(n) * step):
+            return _table(n)
+    return np.cos(theta), np.sin(theta)
 
 
-# The table of the last n, as the grid of the last n is kept.
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=TABLE_SLOTS)
 def _table(n: int):
     """Read-only cos and sin of the grid angles 2 pi i / n.
 

@@ -354,20 +354,20 @@ def reference_mc_iou(a, b, samples, seed, ellipse):
 
 def reference_profile(box, thetas):
     """rho, cos, sin and denominator of the ellipse radius, written inline:
-    on the grid of n = len(thetas) angles, polar's cos/sin table of n turned
-    by phi (a phi whose |sin| is below 2**-511 turns nothing); at any other
-    angles, np.cos and np.sin of theta - phi.  rho is r1 * (r2 / sqrt(denom))."""
+    a cos/sin table of the angles turned by phi (a phi whose |sin| is below
+    2**-511 turns nothing), the table being polar's of n = len(thetas) on
+    the grid and np.cos and np.sin of the angles elsewhere.  rho is
+    r1 * (r2 / sqrt(denom))."""
     n = len(thetas)
     if n >= 4 and np.array_equal(thetas, np.arange(n) * (2.0 * math.pi / n)):
         cos_t, sin_t = polar._table(n)
-        cos_phi, sin_phi = math.cos(box.phi), math.sin(box.phi)
-        if abs(sin_phi) < 2.0 ** -511:
-            sin_phi = 0.0
-        c = cos_t * cos_phi + sin_t * sin_phi
-        s = sin_t * cos_phi - cos_t * sin_phi
     else:
-        c = np.cos(thetas - box.phi)
-        s = np.sin(thetas - box.phi)
+        cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    cos_phi, sin_phi = math.cos(box.phi), math.sin(box.phi)
+    if abs(sin_phi) < 2.0 ** -511:
+        sin_phi = 0.0
+    c = cos_t * cos_phi + sin_t * sin_phi
+    s = sin_t * cos_phi - cos_t * sin_phi
     r1, r2 = box.r1, box.r2
     denom = (r2 * c) ** 2 + (r1 * s) ** 2
     rho = np.full(n, r1) if r1 == r2 else r1 * (r2 / np.sqrt(denom))
@@ -447,6 +447,17 @@ def _longdouble_profile(box, n):
     r1, r2 = np.longdouble(box.r1), np.longdouble(box.r2)
     denom = (r2 * c) ** 2 + (r1 * s) ** 2
     return r1 * r2 / np.sqrt(denom), c, s, denom
+
+
+def longdouble_radius(box, thetas):
+    """The ellipse radius at the float64 angles thetas in np.longdouble, with
+    cos and sin of theta - phi from those of theta and of phi: theta - phi
+    is never rounded, so the reference holds at large angles too."""
+    t, phi = np.asarray(thetas, dtype=np.longdouble), np.longdouble(box.phi)
+    c = np.cos(t) * np.cos(phi) + np.sin(t) * np.sin(phi)
+    s = np.sin(t) * np.cos(phi) - np.cos(t) * np.sin(phi)
+    r1, r2 = np.longdouble(box.r1), np.longdouble(box.r2)
+    return r1 * r2 / np.sqrt((r2 * c) ** 2 + (r1 * s) ** 2)
 
 
 def longdouble_ratio(pred, target, n=DEFAULT_N):

@@ -910,6 +910,19 @@ class TestDecodeDetections:
             with pytest.raises(InvalidBoxError, match="^non-finite box parameters "):
                 decode_detections([(0, 4, 3, 0.9), (0, 2, 1, 0.8)], offset, params, 4)
 
+    @pytest.mark.parametrize("cell, stride", [
+        ((4, 3), 4), ((np.int64(4), np.int64(3)), 4), ((4.0, 3.0), np.float64(4.0))])
+    def test_overflowing_center_rejected_without_warning(self, cell, stride):
+        """A finite offset whose center overflows at the stride raises
+        InvalidBoxError, with no numpy overflow warning before it, also for
+        numpy scalar cells and strides."""
+        offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
+        offset[0, 3, 4] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBoxError, match="^non-finite box parameters "):
+                decode_detections([(0, *cell, 0.9)], offset, params, stride)
+
     def test_whole_float_peak_cell_reads_that_cell(self):
         offset, params = np.zeros((2, 4, 5)), np.ones((3, 4, 5))
         params[:, 3, 4] = (0.1, 8.0, 4.0)

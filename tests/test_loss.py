@@ -18,6 +18,7 @@ from helpers import (
     finite_floats,
     kept_counts,
     longdouble_gradient,
+    longdouble_radius,
     longdouble_ratio,
     random_box,
     reference_jiou,
@@ -283,6 +284,15 @@ LONGDOUBLE_BANDS = [((1.0, 20.0), 51), ((20.0, 100.0), 52)]
 LONGDOUBLE_RATIO_BOUND = 1.0
 LONGDOUBLE_GRADIENT_BOUND = 20.0
 
+# The off-grid radius, relative to the np.longdouble one, over 222 seeded
+# angles in (-1e3, 1e3) for each box of the pairs below: at most 1.40,
+# 0.33 and 0.23 times EPS * ar at aspect ratios 1-20, 20-100 and 100-1e4
+# (the box's own ar; x86-64 Linux, numpy 2.4), and within 1.53 at other
+# seeds.  Taken from np.cos and np.sin of theta - phi, as polar did before
+# its one table form, it read about 125 times EPS * ar in every band: a
+# rounded theta - phi at |theta| near 1e3 is off by about 1e3 EPS.
+LONGDOUBLE_RADIUS_BOUND = 2.5
+
 
 def longdouble_pairs(band, seed, count=200):
     """Seeded (pred, target, ar) triples: both boxes' aspect ratios drawn
@@ -323,6 +333,18 @@ class TestLongdoubleYardstick:
             ref = longdouble_ratio(pred, target)
             err = float(abs(np.longdouble(jiou_bar(pred, target).ratio) - ref) / ref)
             assert err <= LONGDOUBLE_RATIO_BOUND * EPS * ar, (pred, target)
+
+    @pytest.mark.parametrize("band, seed", LONGDOUBLE_BANDS + [((100.0, 1e4), 53)])
+    def test_longdouble_off_grid_radius_error(self, band, seed):
+        """radius_at at angles off the grid: the box turned over np.cos and
+        np.sin of theta keeps its accuracy at large angles."""
+        rng = np.random.default_rng(seed)
+        for pred, target, _ in longdouble_pairs(band, seed):
+            for box in (pred, target):
+                thetas = rng.uniform(-1e3, 1e3, 222)
+                ref = longdouble_radius(box, thetas)
+                err = float(np.max(np.abs(radius_at(box, thetas) - ref) / ref))
+                assert err <= LONGDOUBLE_RADIUS_BOUND * EPS * box.r1 / box.r2, box
 
     @pytest.mark.parametrize("band, seed", LONGDOUBLE_BANDS)
     def test_longdouble_gradient_error(self, band, seed):

@@ -8,22 +8,28 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     boxes, finite_floats, kept_counts, longdouble_grid_trig, random_box, reference_profile)
 from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
+from polarjiou.fitting import DEFAULT_N_VALUES
 from polarjiou.polar import (
-    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, _grid, _kept_profile, _profile_terms, _table)
+    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, TABLE_SLOTS, _grid, _kept_profile, _profile_terms,
+    _table)
 
 # Grid sizes for the table: 8 divides n or not, odd n, and one past the
 # reductions' blocking.
 TABLE_SIZES = [4, 5, 16, 720, 1001, 8192]
+
+EPS = np.finfo(np.float64).eps
+MAX_FLOAT = sys.float_info.max
 
 
 class TestRadiusAt:
@@ -56,8 +62,8 @@ class TestRadiusAt:
     def test_profile_terms_match_frozen_reference(self):
         """rho, cos, sin, both squared terms and their sum, computed in
         place, keep the bits of the inline numpy formula, for ellipses and a
-        circle: on the grid the table turned by phi, elsewhere np.cos and
-        np.sin of theta - phi."""
+        circle: a cos/sin table turned by phi, the grid's on the grid and
+        np.cos and np.sin of theta elsewhere."""
         rng = np.random.default_rng(11)
         boxes_ = [random_box(rng) for _ in range(100)] + [OrientedBox(0, 0, 3, 3, 0.7)]
         for n in (64, 720):
@@ -119,6 +125,26 @@ class TestRadiusAt:
         rho = radius_at(box, theta)
         lo, hi = min(box.r1, box.r2), max(box.r1, box.r2)
         assert lo * (1 - 1e-12) <= rho <= hi * (1 + 1e-12)
+
+    @given(st.builds(OrientedBox, finite_floats(-1e3, 1e3), finite_floats(-1e3, 1e3),
+                     finite_floats(MIN_EXTENT, MAX_EXTENT), finite_floats(MIN_EXTENT, MAX_EXTENT),
+                     finite_floats(-MAX_FLOAT, MAX_FLOAT)),
+           st.lists(finite_floats(-MAX_FLOAT, MAX_FLOAT), min_size=1, max_size=8))
+    @example(OrientedBox(0, 0, 2, 1, -1e308), [1e308])
+    @example(OrientedBox(0, 0, 2, 1, -MAX_FLOAT), [MAX_FLOAT, -MAX_FLOAT, 0.0])
+    @example(OrientedBox(0, 0, 1e100, 1e-100, MAX_FLOAT), [-MAX_FLOAT, 1.0, math.pi])
+    @settings(max_examples=300)
+    def test_any_finite_angles_give_radii_inside_the_extents(self, box, thetas):
+        """At any finite angles off the grid, however far theta - phi lies
+        past the float range, the radius is finite and between the two
+        semi-axes to 2 eps relative, with no numpy warning."""
+        lo, hi = min(box.r1, box.r2), max(box.r1, box.r2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = radius_at(box, thetas)
+            first = radius_at(box, thetas[0])
+        assert first == rho[0]
+        assert np.all(rho >= lo * (1 - 2 * EPS)) and np.all(rho <= hi * (1 + 2 * EPS)), rho
 
     @pytest.mark.parametrize("r1, r2", [
         (2 * MAX_EXTENT, 1.0), (1.0, MIN_EXTENT / 2), (1e101, 1e101), (1e-120, 1e-120)])
@@ -335,17 +361,19 @@ class TestKeptProfiles:
         assert np.array_equal(terms[0], rho)
 
     def test_threads_switching_grids_get_their_own_grid_profiles(self):
-        """Four threads alternate n and cycle through more boxes than there
-        are PROFILE_SLOTS, so profiles are built anew on grids and tables
-        that the other threads replace; every profile each one gets is the
-        one built on the grid it passed, bit for bit.
+        """Four threads cycle through more grid sizes than there are
+        TABLE_SLOTS and more boxes than there are PROFILE_SLOTS, so profiles
+        and tables are built anew on grids that the other threads replace;
+        every profile each one gets is the one built on the grid it passed,
+        bit for bit.
 
         Threads take turns often only while the host runs them side by
         side, so each goes on past 150 rounds, up to 3000, until the
         profiles have changed hands 2000 times."""
         boxes_ = [OrientedBox(0, 0, 5, 2, 0.3 * k) for k in range(PROFILE_SLOTS + 1)]
+        sizes = [16 + 8 * k for k in range(TABLE_SLOTS)] + [720]
         want = {(box, n): _profile_terms(box, np.array(grid_angles(n)))
-                for box in boxes_ for n in (16, 720)}
+                for box in boxes_ for n in sizes}
         failures, finished = [], []
         turns = {"count": 0, "last": None}
         start = threading.Barrier(4)
@@ -370,7 +398,7 @@ class TestKeptProfiles:
         try:
             # Four distinct lists, so each thread can tell its own turn.
             threads = [threading.Thread(target=work, args=(list(ns),))
-                       for ns in ((16, 720), (720, 16)) * 2]
+                       for ns in (sizes, sizes[::-1]) * 2]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -438,12 +466,25 @@ class TestTable:
             assert got.tobytes() == want.tobytes()
 
     def test_other_angles_take_array_trig(self):
-        """A grid shifted by one ulp at one angle is not the grid: its cos
-        is np.cos of theta - phi."""
+        """A grid shifted by one ulp at one angle is not the grid: its table
+        is np.cos and np.sin of theta, turned by phi."""
         box = OrientedBox(0, 0, 5, 2, 0.3)
         theta = np.array(grid_angles(64))
         theta[5] = np.nextafter(theta[5], 10.0)
-        assert np.array_equal(_profile_terms(box, theta)[1], np.cos(theta - 0.3))
+        c = np.cos(theta) * math.cos(0.3) + np.sin(theta) * math.sin(0.3)
+        assert np.array_equal(_profile_terms(box, theta)[1], c)
+
+    def test_tables_of_the_default_sizes_are_kept(self):
+        """A sweep cell's grid sizes, asked for in turn again and again,
+        build each size's table once."""
+        assert len(DEFAULT_N_VALUES) <= TABLE_SLOTS
+        _table.cache_clear()
+        _kept_profile.cache_clear()
+        for k in range(3):
+            for n in DEFAULT_N_VALUES:
+                radius_at(OrientedBox(0, 0, 5, 2, 0.3 + k), grid_angles(n))
+        info = _table.cache_info()
+        assert (info.hits, info.misses) == (2 * len(DEFAULT_N_VALUES), len(DEFAULT_N_VALUES))
 
 
 class TestDiscretize:
