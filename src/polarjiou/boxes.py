@@ -114,12 +114,15 @@ def signed_area(corners) -> float:
     On-screen means the image frame (y down), so corner quads decoded from a
     box come out negative: they run clockwise.  corners is any iterable of
     (x, y) pairs, each coordinate taken as a float64; InvalidBoxError when
-    one is NaN, infinite or an int past the float range.
+    one is NaN, infinite or an int past the float range, and OverflowError
+    when the area exceeds the float64 range.
     """
     pts = finite_array(list(corners), InvalidBoxError, "non-finite corner coordinates").tolist()
     acc = 0.0
     for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         acc += x1 * y0 - x0 * y1
+    if not finite(acc):
+        raise OverflowError("polygon area exceeds the float64 range")
     return 0.5 * acc
 
 
@@ -150,15 +153,25 @@ def corners_to_box(quad) -> OrientedBox:
     # doubled averaged axis vectors.
     ax, ay = ((x1 - x0) - (x3 - x2)) / 2.0, ((y1 - y0) - (y3 - y2)) / 2.0
     bx, by = ((x2 - x1) - (x0 - x3)) / 2.0, ((y2 - y1) - (y0 - y3)) / 2.0
-    # Their cross product is the quad's shoelace area, computed from edge
-    # differences, so its rounding does not grow with the quad's position.
-    if abs(ax * by - ay * bx) <= 1e-12:
-        raise DegenerateQuadError("quad has (near-)zero area")
     len_a = float(np.hypot(ax, ay))
     len_b = float(np.hypot(bx, by))
+    # Their cross product is the quad's shoelace area, computed from edge
+    # differences, so its rounding does not grow with the quad's position;
+    # their dot product over len_a len_b is the sine of the skew.  Past
+    # about 1e154 these products leave the float range, so there they are
+    # taken of the axes times 2**-514, an exact scaling, and the area's
+    # threshold is scaled with them.
+    area, dot, norm, tiny = ax * by - ay * bx, ax * bx + ay * by, len_a * len_b, 1e-12
+    if not finite(area, dot, norm):
+        s = 2.0 ** -514
+        area = (ax * s) * (by * s) - (ay * s) * (bx * s)
+        dot = (ax * s) * (bx * s) + (ay * s) * (by * s)
+        norm, tiny = (len_a * s) * (len_b * s), tiny * s * s
+    if abs(area) <= tiny:
+        raise DegenerateQuadError("quad has (near-)zero area")
     if len_a <= 1e-12 or len_b <= 1e-12:
         raise DegenerateQuadError("quad collapses to a segment")
-    sin_skew = abs(ax * bx + ay * by) / (len_a * len_b)
+    sin_skew = abs(dot) / norm
     if sin_skew > math.sin(ORTHOGONALITY_WARN_RAD):
         warnings.warn(
             f"quad edges deviate from orthogonal by "

@@ -132,8 +132,9 @@ class EncodedTargets:
     layout extract_peaks' tuples start with; the heatmap holds exactly 1
     there.  offset_map is (2, H, W) holding (dx, dy) and param_map is
     (3, H, W) holding (phi, r1, r2), both written only at the positive
-    cells; these two maps are the regression targets.  All three arrays are
-    read-only.
+    cells; these two maps are the regression targets.  They hold one value
+    per cell, so objects sharing a cell share the last one's values,
+    whatever their classes.  All three arrays are read-only.
     """
 
     heatmap: np.ndarray
@@ -172,8 +173,7 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     and >= 0 and every target value lies in [0, 1] (a NaN target cell
     included, named as nan), and InvalidLossError when a prediction is not
     finite (NaN, an infinity or an int past the float range; the clip into
-    [PT_CLAMP, 1 - PT_CLAMP] would hide an infinity) or the loss is not
-    finite.
+    [PT_CLAMP, 1 - PT_CLAMP] would hide an infinity).
     """
     if not (finite(alpha, gamma) and alpha >= 0.0 and gamma >= 0.0):
         raise ValueError("alpha and gamma must be finite and >= 0, "
@@ -191,14 +191,11 @@ def focal_loss(pred, target, alpha: float = DEFAULT_ALPHA,
     pos = y == 1.0
     n_pos = max(int(np.count_nonzero(pos)), 1)
     neg = ~pos
-    # A term that is not finite raises InvalidLossError below, without a numpy warning first.
-    with np.errstate(invalid="ignore", over="ignore"):
-        pos_term = np.sum((1.0 - pt[pos]) ** gamma * np.log(pt[pos]))
-        neg_term = np.sum((1.0 - y[neg]) ** alpha * pt[neg] ** gamma * np.log1p(-pt[neg]))
-    loss = float(-(pos_term + neg_term) / n_pos) + 0.0
-    if not finite(loss):
-        raise InvalidLossError(f"non-finite focal loss {loss}")
-    return loss
+    # Every power has a base in [0, 1] and every log is at least about
+    # log(PT_CLAMP), so each term is finite and no numpy warning is raised.
+    pos_term = np.sum((1.0 - pt[pos]) ** gamma * np.log(pt[pos]))
+    neg_term = np.sum((1.0 - y[neg]) ** alpha * pt[neg] ** gamma * np.log1p(-pt[neg]))
+    return float(-(pos_term + neg_term) / n_pos) + 0.0
 
 
 def _row_sum(p_row, t_row) -> float:
@@ -377,8 +374,10 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     with `objects`: an (N, 5) array of absolute errors in (cx, cy, r1, r2,
     phi), and the detection decoded at each object's center cell.  Objects
     whose cell produced no detection get a NaN row and None.  Objects of one
-    class that share a cell share its one detection, which carries the
-    parameters of the last of them.
+    class that share a cell share its one detection.  Objects of different
+    classes there each keep their class's peak and detection, but the
+    offset and parameter maps hold one value per cell, so every detection
+    at a shared cell carries the parameters of the last object there.
     """
     objects = [(canonicalize(box), cls) for box, cls in objects]
     enc = encode_targets(objects, num_classes, height, width, stride)

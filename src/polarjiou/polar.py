@@ -9,15 +9,16 @@ A profile is the box turned over a cos/sin table of its angles theta,
 
 with math.cos and math.sin of phi taken once per box, and then rho = r1 *
 (r2 / sqrt(denom)): the product r1 * r2 would round once for the whole
-profile, a systematic error.  On the grid, and on any array equal to it,
-the table is built once per n from first-octant angles placed by the
-circle's exact symmetries, so it is exactly symmetric and within about an
-ulp of the true values.  Any other theta's table is np.cos and np.sin of
-theta, so theta - phi, which may pass the float range, is never formed.
-A phi with |sin phi| < TINY_SIN turns nothing (sin phi reads as 0): a
-subnormal turn of the grid table's exact zeros would put subnormal
-products into the gradient, where scaling a pair by 2^k no longer scales
-them exactly.
+profile, a systematic error.  Each grid size keeps one entry, its
+read-only grid and the grid's table, built and dropped together.  That
+table, which the grid and any array equal to it are turned over, is built
+from first-octant angles placed by the circle's exact symmetries, so it is
+exactly symmetric and within about an ulp of the true values.  Any other
+theta's table is np.cos and np.sin of theta, so theta - phi, which may
+pass the float range, is never formed.  A phi with |sin phi| < TINY_SIN
+turns nothing (sin phi reads as 0): a subnormal turn of the grid table's
+exact zeros would put subnormal products into the gradient, where scaling
+a pair by 2^k no longer scales them exactly.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ _PI_LO = 1.2246467991473532e-16
 # never asks for an earlier state's profile again.
 PROFILE_SLOTS = 2
 
-# The grid tables of the last sizes asked for: a sweep cell asks for each of
-# fitting.DEFAULT_N_VALUES in turn (all six tables take about 0.16 MB).
+# The grid entries of the last sizes asked for: a sweep cell asks for each of
+# fitting.DEFAULT_N_VALUES in turn (all six grids and tables take 0.25 MB).
 TABLE_SLOTS = 6
 
-# The grid that _grid built last, the one _profile_terms looks profiles up for;
+# The grid grid_angles returned last, the one _profile_terms looks profiles up for;
 # before the first grid, a placeholder that no caller can pass as theta.
 _shared_grid = object()
 
@@ -94,7 +95,7 @@ def _profile_terms(box: OrientedBox, theta):
 # its own n, with the same bits, so switching n needs no emptying.
 @functools.lru_cache(maxsize=PROFILE_SLOTS)
 def _kept_profile(r1: float, r2: float, phi: float, n: int):
-    profile = _build_profile(r1, r2, phi, _table(n))
+    profile = _build_profile(r1, r2, phi, _grid(n)[1])
     for array in profile:
         array.setflags(write=False)
     return profile
@@ -161,54 +162,42 @@ def grid_angles(n: int) -> np.ndarray:
     DiscretizationError when n is not a whole number, below MIN_GRID_ANGLES,
     or when the grid cannot be allocated.
 
-    The grid is read-only and shared: the last one built is kept, and a
-    call with the same n (720.0 counts as 720) returns that same array.
-    Copy it to modify it.  The last PROFILE_SLOTS profiles built on it are
-    kept until newer ones push them out (see _kept_profile).  Its cos/sin
-    table is built at the first profile on it; the tables of the last
-    TABLE_SLOTS sizes are kept.
+    The grid is read-only and shared: each of the last TABLE_SLOTS sizes
+    keeps one entry, its grid and the grid's cos/sin table, built and
+    dropped together, and a call with a kept n (720.0 counts as 720)
+    returns that n's array.  Copy it to modify it.  The last PROFILE_SLOTS
+    profiles built on the grid last returned are kept until newer ones push
+    them out (see _kept_profile).
     """
+    global _shared_grid
     # The range test comes first: int() of a NaN or an infinity raises.
     if not (MIN_GRID_ANGLES <= n < math.inf and n == int(n)):
         raise DiscretizationError(
             f"need a whole number of at least {MIN_GRID_ANGLES} grid angles, got n={short_int(n)}")
-    return _grid(int(n))
-
-
-# The last grid is kept: fits and batches ask for one n again and again.
-# Keyed on a plain int, so a whole float n shares the int's entry.
-@functools.lru_cache(maxsize=1)
-def _grid(n: int) -> np.ndarray:
-    global _shared_grid
-    if n <= _MAX_GRID_ANGLES:
-        try:
-            grid = np.arange(n) * (2.0 * math.pi / n)
-        except MemoryError:
-            pass
-        else:
-            grid.setflags(write=False)
-            _shared_grid = grid
-            return grid
-    raise DiscretizationError(f"cannot allocate a grid of n={short_int(n)} angles")
+    _shared_grid = grid = _grid(int(n))[0]
+    return grid
 
 
 def _grid_table(theta):
-    """The cos and sin of theta that a profile turns by phi: _table(n) when
-    theta equals grid_angles(n) for n = theta.size, else np.cos and np.sin
-    of theta.  An equal array is told by its values: no grid is looked up,
-    built or dropped for it."""
+    """The cos and sin of theta that a profile turns by phi: the table of
+    grid_angles(n)'s entry when theta equals that grid, n = theta.size, else
+    np.cos and np.sin of theta.  An equal array is told by its values and
+    compared with the kept grid, whose entry it builds if none is kept."""
     n = theta.size
-    if theta.ndim == 1 and n >= MIN_GRID_ANGLES:
-        step = 2.0 * math.pi / n
-        # The last angle rules out almost any other array before a full compare.
-        if theta[-1] == (n - 1) * step and np.array_equal(theta, np.arange(n) * step):
-            return _table(n)
+    # The last angle rules out almost any other array before the entry is read.
+    if theta.ndim == 1 and n >= MIN_GRID_ANGLES and theta[-1] == (n - 1) * (2.0 * math.pi / n):
+        grid, table = _grid(n)
+        if np.array_equal(theta, grid):
+            return table
     return np.cos(theta), np.sin(theta)
 
 
+# One entry per grid size, keyed on a plain int so that a whole float n
+# shares the int's entry: fits and batches ask for one n again and again.
 @functools.lru_cache(maxsize=TABLE_SLOTS)
-def _table(n: int):
-    """Read-only cos and sin of the grid angles 2 pi i / n.
+def _grid(n: int):
+    """The read-only grid of the n angles 2 pi i / n and its read-only
+    cos/sin table; DiscretizationError when they cannot be allocated.
 
     Each angle is (pi/4) (o + r/n) for its octant o and 8 i = o n + r; it
     is read from the first-octant angle (pi/4) k/n, with k = r in even
@@ -221,34 +210,42 @@ def _table(n: int):
     first order in j * lo.  Taken from the rounded angle j * step they would
     be off by up to about 2 ulp; corrected, they are within about one.
     """
-    octant, r = np.divmod(8 * np.arange(n), n)
-    g = math.gcd(8, n)
-    k = np.where(octant & 1, n - r, r) // g
-    # hi keeps few enough bits that j * hi is exact; lo = step - hi is
-    # (arc - hi n) / n, from an exact integer ratio that Python's int
-    # division rounds once, plus g _PI_LO / (4 n).
-    arc = g * math.pi / 4
-    mantissa, exponent = math.frexp(arc / n)
-    bits = 53 - (n // g).bit_length()
-    hi = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
-    p, q = arc.as_integer_ratio()
-    u, v = hi.as_integer_ratio()
-    lo = ((p * v - u * n * q) / (q * v) + g * _PI_LO / 4) / n
-    j = np.arange(n // g + 1)
-    a_hi, a_lo = j * hi, j * lo
-    cos_a, sin_a = np.cos(a_hi), np.sin(a_hi)
-    cos_a, sin_a = cos_a - a_lo * sin_a, sin_a + a_lo * cos_a
-    # The last angle is pi/4, where cos and sin are equal.
-    cos_a[-1] = sin_a[-1] = math.sqrt(0.5)
-    cos_a, sin_a = cos_a[k], sin_a[k]
-    # Octants 1, 2, 5 and 6 swap cos and sin; 2 to 5 negate cos, 4 to 7 sin.
-    swap = (octant + 1) & 2 != 0
-    cos = np.where(swap, sin_a, cos_a)
-    sin = np.where(swap, cos_a, sin_a)
-    np.negative(cos, out=cos, where=(octant + 2) & 4 != 0)
-    np.negative(sin, out=sin, where=octant & 4 != 0)
-    for array in (cos, sin):
-        # + 0.0 turns the -0.0 of a negated zero into 0.0.
-        array += 0.0
+    unallocatable = DiscretizationError(f"cannot allocate a grid of n={short_int(n)} angles")
+    if n > _MAX_GRID_ANGLES:
+        raise unallocatable
+    try:
+        grid = np.arange(n) * (2.0 * math.pi / n)
+        octant, r = np.divmod(8 * np.arange(n), n)
+        g = math.gcd(8, n)
+        k = np.where(octant & 1, n - r, r) // g
+        # hi keeps few enough bits that j * hi is exact; lo = step - hi is
+        # (arc - hi n) / n, from an exact integer ratio that Python's int
+        # division rounds once, plus g _PI_LO / (4 n).
+        arc = g * math.pi / 4
+        mantissa, exponent = math.frexp(arc / n)
+        bits = 53 - (n // g).bit_length()
+        hi = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
+        p, q = arc.as_integer_ratio()
+        u, v = hi.as_integer_ratio()
+        lo = ((p * v - u * n * q) / (q * v) + g * _PI_LO / 4) / n
+        j = np.arange(n // g + 1)
+        a_hi, a_lo = j * hi, j * lo
+        cos_a, sin_a = np.cos(a_hi), np.sin(a_hi)
+        cos_a, sin_a = cos_a - a_lo * sin_a, sin_a + a_lo * cos_a
+        # The last angle is pi/4, where cos and sin are equal.
+        cos_a[-1] = sin_a[-1] = math.sqrt(0.5)
+        cos_a, sin_a = cos_a[k], sin_a[k]
+        # Octants 1, 2, 5 and 6 swap cos and sin; 2 to 5 negate cos, 4 to 7 sin.
+        swap = (octant + 1) & 2 != 0
+        cos = np.where(swap, sin_a, cos_a)
+        sin = np.where(swap, cos_a, sin_a)
+        np.negative(cos, out=cos, where=(octant + 2) & 4 != 0)
+        np.negative(sin, out=sin, where=octant & 4 != 0)
+    except MemoryError:
+        raise unallocatable from None
+    # + 0.0 turns the -0.0 of a negated zero into 0.0.
+    cos += 0.0
+    sin += 0.0
+    for array in (grid, cos, sin):
         array.setflags(write=False)
-    return cos, sin
+    return grid, (cos, sin)

@@ -360,7 +360,7 @@ def reference_profile(box, thetas):
     r1 * (r2 / sqrt(denom))."""
     n = len(thetas)
     if n >= 4 and np.array_equal(thetas, np.arange(n) * (2.0 * math.pi / n)):
-        cos_t, sin_t = polar._table(n)
+        cos_t, sin_t = polar._grid(n)[1]
     else:
         cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     cos_phi, sin_phi = math.cos(box.phi), math.sin(box.phi)

@@ -246,6 +246,16 @@ class TestSignedArea:
         # Clipping can leave such polygons; their terms cancel exactly.
         assert signed_area(pts) == 0.0
 
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1e308, 0), (1e308, 1e308), (0, 1e308)],
+        [(1e200, 1e200), (1e200, 1e200), (0, 1e200)],
+    ], ids=["inf", "nan"])
+    def test_area_past_the_float_range_raises(self, pts):
+        """Finite corners whose sum overflows, to -inf or to inf - inf, raise
+        rather than return an area that is not finite."""
+        with pytest.raises(OverflowError, match="polygon area exceeds the float64 range"):
+            signed_area(pts)
+
 
 class TestCornersToBox:
     def test_axis_aligned_example(self):
@@ -333,6 +343,27 @@ class TestCornersToBox:
         skew = np.array([(0, 0), (4, 0), (5.0, 2), (1.0, 2)], dtype=float)
         with pytest.warns(UserWarning):
             corners_to_box(skew)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_collinear_quad_rejected_at_any_scale(self, scale):
+        """At 1e200 the axes' cross product is inf - inf; the test takes it
+        of the scaled axes, where it is exactly 0."""
+        quad = np.array([(0, 0), (1, 1), (2, 2), (1, 1)]) * scale
+        with pytest.raises(DegenerateQuadError, match="near-"):
+            corners_to_box(quad)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_skewed_quad_warns_at_any_scale(self, scale):
+        """At 1e200 the skew's dot product and the lengths' product are inf."""
+        quad = np.array([(0, 0), (1, 0), (1.5, 1), (0.5, 1)]) * scale
+        with pytest.warns(UserWarning, match="by 0.464 rad"):
+            corners_to_box(quad)
+
+    def test_large_square_fits(self):
+        quad = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert corners_to_box(quad) == OrientedBox(5e199, 5e199, 5e199, 5e199, 0.0)
 
     @pytest.mark.parametrize("quad", [
         np.array([(0, 0), (4, 0), (4, 2), (0, 2)]),

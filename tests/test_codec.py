@@ -496,6 +496,20 @@ class TestFocalLoss:
                 focal_loss(pred, target, alpha=2.5)
         assert type(info.value) is error
 
+    @pytest.mark.parametrize("pred", [0.0, 1.0, 1e308, -1e308, 0.5])
+    def test_finite_maps_give_a_finite_loss_without_warning(self, pred):
+        """The clip bounds every power's base by 1 and every log below, so
+        any finite prediction and exponents give a finite loss."""
+        rng = np.random.default_rng(40)
+        target = render_heatmap(lattice_objects(rng, 6, 2, 50, 50, 4), 2, 50, 50, 4)
+        assert 0.0 < target.max() and np.any((0.0 < target) & (target < 1.0))
+        exponents = [0.0, 0.5, 4.0, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, gamma in itertools.product(exponents, exponents):
+                loss = focal_loss(np.full(target.shape, pred), target, alpha, gamma)
+                assert math.isfinite(loss) and loss >= 0.0
+
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     @pytest.mark.parametrize("value", [math.inf, 3.0, -2.0])
     def test_focal_target_outside_unit_interval_rejected(self, value, alpha):
@@ -957,8 +971,9 @@ class TestRoundtrip:
         objs.append((replace(box, cx=box.cx + 4.0), cls))
         # Same cell, other class: its own channel, its own detection.
         objs.append((box, (cls + 1) % 3))
-        # Same cell, same class: both share the cell's one detection, which
-        # carries the parameters written last.
+        # Same cell, same class: both share the cell's one detection.  Every
+        # detection at the cell, of either class, carries the parameters
+        # written last.
         objs.append((replace(box, r1=box.r1 + 1.0), cls))
         errors, matches = encode_decode_roundtrip(objs, 3, 64, 64, 4)
         assert len(matches) == len(objs)
@@ -966,6 +981,7 @@ class TestRoundtrip:
         assert matches[-3] is None and matches[-2] is not None
         assert matches[0] is matches[-1]
         assert errors[0, 2] == pytest.approx(1.0) and errors[-1].max() <= 1e-9
+        assert errors[-2, 2] == pytest.approx(1.0)
         for (_, obj_cls), det in zip(objs, matches):
             assert det is None or det.category == obj_cls
 

@@ -55,6 +55,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_cached_function_assigns_a_global():
+    """A function under functools.lru_cache or functools.cache runs its
+    body only on a miss, so a global it assigns goes stale on every hit."""
+    found = []
+    for path in sorted((SRC / "polarjiou").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache") and any(
+                        isinstance(inner, ast.Global) for inner in ast.walk(node)):
+                    found.append(f"{path.name}: {node.name}")
+    assert found == []
+
+
 def test_only_errors_decides_what_is_finite():
     """errors.finite is the one finiteness test for scalars and
     errors.finite_array the one for arrays: no other module names

@@ -21,8 +21,7 @@ from polarjiou import OrientedBox, grid_angles, jiou_bar, radius_at
 from polarjiou.errors import DiscretizationError, InvalidBoxError
 from polarjiou.fitting import DEFAULT_N_VALUES
 from polarjiou.polar import (
-    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, TABLE_SLOTS, _grid, _kept_profile, _profile_terms,
-    _table)
+    MAX_EXTENT, MIN_EXTENT, PROFILE_SLOTS, TABLE_SLOTS, _grid, _kept_profile, _profile_terms)
 
 # Grid sizes for the table: 8 divides n or not, odd n, and one past the
 # reductions' blocking.
@@ -206,7 +205,8 @@ class TestGridAngles:
 
     def test_grid_is_shared_and_read_only(self):
         """One n gives one array, again and again; it cannot be written,
-        and asking for another n in between builds the same values anew."""
+        and asking for another n in between keeps it: each of the last
+        TABLE_SLOTS sizes keeps its one grid."""
         grid = grid_angles(720)
         assert grid_angles(720) is grid
         assert np.array_equal(grid, np.arange(720) * (2.0 * math.pi / 720))
@@ -216,7 +216,7 @@ class TestGridAngles:
             grid += 1.0
         assert grid[0] == 0.0
         grid_angles(64)
-        assert grid_angles(720).tobytes() == grid.tobytes()
+        assert grid_angles(720) is grid
 
     @given(boxes(), st.sampled_from([4, 64, 720]))
     def test_profile_bits_on_writable_copy(self, box, n):
@@ -324,13 +324,17 @@ class TestKeptProfiles:
         assert _kept_profile.cache_info().currsize == PROFILE_SLOTS
 
     def test_profiles_are_kept_across_switches_of_n(self):
-        """An old grid object of the same n is never looked up; across
+        """A kept size returns its one grid across switches of n; once its
+        entry is pushed out, the old grid object is never looked up.  Across
         switches of n no more than PROFILE_SLOTS profiles are kept, and one
         served after switching back equals a fresh build, bit for bit."""
         box = OrientedBox(0, 0, 3, 1, 0.4)
         grid = fresh_grid(720)
         kept = _profile_terms(box, grid)
         grid_angles(64)
+        assert grid_angles(720) is grid
+        for n in range(16, 16 + 8 * TABLE_SLOTS, 8):
+            grid_angles(n)
         assert grid_angles(720) is not grid
         hits, misses = kept_counts()
         old = _profile_terms(box, grid)
@@ -419,7 +423,7 @@ class TestTable:
         for bit: a reflection about the x axis, a half turn and a quarter
         turn where n allows them, and a reflection about the diagonal when 8
         divides n."""
-        cos, sin = _table(n)
+        cos, sin = _grid(n)[1]
         i = np.arange(n)
         assert (cos[0], sin[0]) == (1.0, 0.0)
         assert np.array_equal(cos[-i], cos) and np.array_equal(sin[-i], -sin + 0.0)
@@ -444,24 +448,28 @@ class TestTable:
         table of np.cos and np.sin of the float grid is off by about 200 ulp
         next to the quarter turns at n = 720 and 5000 at n = 8192, where the
         grid angle's rounding is large against the small cos or sin."""
-        for got, ref in zip(_table(n), longdouble_grid_trig(n)):
+        for got, ref in zip(_grid(n)[1], longdouble_grid_trig(n)):
             ulp = np.spacing(np.abs(ref.astype(np.float64))).astype(np.longdouble)
             assert np.all(np.abs(got - ref) <= ulp), n
 
     def test_read_only(self):
-        for array in _table(720):
+        for array in (_grid(720)[0], *_grid(720)[1]):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_equal_copy_at_an_n_not_kept(self):
-        """An equal copy of the grid of an n that no grid is kept for gets the
-        grid's profile bit for bit, and looks up, builds and drops no grid."""
+        """An equal copy of the grid of an n that no entry is kept for gets
+        the grid's profile bit for bit, as new arrays: it builds that n's
+        entry, once, and the kept grid of another n stays kept and shared."""
         box = OrientedBox(0, 0, 5, 2, 0.3)
+        _grid.cache_clear()
         grid = grid_angles(720)
         copy = np.arange(1001) * (2.0 * math.pi / 1001)
-        info = _grid.cache_info()
         from_copy = _profile_terms(box, copy)
-        assert _grid.cache_info() == info and grid_angles(720) is grid
+        _profile_terms(box, copy)
+        info = _grid.cache_info()
+        assert (info.misses, info.currsize) == (2, 2) and grid_angles(720) is grid
+        assert all(array.flags.writeable for array in from_copy)
         for got, want in zip(from_copy, _profile_terms(box, grid_angles(1001))):
             assert got.tobytes() == want.tobytes()
 
@@ -476,15 +484,18 @@ class TestTable:
 
     def test_tables_of_the_default_sizes_are_kept(self):
         """A sweep cell's grid sizes, asked for in turn again and again,
-        build each size's table once."""
+        build each size's grid and table once, and each size returns one
+        grid throughout."""
         assert len(DEFAULT_N_VALUES) <= TABLE_SLOTS
-        _table.cache_clear()
+        _grid.cache_clear()
         _kept_profile.cache_clear()
+        grids = {n: grid_angles(n) for n in DEFAULT_N_VALUES}
         for k in range(3):
             for n in DEFAULT_N_VALUES:
-                radius_at(OrientedBox(0, 0, 5, 2, 0.3 + k), grid_angles(n))
-        info = _table.cache_info()
-        assert (info.hits, info.misses) == (2 * len(DEFAULT_N_VALUES), len(DEFAULT_N_VALUES))
+                assert grid_angles(n) is grids[n]
+                radius_at(OrientedBox(0, 0, 5, 2, 0.3 + k), grids[n])
+        info = _grid.cache_info()
+        assert (info.misses, info.currsize) == (len(DEFAULT_N_VALUES), len(DEFAULT_N_VALUES))
 
 
 class TestDiscretize:
