@@ -23,6 +23,10 @@ HALF_PI = math.pi / 2
 # much (radians) before the rectangle fit warns.
 ORTHOGONALITY_WARN_RAD = 0.05
 
+# corners_to_box calls a quad degenerate when the sine of the angle between
+# its two axes, or its short axis over its long one, is at most this ratio.
+DEGENERATE_RATIO = 1e-12
+
 
 @dataclass(frozen=True, init=False)
 class OrientedBox:
@@ -142,10 +146,20 @@ def corners_to_box(quad) -> OrientedBox:
     The center is the corner centroid and each axis is the average of one
     pair of opposite edges, which absorbs small annotation jitter.  The
     longer averaged edge becomes the r1 axis; for squares the first edge in
-    annotation order wins.  Warns when adjacent edges are far from
-    orthogonal, raises on degenerate (zero-area or segment-like) quads and
-    InvalidBoxError on a wrong shape or a non-finite corner (an int past
-    the float range included).
+    annotation order wins.
+
+    The quad is judged on its axes a and b through their unit vectors
+    u = a/|a| and v = b/|b| and the ratio of their lengths, so a quad gets
+    the same verdict at every scale.  DegenerateQuadError reads "quad has
+    (near-)zero area" for an axis of length 0 or |u x v| <=
+    DEGENERATE_RATIO, and "quad collapses to a segment" for
+    min(|a|, |b|) / max(|a|, |b|) <= DEGENERATE_RATIO: a quad whose short
+    axis is at most 1e-12 of its long one is a segment however large it
+    is, a 1e100 x 1e-11 rectangle included.  A warning names the skew when
+    |u . v|, the sine of the angle between the axes and a right angle,
+    exceeds sin(ORTHOGONALITY_WARN_RAD).  InvalidBoxError on a wrong shape
+    or a non-finite corner (an int past the float range included), and
+    "non-finite box parameters" when the fit overflows.
     """
     quad = _corner_array(quad, finite_array)
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = quad.tolist()
@@ -155,23 +169,16 @@ def corners_to_box(quad) -> OrientedBox:
     bx, by = ((x2 - x1) - (x0 - x3)) / 2.0, ((y2 - y1) - (y0 - y3)) / 2.0
     len_a = float(np.hypot(ax, ay))
     len_b = float(np.hypot(bx, by))
-    # Their cross product is the quad's shoelace area, computed from edge
-    # differences, so its rounding does not grow with the quad's position;
-    # their dot product over len_a len_b is the sine of the skew.  Past
-    # about 1e154 these products leave the float range, so there they are
-    # taken of the axes times 2**-514, an exact scaling, and the area's
-    # threshold is scaled with them.
-    area, dot, norm, tiny = ax * by - ay * bx, ax * bx + ay * by, len_a * len_b, 1e-12
-    if not finite(area, dot, norm):
-        s = 2.0 ** -514
-        area = (ax * s) * (by * s) - (ay * s) * (bx * s)
-        dot = (ax * s) * (bx * s) + (ay * s) * (by * s)
-        norm, tiny = (len_a * s) * (len_b * s), tiny * s * s
-    if abs(area) <= tiny:
+    if len_a == 0.0 or len_b == 0.0:
         raise DegenerateQuadError("quad has (near-)zero area")
-    if len_a <= 1e-12 or len_b <= 1e-12:
+    # An axis that overflows has an infinite length and a NaN in its unit
+    # vector: no test below holds for it, so OrientedBox rejects the fit.
+    ux, uy, vx, vy = ax / len_a, ay / len_a, bx / len_b, by / len_b
+    if abs(ux * vy - uy * vx) <= DEGENERATE_RATIO:
+        raise DegenerateQuadError("quad has (near-)zero area")
+    if finite(len_a, len_b) and min(len_a, len_b) / max(len_a, len_b) <= DEGENERATE_RATIO:
         raise DegenerateQuadError("quad collapses to a segment")
-    sin_skew = abs(dot) / norm
+    sin_skew = abs(ux * vx + uy * vy)
     if sin_skew > math.sin(ORTHOGONALITY_WARN_RAD):
         warnings.warn(
             f"quad edges deviate from orthogonal by "

@@ -382,6 +382,13 @@ def encode_decode_roundtrip(objects, num_classes: int, height: int, width: int, 
     objects = [(canonicalize(box), cls) for box, cls in objects]
     enc = encode_targets(objects, num_classes, height, width, stride)
     peaks = extract_peaks(enc.heatmap, k=max(len(objects), 1))
+    return _match_detections(objects, enc, peaks, stride)
+
+
+def _match_detections(objects, enc: EncodedTargets, peaks, stride: int):
+    """The decode-and-match half of encode_decode_roundtrip, for canonical
+    (box, class) objects already encoded as enc, with peaks extracted from
+    enc.heatmap: (field_errors, matches) as that function returns them."""
     detections = decode_detections(peaks, enc.offset_map, enc.param_map, stride)
     by_cell = {peak[:3]: det for peak, det in zip(peaks, detections)}
     matches = [by_cell.get(cell) for cell in enc.positives]

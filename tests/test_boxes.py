@@ -310,7 +310,8 @@ class TestCornersToBox:
         (1e308, 0, -1e308, 0, -1e308, 1e308, 1e308, 1e308),
         (-1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308),
         (0, 0, 1.5e308, 0, 1.5e308, 1.5e308, 0, 1.5e308),
-    ], ids=["wide", "centered", "corner"])
+        (-1e308, 0, 1e308, 0, 1e308, 1, -1e308, 1),
+    ], ids=["wide", "centered", "corner", "one-infinite-axis"])
     def test_overflow_raises_without_numpy_warning(self, coords):
         """A quad whose fit overflows is rejected as a non-finite box, with
         no floating-point warning printed on the way."""

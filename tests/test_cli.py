@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polarjiou.cli
 import polarjiou.codec
 from conftest import run_cli
 from polarjiou import (
@@ -22,6 +23,7 @@ from polarjiou.cli import (
     DEFAULT_STRIDE,
     DETECTIONS_CSV_HEADER,
     HEATMAP_CSV_HEADER,
+    ROUNDTRIP_CORNER_TOL,
     SWEEP_CSV_HEADER,
     TRACE_CSV_HEADER,
     SpecError,
@@ -324,7 +326,7 @@ class TestRoundtripCommand:
 
     def test_jittered_failures_match_harness(self, tmp_path):
         """The failure count equals an independent recount: jittered quads
-        whose fitted-box corners moved beyond 1e-6."""
+        whose fitted-box corners moved beyond ROUNDTRIP_CORNER_TOL (1e-6)."""
         rng = np.random.default_rng(22)
         jittered = lattice_boxes(rng, 80)
         exact = lattice_boxes(np.random.default_rng(23), 20, base_cell=40)
@@ -337,7 +339,7 @@ class TestRoundtripCommand:
         expected = 0
         for pts in quads:
             fitted = corners_to_box(pts)
-            if corner_set_distance(decode_corners(fitted), pts) > 1e-6:
+            if corner_set_distance(decode_corners(fitted), pts) > ROUNDTRIP_CORNER_TOL:
                 expected += 1
         code, out, _ = run_cli(["roundtrip", str(path)])
         assert code == 0
@@ -547,6 +549,24 @@ class TestHeatmapDemo:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == HEATMAP_CSV_HEADER
         assert len(lines) > 4
+
+    def test_scene_is_encoded_once(self, monkeypatch):
+        """One run encodes its scene and extracts its peaks once each, and
+        decodes from those; calls through either module's name count."""
+        calls = {"encode_targets": 0, "extract_peaks": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (polarjiou.cli, polarjiou.codec):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, _, _ = run_cli(["heatmap-demo"])
+        assert code == 0
+        assert calls == {"encode_targets": 1, "extract_peaks": 1}
 
     def test_underflowing_focal_loss_prints_zero(self):
         """At gamma 5000 every focal term underflows; the report reads 0,

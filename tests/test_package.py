@@ -86,6 +86,25 @@ def test_only_errors_decides_what_is_finite():
     assert found == []
 
 
+def test_no_comparison_has_an_unnamed_small_threshold():
+    """A float literal below 1e-3 in magnitude compared against is a
+    tolerance or floor without a name; it must be a named module constant,
+    as oracle.MIN_OVERLAP_FRACTION and PRUNE_REACH_SLACK are, so each such
+    rule is stated once.  Every operand of a comparison is searched,
+    products included; an exact zero is not a threshold."""
+    found = []
+    for path in sorted((SRC / "polarjiou").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            found += [f"{path.name}:{const.lineno}: {const.value!r}"
+                      for operand in (node.left, *node.comparators)
+                      for const in ast.walk(operand)
+                      if isinstance(const, ast.Constant) and isinstance(const.value, float)
+                      and 0.0 < abs(const.value) < 1e-3]
+    assert found == []
+
+
 def test_import_loads_only_numpy_beyond_the_standard_library():
     """The runtime is numpy-only: in a fresh interpreter, importing the
     package loads no other third-party top-level package.  Modules the
